@@ -7,7 +7,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, CheckpointState, Reader, Wire, Writer};
 use crisp_trace::{DataClass, StreamId, LINE_BYTES};
 
 use crate::req::MemReq;
@@ -344,26 +344,43 @@ impl CacheCore {
     }
 }
 
+impl Wire for Replacement {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&match self {
+            Replacement::Lru => 0u8,
+            Replacement::Random => 1,
+        })
+    }
+
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(Replacement::Lru),
+            1 => Ok(Replacement::Random),
+            t => Err(bad(format!("unknown replacement policy tag {t}"))),
+        }
+    }
+}
+
+crisp_ckpt::wire_struct!(Line {
+    tag,
+    valid_sectors,
+    dirty_sectors,
+    last_use,
+    owner_stream,
+    owner_class
+});
+
 impl CheckpointState for CacheCore {
-    type SaveCtx<'a> = ();
     /// Geometry and replacement policy come from the configuration stored
     /// once at the top of the checkpoint, not per cache.
     type RestoreCtx<'a> = (CacheGeometry, Replacement);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.len(self.lines.len())?;
-        for l in &self.lines {
-            w.u64(l.tag)?;
-            w.u8(l.valid_sectors)?;
-            w.u8(l.dirty_sectors)?;
-            w.u64(l.last_use)?;
-            w.stream(l.owner_stream)?;
-            w.class(l.owner_class)?;
-        }
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.lines)?;
         // The access clock drives LRU ages and the deterministic Random
         // victim; it must survive bit-exactly.
-        w.u64(self.clock)?;
-        self.stats.save(w, ())
+        w.put(&self.clock)?;
+        w.put(&self.stats)
     }
 
     fn restore<R: io::Read>(
@@ -372,29 +389,19 @@ impl CheckpointState for CacheCore {
     ) -> io::Result<Self> {
         let sets = geom.sets();
         let expected = (sets * geom.assoc as u64) as usize;
-        let n = r.len(expected)?;
-        if n != expected {
+        let lines: Vec<Line> = r.get()?;
+        if lines.len() != expected {
             return Err(bad(format!(
-                "cache has {n} lines, geometry implies {expected}"
+                "cache has {} lines, geometry implies {expected}",
+                lines.len()
             )));
-        }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            lines.push(Line {
-                tag: r.u64()?,
-                valid_sectors: r.u8()?,
-                dirty_sectors: r.u8()?,
-                last_use: r.u64()?,
-                owner_stream: r.stream()?,
-                owner_class: r.class()?,
-            });
         }
         Ok(CacheCore {
             geom,
             sets,
             lines,
-            clock: r.u64()?,
-            stats: MemStats::restore(r, ())?,
+            clock: r.get()?,
+            stats: r.get()?,
             replacement,
         })
     }

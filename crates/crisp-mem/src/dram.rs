@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::bad;
 use crisp_trace::{StreamId, SECTOR_BYTES};
 
 /// Bytes covered by one DRAM row (row-buffer granularity).
@@ -145,67 +145,38 @@ impl Dram {
     }
 }
 
-impl CheckpointState for Dram {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+// The fractional bandwidth clocks are stored bit-exactly: a resumed run
+// replays the same `.ceil()` boundaries as the original.
+crisp_ckpt::wire_struct!(Dram {
+    latency,
+    cycles_per_sector,
+    row_miss_penalty,
+    next_free,
+    write_next_free,
+    open_rows,
+    row_hits,
+    row_misses,
+    bytes_by_stream,
+    reads,
+    writes
+} check = Dram::check_restored);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.latency)?;
-        // The fractional bandwidth clocks must survive bit-exactly: a resumed
-        // run replays the same `.ceil()` boundaries as the original.
-        w.f64(self.cycles_per_sector)?;
-        w.f64(self.row_miss_penalty)?;
-        w.f64(self.next_free)?;
-        w.f64(self.write_next_free)?;
-        for row in &self.open_rows {
-            w.option(row.as_ref(), |w, &r| w.u64(r))?;
-        }
-        w.u64(self.row_hits)?;
-        w.u64(self.row_misses)?;
-        w.len(self.bytes_by_stream.len())?;
-        for (&s, &b) in &self.bytes_by_stream {
-            w.stream(s)?;
-            w.u64(b)?;
-        }
-        w.u64(self.reads)?;
-        w.u64(self.writes)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let latency = r.u64()?;
-        let cycles_per_sector = r.f64()?;
-        if !(cycles_per_sector.is_finite() && cycles_per_sector > 0.0) {
+impl Dram {
+    fn check_restored(&self) -> io::Result<()> {
+        if !(self.cycles_per_sector.is_finite() && self.cycles_per_sector > 0.0) {
             return Err(bad("bad dram cycles_per_sector"));
         }
-        let row_miss_penalty = r.f64()?;
-        let next_free = r.f64()?;
-        let write_next_free = r.f64()?;
-        let mut open_rows = [None; DRAM_BANKS];
-        for row in &mut open_rows {
-            *row = r.option(|r| r.u64())?;
+        // Completion cycles are `clock.ceil() as u64 + latency`: keep both
+        // terms small enough that the sum cannot overflow.
+        let clocks = [self.row_miss_penalty, self.next_free, self.write_next_free];
+        if self.latency > 1 << 32
+            || !clocks
+                .iter()
+                .all(|c| (0.0..=(1u64 << 53) as f64).contains(c))
+        {
+            return Err(bad("implausible dram latency or clock"));
         }
-        let row_hits = r.u64()?;
-        let row_misses = r.u64()?;
-        let n = r.len(1 << 20)?;
-        let mut bytes_by_stream = BTreeMap::new();
-        for _ in 0..n {
-            let s = r.stream()?;
-            let b = r.u64()?;
-            bytes_by_stream.insert(s, b);
-        }
-        Ok(Dram {
-            latency,
-            cycles_per_sector,
-            row_miss_penalty,
-            next_free,
-            write_next_free,
-            open_rows,
-            row_hits,
-            row_misses,
-            bytes_by_stream,
-            reads: r.u64()?,
-            writes: r.u64()?,
-        })
+        Ok(())
     }
 }
 

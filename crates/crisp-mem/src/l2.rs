@@ -15,6 +15,7 @@ use crisp_trace::{DataClass, StreamId};
 use crate::cache::{AccessKind, AccessOutcome, CacheCore, CacheGeometry, Replacement, Writeback};
 use crate::mshr::{Mshr, MshrOutcome};
 use crate::req::{MemReq, ReqToken};
+use crate::system::{MemConfig, L2_MSHR_MERGES};
 
 /// Result of presenting a read to an L2 bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,23 +142,19 @@ impl L2Bank {
 }
 
 impl CheckpointState for L2Bank {
-    type SaveCtx<'a> = ();
-    /// `(geometry, mshr entries, mshr merges, replacement)` from the
-    /// configuration.
-    type RestoreCtx<'a> = (CacheGeometry, usize, usize, Replacement);
+    /// The hierarchy configuration: bank geometry, MSHR capacity and
+    /// replacement policy.
+    type RestoreCtx<'a> = &'a MemConfig;
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        self.cache.save(w, ())?;
-        self.mshr.save(w, ())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        self.cache.save(w)?;
+        self.mshr.save(w)
     }
 
-    fn restore<R: io::Read>(
-        r: &mut Reader<R>,
-        (geom, entries, merges, replacement): (CacheGeometry, usize, usize, Replacement),
-    ) -> io::Result<Self> {
+    fn restore<R: io::Read>(r: &mut Reader<R>, cfg: &MemConfig) -> io::Result<Self> {
         Ok(L2Bank {
-            cache: CacheCore::restore(r, (geom, replacement))?,
-            mshr: Mshr::restore(r, (entries, merges))?,
+            cache: CacheCore::restore(r, (cfg.l2_bank_geom(), cfg.l2_replacement))?,
+            mshr: Mshr::restore(r, (cfg.l2_mshr_entries, L2_MSHR_MERGES, cfg.n_sms))?,
         })
     }
 }

@@ -29,6 +29,8 @@ struct Entry {
     waiters: Vec<ReqToken>,
 }
 
+crisp_ckpt::wire_struct!(Entry { waiters });
+
 /// The MSHR table, keyed by sector address.
 #[derive(Debug, Clone)]
 pub struct Mshr {
@@ -100,49 +102,48 @@ impl Mshr {
 }
 
 impl CheckpointState for Mshr {
-    type SaveCtx<'a> = ();
-    /// `(max_entries, max_merges)` from the configuration.
-    type RestoreCtx<'a> = (usize, usize);
+    /// `(max_entries, max_merges, n_sms)` from the configuration; every
+    /// waiting token must name an existing SM.
+    type RestoreCtx<'a> = (usize, usize, usize);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        // The entry map is keyed-access only, but serialize sorted by sector
-        // anyway so the byte stream is deterministic.
-        let mut sectors: Vec<u64> = self.entries.keys().copied().collect();
-        sectors.sort_unstable();
-        w.len(sectors.len())?;
-        for s in sectors {
-            w.u64(s)?;
-            let waiters = &self.entries[&s].waiters;
-            w.len(waiters.len())?;
-            for t in waiters {
-                t.save(w, ())?;
-            }
-        }
-        Ok(())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        // The entry map is keyed-access only; the codec writes it sorted by
+        // sector so the byte stream is deterministic.
+        w.put(&self.entries)
     }
 
     fn restore<R: io::Read>(
         r: &mut Reader<R>,
-        (max_entries, max_merges): (usize, usize),
+        (max_entries, max_merges, n_sms): (usize, usize, usize),
     ) -> io::Result<Self> {
         if max_entries == 0 || max_merges == 0 {
             return Err(bad("mshr capacities must be positive"));
         }
-        let n = r.len(max_entries)?;
-        let mut entries = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let sector = r.u64()?;
-            let n_waiters = r.len(max_merges)?;
-            let mut waiters = Vec::with_capacity(n_waiters);
-            for _ in 0..n_waiters {
-                waiters.push(ReqToken::restore(r, ())?);
+        // Read as a list, not a map, so a duplicated sector is caught.
+        let entries: Vec<(u64, Entry)> = r.get()?;
+        if entries.len() > max_entries {
+            return Err(bad(format!(
+                "{} mshr entries exceed {max_entries}",
+                entries.len()
+            )));
+        }
+        let mut map = HashMap::with_capacity(entries.len());
+        for (sector, entry) in entries {
+            if entry.waiters.len() > max_merges {
+                return Err(bad(format!(
+                    "{} mshr waiters exceed {max_merges}",
+                    entry.waiters.len()
+                )));
             }
-            if entries.insert(sector, Entry { waiters }).is_some() {
+            for t in &entry.waiters {
+                t.check_sm(n_sms)?;
+            }
+            if map.insert(sector, entry).is_some() {
                 return Err(bad("duplicate mshr sector"));
             }
         }
         Ok(Mshr {
-            entries,
+            entries: map,
             max_entries,
             max_merges,
         })

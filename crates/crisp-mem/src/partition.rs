@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, Reader, Wire, Writer};
 use crisp_trace::{StreamId, LINE_BYTES};
 
 /// Maps addresses to L2 banks, optionally restricting each stream to a bank
@@ -121,55 +121,22 @@ impl BankMap {
     }
 }
 
-impl CheckpointState for BankMap {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(BankMap { n_banks, masks } check = BankMap::check_restored);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u32(self.n_banks)?;
-        w.option(self.masks.as_ref(), |w, m| {
-            let mut streams: Vec<StreamId> = m.keys().copied().collect();
-            streams.sort_unstable();
-            w.len(streams.len())?;
-            for s in streams {
-                w.stream(s)?;
-                let banks = &m[&s];
-                w.len(banks.len())?;
-                for &b in banks {
-                    w.u32(b)?;
-                }
-            }
-            Ok(())
-        })
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let n_banks = r.u32()?;
-        if n_banks == 0 {
+impl BankMap {
+    fn check_restored(&self) -> io::Result<()> {
+        if self.n_banks == 0 {
             return Err(bad("bank map needs at least one bank"));
         }
-        let masks = r.option(|r| {
-            let n = r.len(1 << 16)?;
-            let mut m = HashMap::with_capacity(n);
-            for _ in 0..n {
-                let s = r.stream()?;
-                let len = r.len(n_banks as usize)?;
-                if len == 0 {
-                    return Err(bad("empty bank mask"));
-                }
-                let mut banks = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let b = r.u32()?;
-                    if b >= n_banks {
-                        return Err(bad("bank index out of range"));
-                    }
-                    banks.push(b);
-                }
-                m.insert(s, banks);
+        for banks in self.masks.iter().flat_map(HashMap::values) {
+            if banks.is_empty() {
+                return Err(bad("empty bank mask"));
             }
-            Ok(m)
-        })?;
-        Ok(BankMap { n_banks, masks })
+            if banks.iter().any(|&b| b >= self.n_banks) {
+                return Err(bad("bank index out of range"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -254,46 +221,35 @@ impl Umon {
     }
 }
 
-impl CheckpointState for Umon {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
+impl Wire for Umon {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         // The stack capacity doubles as the UMON depth (observe evicts when
         // len == capacity), so record it explicitly.
-        w.len(self.way_hits.len())?;
-        w.len(self.stack.len())?;
-        for &a in &self.stack {
-            w.u64(a)?;
-        }
-        for &h in &self.way_hits {
-            w.u64(h)?;
-        }
-        w.u64(self.accesses)?;
-        w.u64(self.sampled)
+        w.put(&self.way_hits.len())?;
+        w.put(&self.stack)?;
+        self.way_hits.iter().try_for_each(|h| w.put(h))?;
+        w.put(&self.accesses)?;
+        w.put(&self.sampled)
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let depth = r.len(1 << 16)?;
-        if depth == 0 {
-            return Err(bad("umon depth must be positive"));
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        let depth: usize = r.get()?;
+        if depth == 0 || depth > 1 << 16 {
+            return Err(bad(format!("bad umon depth {depth}")));
         }
-        let n_stack = r.len(depth)?;
+        let sampled_lines: Vec<u64> = r.get()?;
+        if sampled_lines.len() > depth {
+            return Err(bad("umon stack deeper than its depth"));
+        }
         // Rebuild exactly as `Umon::new` does so the eviction-triggering
         // capacity matches the original.
         let mut stack = Vec::with_capacity(depth);
-        for _ in 0..n_stack {
-            stack.push(r.u64()?);
-        }
-        let mut way_hits = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            way_hits.push(r.u64()?);
-        }
+        stack.extend(sampled_lines);
         Ok(Umon {
             stack,
-            way_hits,
-            accesses: r.u64()?,
-            sampled: r.u64()?,
+            way_hits: (0..depth).map(|_| r.get()).collect::<io::Result<_>>()?,
+            accesses: r.get()?,
+            sampled: r.get()?,
         })
     }
 }
@@ -462,56 +418,57 @@ impl TapController {
     }
 }
 
-impl CheckpointState for TapController {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(TapConfig {
+    epoch_accesses,
+    sample_every,
+    min_sets
+});
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.cfg.epoch_accesses)?;
-        w.u64(self.cfg.sample_every)?;
-        w.u64(self.cfg.min_sets)?;
-        w.u64(self.sets_per_bank)?;
-        w.len(self.assoc)?;
-        w.len(self.streams.len())?;
+impl Wire for TapController {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.cfg)?;
+        w.put(&self.sets_per_bank)?;
+        w.put(&self.assoc)?;
         // Umons and windows are keyed by stream; walking `streams` (the
         // canonical order) covers every entry deterministically.
-        for &s in &self.streams {
-            w.stream(s)?;
-            self.umons[&s].save(w, ())?;
-            let (start, count) = self.windows[&s];
-            w.u64(start)?;
-            w.u64(count)?;
-        }
-        w.u64(self.since_epoch)?;
-        w.u64(self.repartitions)
+        w.seq(&self.streams, |w, s| {
+            w.put(s)?;
+            w.put(&self.umons[s])?;
+            w.put(&self.windows[s])
+        })?;
+        w.put(&self.since_epoch)?;
+        w.put(&self.repartitions)
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let cfg = TapConfig {
-            epoch_accesses: r.u64()?,
-            sample_every: r.u64()?,
-            min_sets: r.u64()?,
-        };
-        let sets_per_bank = r.u64()?;
-        let assoc = r.len(1 << 16)?;
-        let n = r.len(1 << 16)?;
-        if n < 2 {
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        let cfg: TapConfig = r.get()?;
+        let sets_per_bank: u64 = r.get()?;
+        let assoc: usize = r.get()?;
+        if assoc == 0 || assoc > 1 << 16 {
+            return Err(bad(format!("bad TAP associativity {assoc}")));
+        }
+        let entries: Vec<(StreamId, Umon, (u64, u64))> = r.get()?;
+        if entries.len() < 2 {
             return Err(bad("TAP controller needs at least two streams"));
         }
-        let mut streams = Vec::with_capacity(n);
-        let mut umons = HashMap::with_capacity(n);
-        let mut windows = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let s = r.stream()?;
+        // Repartitioning hands every stream at least `min_sets` sets.
+        if (entries.len() as u64)
+            .checked_mul(cfg.min_sets)
+            .is_none_or(|floor| floor > sets_per_bank)
+        {
+            return Err(bad("TAP minimum allocation exceeds the sets"));
+        }
+        let mut streams = Vec::with_capacity(entries.len());
+        let mut umons = HashMap::with_capacity(entries.len());
+        let mut windows = HashMap::with_capacity(entries.len());
+        for (s, u, (start, count)) in entries {
             if umons.contains_key(&s) {
                 return Err(bad("duplicate TAP stream"));
             }
-            let u = Umon::restore(r, ())?;
-            let start = r.u64()?;
-            let count = r.u64()?;
-            if start
-                .checked_add(count)
-                .is_none_or(|end| end > sets_per_bank)
+            if count == 0
+                || start
+                    .checked_add(count)
+                    .is_none_or(|end| end > sets_per_bank)
             {
                 return Err(bad("TAP window out of range"));
             }
@@ -526,8 +483,8 @@ impl CheckpointState for TapController {
             streams,
             umons,
             windows,
-            since_epoch: r.u64()?,
-            repartitions: r.u64()?,
+            since_epoch: r.get()?,
+            repartitions: r.get()?,
         })
     }
 }
@@ -544,6 +501,23 @@ pub enum SetPartition {
 }
 
 impl SetPartition {
+    /// Reject restored windows that do not fit a bank of `sets` sets; set
+    /// indexing divides by a window's size and asserts it fits.
+    pub(crate) fn check_restored(&self, sets: u64) -> io::Result<()> {
+        let fits = |&(start, count): &(u64, u64)| {
+            count > 0 && start.checked_add(count).is_some_and(|end| end <= sets)
+        };
+        let ok = match self {
+            SetPartition::Shared => true,
+            SetPartition::Static(m) => m.values().all(fits),
+            SetPartition::Tap(t) => t.sets_per_bank == sets,
+        };
+        if !ok {
+            return Err(bad("set partition does not fit the L2 banks"));
+        }
+        Ok(())
+    }
+
     /// The set window for `stream` in a bank with `sets` sets.
     pub fn window(&self, stream: StreamId, sets: u64) -> (u64, u64) {
         match self {
@@ -561,48 +535,26 @@ impl SetPartition {
     }
 }
 
-impl CheckpointState for SetPartition {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
+impl Wire for SetPartition {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            SetPartition::Shared => w.u8(0),
+            SetPartition::Shared => w.put(&0u8),
             SetPartition::Static(m) => {
-                w.u8(1)?;
-                let mut streams: Vec<StreamId> = m.keys().copied().collect();
-                streams.sort_unstable();
-                w.len(streams.len())?;
-                for s in streams {
-                    w.stream(s)?;
-                    let (start, count) = m[&s];
-                    w.u64(start)?;
-                    w.u64(count)?;
-                }
-                Ok(())
+                w.put(&1u8)?;
+                w.put(m)
             }
             SetPartition::Tap(t) => {
-                w.u8(2)?;
-                t.save(w, ())
+                w.put(&2u8)?;
+                w.put(t)
             }
         }
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(match r.u8()? {
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        Ok(match r.get::<u8>()? {
             0 => SetPartition::Shared,
-            1 => {
-                let n = r.len(1 << 16)?;
-                let mut m = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let s = r.stream()?;
-                    let start = r.u64()?;
-                    let count = r.u64()?;
-                    m.insert(s, (start, count));
-                }
-                SetPartition::Static(m)
-            }
-            2 => SetPartition::Tap(TapController::restore(r, ())?),
+            1 => SetPartition::Static(r.get()?),
+            2 => SetPartition::Tap(r.get()?),
             t => return Err(bad(format!("bad set-partition tag {t}"))),
         })
     }

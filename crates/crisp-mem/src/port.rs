@@ -178,32 +178,26 @@ impl SmMemPort {
 }
 
 impl CheckpointState for SmMemPort {
-    type SaveCtx<'a> = ();
     /// `(owning SM id, hierarchy configuration)`.
     type RestoreCtx<'a> = (u16, &'a MemConfig);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u16(self.sm)?;
-        self.l1.save(w, ())?;
-        self.mshr.save(w, ())?;
-        w.len(self.egress.len())?;
-        for req in &self.egress {
-            req.save(w, ())?;
-        }
-        Ok(())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.sm)?;
+        self.l1.save(w)?;
+        self.mshr.save(w)?;
+        w.put(&self.egress)
     }
 
     fn restore<R: io::Read>(r: &mut Reader<R>, (sm, cfg): (u16, &MemConfig)) -> io::Result<Self> {
-        let found = r.u16()?;
+        let found: u16 = r.get()?;
         if found != sm {
             return Err(bad(format!("port belongs to SM {found}, expected SM {sm}")));
         }
         let l1 = CacheCore::restore(r, (cfg.l1_geom, crate::cache::Replacement::Lru))?;
-        let mshr = Mshr::restore(r, (cfg.l1_mshr_entries, cfg.l1_mshr_merges))?;
-        let n = r.len(1 << 24)?;
-        let mut egress = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            egress.push_back(MemReq::restore(r, ())?);
+        let mshr = Mshr::restore(r, (cfg.l1_mshr_entries, cfg.l1_mshr_merges, cfg.n_sms))?;
+        let egress: VecDeque<MemReq> = r.get()?;
+        for req in &egress {
+            req.token.check_sm(cfg.n_sms)?;
         }
         Ok(SmMemPort {
             sm,

@@ -1,8 +1,5 @@
 //! Memory requests, tokens and completions.
 
-use std::io;
-
-use crisp_ckpt::{CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId, LINE_BYTES, SECTOR_BYTES};
 
 /// Sectors per cache line (128 B line / 32 B sector).
@@ -67,45 +64,32 @@ impl MemReq {
     }
 }
 
-impl CheckpointState for ReqToken {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(ReqToken { sm, id });
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u16(self.sm)?;
-        w.u64(self.id)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(ReqToken {
-            sm: r.u16()?,
-            id: r.u64()?,
-        })
-    }
-}
-
-impl CheckpointState for MemReq {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.addr)?;
-        w.bool(self.is_write)?;
-        w.stream(self.stream)?;
-        w.class(self.class)?;
-        self.token.save(w, ())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(MemReq {
-            addr: r.u64()?,
-            is_write: r.bool()?,
-            stream: r.stream()?,
-            class: r.class()?,
-            token: ReqToken::restore(r, ())?,
-        })
+impl ReqToken {
+    /// Reject a restored token that names an SM the configuration lacks:
+    /// its completion would be routed to that SM.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when `sm >= n_sms`.
+    pub fn check_sm(&self, n_sms: usize) -> std::io::Result<()> {
+        if self.sm as usize >= n_sms {
+            return Err(crisp_ckpt::bad(format!(
+                "request token names nonexistent SM {}",
+                self.sm
+            )));
+        }
+        Ok(())
     }
 }
+crisp_ckpt::wire_struct!(MemReq {
+    addr,
+    is_write,
+    stream,
+    class,
+    token
+});
 
 /// A finished read returned by the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

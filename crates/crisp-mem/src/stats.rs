@@ -1,9 +1,7 @@
 //! Per-stream / per-class memory statistics and L2 composition snapshots.
 
 use std::collections::BTreeMap;
-use std::io;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId};
 
 /// Access/hit/miss counters kept per `(stream, class)` key.
@@ -130,69 +128,16 @@ impl MemStats {
     }
 }
 
-impl CheckpointState for MemStats {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.len(self.by_key.len())?;
-        for (&(stream, class), c) in &self.by_key {
-            w.stream(stream)?;
-            w.class(class)?;
-            w.u64(c.accesses)?;
-            w.u64(c.hits)?;
-            w.u64(c.misses)?;
-        }
-        Ok(())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let n = r.len(1 << 20)?;
-        let mut by_key = BTreeMap::new();
-        for _ in 0..n {
-            let stream = r.stream()?;
-            let class = r.class()?;
-            let c = ClassStreamCounters {
-                accesses: r.u64()?,
-                hits: r.u64()?,
-                misses: r.u64()?,
-            };
-            by_key.insert((stream, class), c);
-        }
-        Ok(MemStats { by_key })
-    }
-}
-
-impl CheckpointState for CompositionSnapshot {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.capacity_lines)?;
-        w.len(self.lines.len())?;
-        for (&(stream, class), &n) in &self.lines {
-            w.stream(stream)?;
-            w.class(class)?;
-            w.u64(n)?;
-        }
-        Ok(())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let capacity_lines = r.u64()?;
-        let n = r.len(1 << 20)?;
-        let mut lines = BTreeMap::new();
-        for _ in 0..n {
-            let stream = r.stream()?;
-            let class = r.class()?;
-            lines.insert((stream, class), r.u64()?);
-        }
-        Ok(CompositionSnapshot {
-            lines,
-            capacity_lines,
-        })
-    }
-}
+crisp_ckpt::wire_struct!(ClassStreamCounters {
+    accesses,
+    hits,
+    misses
+});
+crisp_ckpt::wire_struct!(MemStats { by_key });
+crisp_ckpt::wire_struct!(CompositionSnapshot {
+    capacity_lines,
+    lines
+});
 
 /// A point-in-time breakdown of valid cache lines by owner, the quantity
 /// Figures 11 and 15 plot ("up to 60% of cachelines are occupied by texture
@@ -362,10 +307,8 @@ mod tests {
         c.add_line(StreamId(1), DataClass::Compute);
         c.add_line(StreamId(1), DataClass::Compute);
         let mut buf = Vec::new();
-        let mut w = Writer::new(&mut buf);
-        c.save(&mut w, ()).unwrap();
-        let mut r = Reader::new(buf.as_slice());
-        let back = CompositionSnapshot::restore(&mut r, ()).unwrap();
+        crisp_ckpt::Writer::new(&mut buf).put(&c).unwrap();
+        let back: CompositionSnapshot = crisp_ckpt::Reader::new(buf.as_slice()).get().unwrap();
         assert_eq!(back, c);
     }
 

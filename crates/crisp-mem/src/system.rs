@@ -60,7 +60,7 @@ pub struct MemConfig {
 }
 
 impl MemConfig {
-    fn l2_bank_geom(&self) -> CacheGeometry {
+    pub(crate) fn l2_bank_geom(&self) -> CacheGeometry {
         assert!(
             self.l2_geom
                 .size_bytes
@@ -73,6 +73,9 @@ impl MemConfig {
         }
     }
 }
+
+/// Waiters per in-flight sector in each L2 bank's MSHR.
+pub(crate) const L2_MSHR_MERGES: usize = 16;
 
 /// Result of an L1 access from the LSU's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,23 +99,7 @@ struct Response {
     sm: u16,
     sector: u64,
     stream: StreamId,
-    class_idx: u8, // DataClass as index to keep Ord derivable
-}
-
-fn class_idx(c: DataClass) -> u8 {
-    match c {
-        DataClass::Texture => 0,
-        DataClass::Pipeline => 1,
-        DataClass::Compute => 2,
-    }
-}
-
-fn idx_class(i: u8) -> DataClass {
-    match i {
-        0 => DataClass::Texture,
-        1 => DataClass::Pipeline,
-        _ => DataClass::Compute,
-    }
+    class: DataClass,
 }
 
 /// Host-clock sub-phase durations of one [`MemSystem::tick_into`] call,
@@ -134,7 +121,7 @@ struct DramReturn {
     ready_at: u64,
     sector: u64,
     stream: StreamId,
-    class_idx: u8,
+    class: DataClass,
 }
 
 /// The shared half of the modelled memory hierarchy (crossbar, L2, DRAM).
@@ -161,7 +148,12 @@ impl MemSystem {
             xbar_in: Xbar::new(cfg.n_l2_banks as usize, cfg.xbar_latency),
             banks: (0..cfg.n_l2_banks)
                 .map(|_| {
-                    L2Bank::with_replacement(bank_geom, cfg.l2_mshr_entries, 16, cfg.l2_replacement)
+                    L2Bank::with_replacement(
+                        bank_geom,
+                        cfg.l2_mshr_entries,
+                        L2_MSHR_MERGES,
+                        cfg.l2_replacement,
+                    )
                 })
                 .collect(),
             bank_map: BankMap::shared(cfg.n_l2_banks),
@@ -281,7 +273,7 @@ impl MemSystem {
                             sm: req.token.sm,
                             sector: req.addr,
                             stream: req.stream,
-                            class_idx: class_idx(req.class),
+                            class: req.class,
                         }));
                     }
                     L2Outcome::MissToDram => {
@@ -292,7 +284,7 @@ impl MemSystem {
                             ready_at: ready,
                             sector: req.addr,
                             stream: req.stream,
-                            class_idx: class_idx(req.class),
+                            class: req.class,
                         }));
                     }
                     L2Outcome::Merged => {}
@@ -310,10 +302,9 @@ impl MemSystem {
                     break;
                 }
                 self.dram_ret[bank_idx].pop();
-                let class = idx_class(r.class_idx);
                 let sets = self.banks[bank_idx].cache().num_sets();
                 let window = self.partition.window(r.stream, sets);
-                let (waiters, wb) = self.banks[bank_idx].fill(r.sector, r.stream, class, window);
+                let (waiters, wb) = self.banks[bank_idx].fill(r.sector, r.stream, r.class, window);
                 if let Some(wb) = wb {
                     for s in 0..wb.dirty_sectors as u64 {
                         let a = self
@@ -332,7 +323,7 @@ impl MemSystem {
                         sm,
                         sector: r.sector,
                         stream: r.stream,
-                        class_idx: r.class_idx,
+                        class: r.class,
                     }));
                 }
             }
@@ -346,7 +337,7 @@ impl MemSystem {
             }
             self.responses.pop();
             let port = ports[r.sm as usize].as_mut();
-            for token in port.on_response(r.sector, r.stream, idx_class(r.class_idx)) {
+            for token in port.on_response(r.sector, r.stream, r.class) {
                 done.push(Completion {
                     token,
                     addr: r.sector,
@@ -431,118 +422,66 @@ impl MemSystem {
     }
 }
 
+crisp_ckpt::wire_struct!(DramReturn {
+    ready_at,
+    sector,
+    stream,
+    class
+});
+crisp_ckpt::wire_struct!(Response {
+    ready_at,
+    sm,
+    sector,
+    stream,
+    class
+});
+
 impl CheckpointState for MemSystem {
-    type SaveCtx<'a> = ();
     /// The configuration the original system was built with (already
     /// validated by the caller — geometry asserts would panic on garbage).
     type RestoreCtx<'a> = &'a MemConfig;
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        self.xbar_in.save(w, ())?;
-        w.len(self.banks.len())?;
-        for b in &self.banks {
-            b.save(w, ())?;
-        }
-        self.bank_map.save(w, ())?;
-        self.partition.save(w, ())?;
-        for d in &self.dram {
-            d.save(w, ())?;
-        }
-        // BinaryHeaps iterate in arbitrary order; serialize their contents
-        // sorted so the byte stream is deterministic. Push-rebuilding sorted
-        // input on restore yields a heap that pops identically.
-        for heap in &self.dram_ret {
-            let mut v: Vec<DramReturn> = heap.iter().map(|Reverse(r)| *r).collect();
-            v.sort_unstable();
-            w.len(v.len())?;
-            for r in v {
-                w.u64(r.ready_at)?;
-                w.u64(r.sector)?;
-                w.stream(r.stream)?;
-                w.u8(r.class_idx)?;
-            }
-        }
-        let mut v: Vec<Response> = self.responses.iter().map(|Reverse(r)| *r).collect();
-        v.sort_unstable();
-        w.len(v.len())?;
-        for r in v {
-            w.u64(r.ready_at)?;
-            w.u16(r.sm)?;
-            w.u64(r.sector)?;
-            w.stream(r.stream)?;
-            w.u8(r.class_idx)?;
-        }
-        Ok(())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        self.xbar_in.save(w)?;
+        w.seq(&self.banks, |w, b| b.save(w))?;
+        w.put(&self.bank_map)?;
+        w.put(&self.partition)?;
+        // One DRAM partition and one return heap per bank; the bank count
+        // comes from the configuration, so neither list has a prefix.
+        // Heaps are written sorted, and push-rebuilding that sorted input
+        // on restore yields a heap that pops identically.
+        self.dram.iter().try_for_each(|d| w.put(d))?;
+        self.dram_ret.iter().try_for_each(|h| w.put(h))?;
+        w.put(&self.responses)
     }
 
     fn restore<R: io::Read>(r: &mut Reader<R>, cfg: &MemConfig) -> io::Result<Self> {
         let n_banks = cfg.n_l2_banks as usize;
-        let bank_geom = cfg.l2_bank_geom();
-        let xbar_in = Xbar::restore(r, (n_banks, cfg.xbar_latency))?;
-        let n = r.len(n_banks)?;
-        if n != n_banks {
+        let xbar_in = Xbar::restore(r, cfg)?;
+        let banks = r.seq(|r| L2Bank::restore(r, cfg))?;
+        if banks.len() != n_banks {
             return Err(bad(format!(
-                "checkpoint has {n} L2 banks, config implies {n_banks}"
+                "checkpoint has {} L2 banks, config implies {n_banks}",
+                banks.len()
             )));
         }
-        let mut banks = Vec::with_capacity(n_banks);
-        for _ in 0..n_banks {
-            banks.push(L2Bank::restore(
-                r,
-                (bank_geom, cfg.l2_mshr_entries, 16, cfg.l2_replacement),
-            )?);
-        }
-        let bank_map = BankMap::restore(r, ())?;
+        let bank_map: BankMap = r.get()?;
         if bank_map.n_banks() != cfg.n_l2_banks {
             return Err(bad("bank map does not match the configured bank count"));
         }
-        let partition = SetPartition::restore(r, ())?;
-        let mut dram = Vec::with_capacity(n_banks);
-        for _ in 0..n_banks {
-            dram.push(Dram::restore(r, ())?);
-        }
-        let mut dram_ret = Vec::with_capacity(n_banks);
-        for _ in 0..n_banks {
-            let len = r.len(1 << 24)?;
-            let mut heap = BinaryHeap::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                let ready_at = r.u64()?;
-                let sector = r.u64()?;
-                let stream = r.stream()?;
-                let class_idx = r.u8()?;
-                if class_idx > 2 {
-                    return Err(bad(format!("bad data-class index {class_idx}")));
-                }
-                heap.push(Reverse(DramReturn {
-                    ready_at,
-                    sector,
-                    stream,
-                    class_idx,
-                }));
-            }
-            dram_ret.push(heap);
-        }
-        let len = r.len(1 << 24)?;
-        let mut responses = BinaryHeap::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            let ready_at = r.u64()?;
-            let sm = r.u16()?;
-            if sm as usize >= cfg.n_sms {
-                return Err(bad(format!("response addressed to nonexistent SM {sm}")));
-            }
-            let sector = r.u64()?;
-            let stream = r.stream()?;
-            let class_idx = r.u8()?;
-            if class_idx > 2 {
-                return Err(bad(format!("bad data-class index {class_idx}")));
-            }
-            responses.push(Reverse(Response {
-                ready_at,
-                sm,
-                sector,
-                stream,
-                class_idx,
-            }));
+        let partition: SetPartition = r.get()?;
+        partition.check_restored(cfg.l2_bank_geom().sets())?;
+        let dram = (0..n_banks).map(|_| r.get()).collect::<io::Result<_>>()?;
+        let dram_ret = (0..n_banks).map(|_| r.get()).collect::<io::Result<_>>()?;
+        let responses: BinaryHeap<Reverse<Response>> = r.get()?;
+        if let Some(Reverse(bad_sm)) = responses
+            .iter()
+            .find(|Reverse(x)| x.sm as usize >= cfg.n_sms)
+        {
+            return Err(bad(format!(
+                "response addressed to nonexistent SM {}",
+                bad_sm.sm
+            )));
         }
         Ok(MemSystem {
             cfg: *cfg,

@@ -8,6 +8,7 @@ use std::io;
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 
 use crate::req::MemReq;
+use crate::system::MemConfig;
 
 /// One direction of the interconnect: queues per destination port.
 #[derive(Debug, Clone)]
@@ -51,41 +52,30 @@ impl Xbar {
 }
 
 impl CheckpointState for Xbar {
-    type SaveCtx<'a> = ();
-    /// `(destination count, latency)` from the configuration.
-    type RestoreCtx<'a> = (usize, u64);
+    /// The hierarchy configuration: one queue per L2 bank, the traversal
+    /// latency, and the SM count every queued token must respect.
+    type RestoreCtx<'a> = &'a MemConfig;
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.len(self.queues.len())?;
-        for q in &self.queues {
-            w.len(q.len())?;
-            for (arrive, req) in q {
-                w.u64(*arrive)?;
-                req.save(w, ())?;
-            }
-        }
-        Ok(())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.queues)
     }
 
-    fn restore<R: io::Read>(
-        r: &mut Reader<R>,
-        (n_dsts, latency): (usize, u64),
-    ) -> io::Result<Self> {
-        let n = r.len(n_dsts)?;
-        if n != n_dsts {
-            return Err(bad(format!("xbar has {n} queues, config implies {n_dsts}")));
+    fn restore<R: io::Read>(r: &mut Reader<R>, cfg: &MemConfig) -> io::Result<Self> {
+        let n_dsts = cfg.n_l2_banks as usize;
+        let queues: Vec<VecDeque<(u64, MemReq)>> = r.get()?;
+        if queues.len() != n_dsts {
+            return Err(bad(format!(
+                "xbar has {} queues, config implies {n_dsts}",
+                queues.len()
+            )));
         }
-        let mut queues = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = r.len(1 << 24)?;
-            let mut q = VecDeque::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                let arrive = r.u64()?;
-                q.push_back((arrive, MemReq::restore(r, ())?));
-            }
-            queues.push(q);
+        for (_, req) in queues.iter().flatten() {
+            req.token.check_sm(cfg.n_sms)?;
         }
-        Ok(Xbar { latency, queues })
+        Ok(Xbar {
+            latency: cfg.xbar_latency,
+            queues,
+        })
     }
 }
 

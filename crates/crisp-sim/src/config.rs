@@ -2,7 +2,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::bad;
 use crisp_mem::{CacheGeometry, MemConfig, Replacement};
 use crisp_sm::SmConfig;
 use crisp_trace::LINE_BYTES;
@@ -174,62 +174,33 @@ impl GpuConfig {
     }
 }
 
-impl CheckpointState for GpuConfig {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(GpuConfig {
+    name,
+    n_sms,
+    sm,
+    l1_bytes,
+    l1_assoc,
+    l1_latency,
+    l2_bytes,
+    l2_assoc,
+    l2_banks,
+    l2_latency,
+    xbar_latency,
+    dram_latency,
+    core_clock_mhz,
+    dram_gbps,
+    max_cycles,
+    l1_mshr_entries,
+    l2_replacement,
+    threads
+} check = GpuConfig::check_restored);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.str(&self.name)?;
-        w.u64(self.n_sms as u64)?;
-        self.sm.save(w, ())?;
-        w.u64(self.l1_bytes)?;
-        w.u32(self.l1_assoc)?;
-        w.u64(self.l1_latency)?;
-        w.u64(self.l2_bytes)?;
-        w.u32(self.l2_assoc)?;
-        w.u32(self.l2_banks)?;
-        w.u64(self.l2_latency)?;
-        w.u64(self.xbar_latency)?;
-        w.u64(self.dram_latency)?;
-        w.f64(self.core_clock_mhz)?;
-        w.f64(self.dram_gbps)?;
-        w.u64(self.max_cycles)?;
-        w.u64(self.l1_mshr_entries as u64)?;
-        w.u8(match self.l2_replacement {
-            Replacement::Lru => 0,
-            Replacement::Random => 1,
-        })?;
-        w.u64(self.threads as u64)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let cfg = GpuConfig {
-            name: r.str()?,
-            n_sms: r.u64()? as usize,
-            sm: SmConfig::restore(r, ())?,
-            l1_bytes: r.u64()?,
-            l1_assoc: r.u32()?,
-            l1_latency: r.u64()?,
-            l2_bytes: r.u64()?,
-            l2_assoc: r.u32()?,
-            l2_banks: r.u32()?,
-            l2_latency: r.u64()?,
-            xbar_latency: r.u64()?,
-            dram_latency: r.u64()?,
-            core_clock_mhz: r.f64()?,
-            dram_gbps: r.f64()?,
-            max_cycles: r.u64()?,
-            l1_mshr_entries: r.u64()? as usize,
-            l2_replacement: match r.u8()? {
-                0 => Replacement::Lru,
-                1 => Replacement::Random,
-                t => return Err(bad(format!("unknown replacement policy tag {t}"))),
-            },
-            threads: r.u64()? as usize,
-        };
-        // Cache geometry construction *asserts* well-formedness (whole
-        // number of sets, bank divisibility), so a corrupt checkpoint must
-        // be rejected here with an `Err`, before `mem_config()` can panic.
+impl GpuConfig {
+    /// Cache geometry construction *asserts* well-formedness (whole number
+    /// of sets, bank divisibility), so a corrupt checkpoint must be
+    /// rejected here with an `Err`, before `mem_config()` can panic.
+    fn check_restored(&self) -> io::Result<()> {
+        let cfg = self;
         if cfg.n_sms == 0 || cfg.n_sms > 4096 {
             return Err(bad(format!("implausible SM count {}", cfg.n_sms)));
         }
@@ -279,13 +250,24 @@ impl CheckpointState for GpuConfig {
         if cfg.threads == 0 || cfg.threads > 4096 {
             return Err(bad(format!("implausible thread count {}", cfg.threads)));
         }
-        Ok(cfg)
+        // Completion cycles add these to the current cycle.
+        let latencies = [
+            cfg.l1_latency,
+            cfg.l2_latency,
+            cfg.xbar_latency,
+            cfg.dram_latency,
+        ];
+        if latencies.iter().any(|&l| l > 1 << 32) {
+            return Err(bad(format!("implausible latencies {latencies:?}")));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_ckpt::{Reader, Writer};
 
     #[test]
     fn table_ii_presets() {
@@ -324,9 +306,9 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             let mut w = Writer::new(&mut buf);
-            cfg.save(&mut w, ()).unwrap();
+            w.put(&cfg).unwrap();
             let mut r = Reader::new(buf.as_slice());
-            assert_eq!(GpuConfig::restore(&mut r, ()).unwrap(), cfg);
+            assert_eq!(r.get::<GpuConfig>().unwrap(), cfg);
         }
     }
 
@@ -338,9 +320,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         let mut w = Writer::new(&mut buf);
-        cfg.save(&mut w, ()).unwrap();
+        w.put(&cfg).unwrap();
         let mut r = Reader::new(buf.as_slice());
-        let err = GpuConfig::restore(&mut r, ()).unwrap_err();
+        let err = r.get::<GpuConfig>().unwrap_err();
         assert!(err.to_string().contains("L1 geometry"), "{err}");
     }
 

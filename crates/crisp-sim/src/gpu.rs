@@ -2051,10 +2051,10 @@ impl GpuSim {
     pub fn write_checkpoint<W: io::Write>(&mut self, sink: W) -> io::Result<()> {
         let mut w = Writer::new(sink);
         w.header()?;
-        self.cfg.save(&mut w, ())?;
-        self.spec.save(&mut w, ())?;
-        w.u64(self.threads as u64)?;
-        w.bool(self.residency_telemetry)?;
+        w.put(&self.cfg)?;
+        w.put(&self.spec)?;
+        w.put(&self.threads)?;
+        w.put(&self.residency_telemetry)?;
 
         // Trace-source provenance: enough to re-open the same container at
         // restore. Path-backed sources store the path; everything else
@@ -2069,13 +2069,13 @@ impl GpuSim {
             .map(TraceSource::stats)
             .unwrap_or_default();
         match self.source.as_mut() {
-            None => w.u8(0)?,
+            None => w.put(&0u8)?,
             Some(src) => {
-                if let Some(p) = src.path().map(Path::to_path_buf) {
-                    w.u8(1)?;
-                    w.str(&p.to_string_lossy())?;
+                if let Some(p) = src.path() {
+                    w.put(&1u8)?;
+                    w.put(&p.to_string_lossy().into_owned())?;
                 } else {
-                    w.u8(2)?;
+                    w.put(&2u8)?;
                     let bytes = src.container_bytes()?;
                     w.bytes(&bytes)?;
                     src.set_stats(tstats);
@@ -2084,99 +2084,58 @@ impl GpuSim {
         }
         // Paging statistics travel with the checkpoint so a resumed run's
         // cumulative counters continue bit-identically.
-        w.u64(tstats.resident_ctas)?;
-        w.u64(tstats.resident_bytes)?;
-        w.u64(tstats.peak_resident_ctas)?;
-        w.u64(tstats.peak_resident_bytes)?;
-        w.u64(tstats.ctas_decoded)?;
-        w.u64(tstats.bytes_decoded)?;
+        w.put(&tstats)?;
 
-        w.u64(self.now)?;
-        w.u64(self.cta_seq)?;
-        w.u64(self.last_progress)?;
-        w.u64(self.rr_offset as u64)?;
-        w.u64(self.occupancy_interval)?;
-        w.u64(self.composition_interval)?;
-        w.u64(self.counter_interval)?;
+        w.put(&(self.now, self.cta_seq, self.last_progress, self.rr_offset))?;
+        w.put(&(
+            self.occupancy_interval,
+            self.composition_interval,
+            self.counter_interval,
+        ))?;
 
         // Streams are saved as cursors into the source's directory — not
         // the command lists themselves, which restore rebuilds from the
         // re-opened source.
-        w.len(self.streams.len())?;
-        for st in &self.streams {
-            w.stream(st.id)?;
-            w.u8(match st.kind {
-                StreamKind::Graphics => 0,
-                StreamKind::Compute => 1,
+        w.seq(&self.streams, |w, st| {
+            w.put(&(st.id, st.kind, st.next_cmd))?;
+            w.option(st.current.as_ref(), |w, k| {
+                w.put(&(k.kernel, k.next_cta, k.outstanding, k.start_cycle))
             })?;
-            w.u64(st.next_cmd as u64)?;
-            w.option(st.current.as_ref(), |w, r| {
-                w.u32(r.kernel.0)?;
-                w.u64(r.next_cta as u64)?;
-                w.u64(r.outstanding as u64)?;
-                w.u64(r.start_cycle)
-            })?;
-            w.bool(st.started)?;
-            w.bool(st.finished)?;
-        }
+            w.put(&(st.started, st.finished))
+        })?;
 
-        w.len(self.stats.len())?;
-        for (&id, st) in &self.stats {
-            w.stream(id)?;
-            st.save(&mut w, ())?;
-        }
-        w.len(self.occupancy.len())?;
-        for s in &self.occupancy {
-            s.save(&mut w, ())?;
-        }
-        w.len(self.ipc_timeline.len())?;
-        for (cycle, m) in &self.ipc_timeline {
-            w.u64(*cycle)?;
-            write_stream_u64_map(&mut w, m)?;
-        }
-        write_stream_u64_map(&mut w, &self.last_issued_snapshot)?;
-        w.len(self.composition_timeline.len())?;
-        for (cycle, snap) in &self.composition_timeline {
-            w.u64(*cycle)?;
-            snap.save(&mut w, ())?;
-        }
-        write_stream_u64_map(&mut w, &self.counter_prev_issued)?;
-        write_stream_u64_map(&mut w, &self.counter_prev_dram)?;
-        w.u64(self.counter_prev_l1.0)?;
-        w.u64(self.counter_prev_l1.1)?;
-        w.u64(self.counter_prev_l2.0)?;
-        w.u64(self.counter_prev_l2.1)?;
-
-        w.len(self.allowed_sms.len())?;
-        for (&id, mask) in &self.allowed_sms {
-            w.stream(id)?;
-            w.len(mask.len())?;
-            for &b in mask {
-                w.bool(b)?;
-            }
-        }
-        w.len(self.kernel_log.len())?;
-        for k in &self.kernel_log {
-            w.stream(k.stream)?;
-            w.str(&k.name)?;
-            w.u64(k.start_cycle)?;
-            w.u64(k.end_cycle)?;
-            w.u64(k.ctas)?;
-        }
-        w.option(self.slicer.as_ref(), |w, s| s.save(w, ()))?;
+        w.put(&self.stats)?;
+        w.put(&self.occupancy)?;
+        w.put(&self.ipc_timeline)?;
+        w.put(&self.last_issued_snapshot)?;
+        w.put(&self.composition_timeline)?;
+        w.put(&self.counter_prev_issued)?;
+        w.put(&self.counter_prev_dram)?;
+        w.put(&(self.counter_prev_l1, self.counter_prev_l2))?;
+        w.put(&self.allowed_sms)?;
+        w.put(&self.kernel_log)?;
+        w.put(&self.slicer)?;
         w.option(self.recorder.as_ref(), save_recorder)?;
 
         for sm in &self.sms {
-            sm.save(&mut w, ())?;
+            sm.save(&mut w)?;
         }
-        self.mem.save(&mut w, ())?;
-        Ok(())
+        self.mem.save(&mut w)
     }
 
     /// Restore a simulator from a checkpoint written by
     /// [`GpuSim::write_checkpoint`]. The worker-thread count is restored
     /// from the checkpoint but may be overridden with
     /// [`GpuSim::set_threads`] — results are identical either way.
+    ///
+    /// A restored trace source is validated like a built one: the same
+    /// pre-flight lint (over every kernel the run can still execute) and
+    /// placement checks the builder runs, so a checkpoint that loads also
+    /// runs without panicking. Defects that can only stall the run
+    /// ([`TraceErrorKind::only_stalls`]) are left to the watchdog, since a
+    /// build without pre-flight may checkpoint them.
+    ///
+    /// [`TraceErrorKind::only_stalls`]: crisp_trace::TraceErrorKind::only_stalls
     ///
     /// # Errors
     ///
@@ -2185,53 +2144,30 @@ impl GpuSim {
     pub fn read_checkpoint<R: io::Read>(src: R) -> io::Result<GpuSim> {
         let mut r = Reader::new(src);
         r.header()?;
-        let cfg = GpuConfig::restore(&mut r, ())?;
-        let spec = PartitionSpec::restore(&mut r, ())?;
-        let threads = r.u64()?.clamp(1, 1 << 16) as usize;
-        let residency_telemetry = r.bool()?;
+        let cfg: GpuConfig = r.get()?;
+        let spec = r.get()?;
+        let threads = r.get::<usize>()?.clamp(1, 1 << 16);
+        let residency_telemetry = r.get()?;
 
         // Re-open the trace source from its provenance. Embedded container
         // bytes become an in-memory *streaming* source, so a resumed run
         // keeps the same bounded resident window.
-        let mut source = match r.u8()? {
+        let mut source = match r.get::<u8>()? {
             0 => None,
-            1 => {
-                let path = PathBuf::from(r.str()?);
-                Some(TraceInput::from(path).open()?)
-            }
-            2 => {
-                let bytes = r.bytes(1 << 32)?;
-                Some(TraceInput::reader(std::io::Cursor::new(bytes)).open()?)
-            }
+            1 => Some(TraceInput::from(PathBuf::from(r.get::<String>()?)).open()?),
+            2 => Some(TraceInput::reader(std::io::Cursor::new(r.bytes(1 << 32)?)).open()?),
             t => return Err(bad(format!("unknown trace-provenance tag {t}"))),
         };
-        let saved_tstats = TraceStats {
-            resident_ctas: r.u64()?,
-            resident_bytes: r.u64()?,
-            peak_resident_ctas: r.u64()?,
-            peak_resident_bytes: r.u64()?,
-            ctas_decoded: r.u64()?,
-            bytes_decoded: r.u64()?,
-        };
+        let saved_tstats: TraceStats = r.get()?;
 
-        let now = r.u64()?;
-        let cta_seq = r.u64()?;
-        let last_progress = r.u64()?;
-        let rr_offset = r.u64()? as usize;
-        let occupancy_interval = r.u64()?;
-        let composition_interval = r.u64()?;
-        let counter_interval = r.u64()?;
+        let (now, cta_seq, last_progress, rr_offset): (u64, _, u64, _) = r.get()?;
+        if last_progress > now {
+            return Err(bad("last forward progress lies after the checkpoint cycle"));
+        }
+        let (occupancy_interval, composition_interval, counter_interval) = r.get()?;
 
-        let n_streams = r.len(1 << 16)?;
-        let mut streams = Vec::with_capacity(n_streams.min(64));
-        for _ in 0..n_streams {
-            let id = r.stream()?;
-            let kind = match r.u8()? {
-                0 => StreamKind::Graphics,
-                1 => StreamKind::Compute,
-                t => return Err(bad(format!("unknown stream-kind tag {t}"))),
-            };
-            let next_cmd = r.u64()? as usize;
+        let streams = r.seq(|r| {
+            let (id, kind, next_cmd): (StreamId, StreamKind, usize) = r.get()?;
             // Commands come from the re-opened source's directory, not the
             // checkpoint; the cursor is validated against it.
             let src = source
@@ -2252,7 +2188,7 @@ impl GpuSim {
                 )));
             }
             let current = r.option(|r| {
-                let kernel = KernelId(r.u32()?);
+                let (kernel, next_cta, outstanding, start_cycle) = r.get()?;
                 let info = src
                     .kernel_info(kernel)
                     .ok_or_else(|| bad(format!("running {kernel} missing from trace source")))?
@@ -2260,11 +2196,8 @@ impl GpuSim {
                 if src.kernel_stream(kernel) != Some(id) {
                     return Err(bad(format!("running {kernel} belongs to another stream")));
                 }
-                let next_cta = r.u64()? as usize;
-                let outstanding = r.u64()? as usize;
-                let start_cycle = r.u64()?;
-                if next_cta > info.grid || outstanding > info.grid {
-                    return Err(bad("running-kernel cursor past its grid"));
+                if next_cta > info.grid || outstanding > info.grid || start_cycle > now {
+                    return Err(bad("running-kernel cursor out of range"));
                 }
                 Ok(RunningKernel {
                     kernel,
@@ -2274,9 +2207,8 @@ impl GpuSim {
                     start_cycle,
                 })
             })?;
-            let started = r.bool()?;
-            let finished = r.bool()?;
-            streams.push(StreamState {
+            let (started, finished) = r.get()?;
+            Ok(StreamState {
                 id,
                 kind,
                 commands,
@@ -2284,68 +2216,53 @@ impl GpuSim {
                 current,
                 started,
                 finished,
-            });
+            })
+        })?;
+
+        if let Some(src) = source.as_mut() {
+            // Everything the run can still execute: each stream from its
+            // running kernel on (SM restore rejects warps of any other).
+            let first = |id| {
+                streams
+                    .iter()
+                    .find(|s: &&StreamState| s.id == id)
+                    .map_or(0, |s| {
+                        s.next_cmd.saturating_sub(usize::from(s.current.is_some()))
+                    })
+            };
+            let errors = crisp_trace::validate_source_from(src, first)
+                .err()
+                .unwrap_or_default();
+            if let Some(e) = errors.iter().find(|e| !e.kind.only_stalls()) {
+                return Err(bad(format!("checkpoint trace source is invalid: {e}")));
+            }
+            if let Some(msg) = unplaceable_kernel(src, &cfg.sm) {
+                return Err(bad(msg));
+            }
         }
 
-        let n_stats = r.len(1 << 16)?;
-        let mut stats = BTreeMap::new();
-        for _ in 0..n_stats {
-            let id = r.stream()?;
-            stats.insert(id, PerStreamStats::restore(&mut r, ())?);
+        let stats: BTreeMap<StreamId, PerStreamStats> = r.get()?;
+        if let Some(st) = streams.iter().find(|st| !stats.contains_key(&st.id)) {
+            return Err(bad(format!("stream {} has no statistics", st.id)));
         }
-        let n = r.len(1 << 28)?;
-        let mut occupancy = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            occupancy.push(OccupancySample::restore(&mut r, ())?);
+        let occupancy = r.get()?;
+        let ipc_timeline = r.get()?;
+        let last_issued_snapshot: BTreeMap<StreamId, u64> = r.get()?;
+        let composition_timeline = r.get()?;
+        let counter_prev_issued = r.get()?;
+        let counter_prev_dram = r.get()?;
+        let (counter_prev_l1, counter_prev_l2) = r.get()?;
+        let allowed_sms: BTreeMap<StreamId, Vec<bool>> = r.get()?;
+        if let Some((id, mask)) = allowed_sms.iter().find(|(_, m)| m.len() != cfg.n_sms) {
+            return Err(bad(format!(
+                "SM allowlist for {id} has {} entries, config has {} SMs",
+                mask.len(),
+                cfg.n_sms
+            )));
         }
-        let n = r.len(1 << 28)?;
-        let mut ipc_timeline = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            ipc_timeline.push((cycle, read_stream_u64_map(&mut r)?));
-        }
-        let last_issued_snapshot = read_stream_u64_map(&mut r)?;
-        let n = r.len(1 << 28)?;
-        let mut composition_timeline = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            composition_timeline.push((cycle, CompositionSnapshot::restore(&mut r, ())?));
-        }
-        let counter_prev_issued = read_stream_u64_map(&mut r)?;
-        let counter_prev_dram = read_stream_u64_map(&mut r)?;
-        let counter_prev_l1 = (r.u64()?, r.u64()?);
-        let counter_prev_l2 = (r.u64()?, r.u64()?);
-
-        let n_masks = r.len(1 << 16)?;
-        let mut allowed_sms = BTreeMap::new();
-        for _ in 0..n_masks {
-            let id = r.stream()?;
-            let len = r.len(1 << 16)?;
-            if len != cfg.n_sms {
-                return Err(bad(format!(
-                    "SM allowlist for {id} has {len} entries, config has {} SMs",
-                    cfg.n_sms
-                )));
-            }
-            let mut mask = Vec::with_capacity(len);
-            for _ in 0..len {
-                mask.push(r.bool()?);
-            }
-            allowed_sms.insert(id, mask);
-        }
-        let n = r.len(1 << 24)?;
-        let mut kernel_log = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            kernel_log.push(KernelRecord {
-                stream: r.stream()?,
-                name: r.str()?,
-                start_cycle: r.u64()?,
-                end_cycle: r.u64()?,
-                ctas: r.u64()?,
-            });
-        }
-        let slicer = r.option(|r| WarpedSlicer::restore(r, ()))?;
-        let recorder = r.option(|r| restore_recorder(r, cfg.n_sms))?;
+        let kernel_log = r.get()?;
+        let slicer = r.get()?;
+        let recorder = r.option(|r| restore_recorder(r, cfg.n_sms, now))?;
 
         let mem_cfg = cfg.mem_config();
         let mut sms = Vec::with_capacity(cfg.n_sms);
@@ -2367,9 +2284,53 @@ impl GpuSim {
         }
         let mem = MemSystem::restore(&mut r, &mem_cfg)?;
 
-        // Restore the paging counters last: the fetches made while paging
-        // the resident window back in must not perturb the checkpointed
-        // cumulative statistics, or a resumed run's exports would diverge.
+        // Every resident CTA belongs to its stream's running kernel, whose
+        // outstanding count is exactly those CTAs; issue totals never run
+        // behind the last occupancy sample.
+        let mut out: BTreeMap<StreamId, usize> = BTreeMap::new();
+        for (stream, kernel) in sms.iter().flat_map(Sm::resident_kernels) {
+            let running = streams
+                .iter()
+                .find(|s| s.id == stream)
+                .and_then(|s| s.current.as_ref());
+            if running.is_none_or(|k| k.kernel != kernel) {
+                return Err(bad(format!(
+                    "resident CTA of {kernel} is not running on {stream}"
+                )));
+            }
+            *out.entry(stream).or_default() += 1;
+        }
+        for st in &streams {
+            let resident = out.get(&st.id).copied().unwrap_or(0);
+            if st.current.as_ref().map_or(0, |k| k.outstanding) != resident {
+                return Err(bad(format!(
+                    "stream {} outstanding CTAs disagree with the SMs",
+                    st.id
+                )));
+            }
+        }
+        for (&id, &prev) in &last_issued_snapshot {
+            if sms.iter().map(|sm| sm.issued_for(id)).sum::<u64>() < prev {
+                return Err(bad(format!("issue snapshot of {id} exceeds its SM totals")));
+            }
+        }
+        // The resident window was just paged back in; the saved counters
+        // must describe that same window, or a later release underflows.
+        if let Some(s) = source.as_ref() {
+            let paged = s.stats();
+            if (paged.resident_ctas, paged.resident_bytes)
+                != (saved_tstats.resident_ctas, saved_tstats.resident_bytes)
+            {
+                return Err(bad(
+                    "saved paging statistics disagree with the resident window",
+                ));
+            }
+        }
+
+        // Restore the paging counters last: validating the source and
+        // paging the resident window back in must not perturb the
+        // checkpointed cumulative statistics, or a resumed run's exports
+        // would diverge.
         if let Some(s) = source.as_mut() {
             s.set_stats(saved_tstats);
         }
@@ -2416,202 +2377,155 @@ impl GpuSim {
     }
 }
 
-fn write_stream_u64_map<W: io::Write>(
-    w: &mut Writer<W>,
-    m: &BTreeMap<StreamId, u64>,
-) -> io::Result<()> {
-    w.len(m.len())?;
-    for (&id, &v) in m {
-        w.stream(id)?;
-        w.u64(v)?;
-    }
-    Ok(())
+/// The first kernel in `src` whose CTAs can never be placed on an SM with
+/// `sm`'s physical resources, as an error message. Both the builder's
+/// pre-flight and checkpoint restore reject such a source up front; the
+/// dispatcher asserts it never meets one.
+pub(crate) fn unplaceable_kernel(src: &TraceSource, sm: &crisp_sm::SmConfig) -> Option<String> {
+    src.streams().iter().find_map(|s| {
+        s.commands.iter().find_map(|cmd| {
+            let CommandMeta::Launch { info, .. } = cmd else {
+                return None;
+            };
+            let res = CtaResources::of_info(info);
+            let fits = res.threads <= sm.max_threads
+                && res.warps <= sm.max_warps
+                && res.regs <= sm.max_regs
+                && res.smem <= sm.max_smem;
+            (info.grid > 0 && !fits).then(|| {
+                format!(
+                    "kernel '{}' on {} needs {res:?} per CTA, which exceeds the SM's \
+                     physical resources",
+                    info.name, s.id
+                )
+            })
+        })
+    })
 }
 
-fn read_stream_u64_map<R: io::Read>(r: &mut Reader<R>) -> io::Result<BTreeMap<StreamId, u64>> {
-    let n = r.len(1 << 16)?;
-    let mut m = BTreeMap::new();
-    for _ in 0..n {
-        let id = r.stream()?;
-        m.insert(id, r.u64()?);
+crisp_ckpt::wire_struct!(KernelRecord {
+    stream,
+    name,
+    start_cycle,
+    end_cycle,
+    ctas
+} check = KernelRecord::check_restored);
+
+impl KernelRecord {
+    fn check_restored(&self) -> io::Result<()> {
+        if self.start_cycle > self.end_cycle {
+            return Err(bad(format!("kernel '{}' ends before it starts", self.name)));
+        }
+        Ok(())
     }
-    Ok(m)
 }
 
-fn save_track<W: io::Write>(w: &mut Writer<W>, t: Track) -> io::Result<()> {
+fn put_track<W: io::Write>(w: &mut Writer<W>, t: Track) -> io::Result<()> {
     match t {
-        Track::Gpu => w.u8(0),
-        Track::Stream(s) => {
-            w.u8(1)?;
-            w.u32(s)
-        }
-        Track::Sm(s) => {
-            w.u8(2)?;
-            w.u32(s)
-        }
+        Track::Gpu => w.put(&0u8),
+        Track::Stream(s) => w.put(&(1u8, s)),
+        Track::Sm(s) => w.put(&(2u8, s)),
     }
 }
 
-fn restore_track<R: io::Read>(r: &mut Reader<R>) -> io::Result<Track> {
-    Ok(match r.u8()? {
+fn get_track<R: io::Read>(r: &mut Reader<R>) -> io::Result<Track> {
+    Ok(match r.get::<u8>()? {
         0 => Track::Gpu,
-        1 => Track::Stream(r.u32()?),
-        2 => Track::Sm(r.u32()?),
+        1 => Track::Stream(r.get()?),
+        2 => Track::Sm(r.get()?),
         t => return Err(bad(format!("unknown track tag {t}"))),
     })
 }
 
 /// Span categories form a closed set (the recorder only emits these), which
-/// lets restore rebuild the `&'static str` tags.
+/// lets restore rebuild the `&'static str` tags: a category is written as
+/// its index here.
+const SPAN_CATS: [&str; 3] = ["cta", "kernel", "marker"];
+
 fn cat_tag(cat: &str) -> io::Result<u8> {
-    match cat {
-        "cta" => Ok(0),
-        "kernel" => Ok(1),
-        "marker" => Ok(2),
-        _ => Err(bad(format!("unknown span category {cat:?}"))),
-    }
+    let i = SPAN_CATS.iter().position(|&c| c == cat);
+    i.map(|i| i as u8)
+        .ok_or_else(|| bad(format!("unknown span category {cat:?}")))
 }
 
 fn cat_from(tag: u8) -> io::Result<&'static str> {
-    Ok(match tag {
-        0 => "cta",
-        1 => "kernel",
-        2 => "marker",
-        t => return Err(bad(format!("unknown span-category tag {t}"))),
-    })
+    let cat = SPAN_CATS.get(tag as usize).copied();
+    cat.ok_or_else(|| bad(format!("unknown span-category tag {tag}")))
 }
 
-fn save_span<W: io::Write>(w: &mut Writer<W>, s: &SpanEvent) -> io::Result<()> {
-    save_track(w, s.track)?;
-    w.str(&s.name)?;
-    w.u8(cat_tag(s.cat)?)?;
-    w.u64(s.start)?;
-    w.u64(s.dur)?;
-    w.len(s.args.len())?;
-    for (k, v) in &s.args {
-        w.str(k)?;
-        w.str(v)?;
-    }
-    Ok(())
+fn put_span<W: io::Write>(w: &mut Writer<W>, s: &SpanEvent) -> io::Result<()> {
+    put_track(w, s.track)?;
+    w.put(&s.name)?;
+    w.put(&cat_tag(s.cat)?)?;
+    w.put(&(s.start, s.dur))?;
+    w.put(&s.args)
 }
 
-fn restore_span<R: io::Read>(r: &mut Reader<R>) -> io::Result<SpanEvent> {
-    let track = restore_track(r)?;
-    let name = r.str()?;
-    let cat = cat_from(r.u8()?)?;
-    let start = r.u64()?;
-    let dur = r.u64()?;
-    let n_args = r.len(1 << 10)?;
-    let mut args = Vec::with_capacity(n_args);
-    for _ in 0..n_args {
-        let k = r.str()?;
-        let v = r.str()?;
-        args.push((k, v));
-    }
+fn get_span<R: io::Read>(r: &mut Reader<R>) -> io::Result<SpanEvent> {
     Ok(SpanEvent {
-        track,
-        name,
-        cat,
-        start,
-        dur,
-        args,
+        track: get_track(r)?,
+        name: r.get()?,
+        cat: cat_from(r.get()?)?,
+        start: r.get()?,
+        dur: r.get()?,
+        args: r.get()?,
     })
 }
 
 fn save_recorder<W: io::Write>(w: &mut Writer<W>, rec: &TraceRecorder) -> io::Result<()> {
-    w.bool(rec.records_spans())?;
-    w.bool(rec.records_counters())?;
+    w.put(&(rec.records_spans(), rec.records_counters()))?;
     let log = rec.log();
-    w.len(log.driver_spans().len())?;
-    for s in log.driver_spans() {
-        save_span(w, s)?;
-    }
-    w.len(log.sm_span_buffers().len())?;
-    for buf in log.sm_span_buffers() {
-        w.len(buf.len())?;
-        for s in buf {
-            save_span(w, s)?;
-        }
-    }
-    w.len(log.instants().len())?;
-    for i in log.instants() {
-        save_track(w, i.track)?;
-        w.str(&i.name)?;
-        w.u8(cat_tag(i.cat)?)?;
-        w.u64(i.at)?;
-    }
-    w.len(log.counters().len())?;
-    for c in log.counters() {
-        w.u64(c.cycle)?;
-        w.str(&c.name)?;
-        w.f64(c.value)?;
-    }
-    let open = rec.open_cta_entries();
-    w.len(open.len())?;
-    for (seq, sm, stream, cta_index, start) in open {
-        w.u64(seq)?;
-        w.u32(sm)?;
-        w.u32(stream)?;
-        w.u64(cta_index as u64)?;
-        w.u64(start)?;
-    }
-    Ok(())
+    w.seq(log.driver_spans(), put_span)?;
+    w.seq(log.sm_span_buffers(), |w, buf| w.seq(buf, put_span))?;
+    w.seq(log.instants(), |w, i| {
+        put_track(w, i.track)?;
+        w.put(&i.name)?;
+        w.put(&cat_tag(i.cat)?)?;
+        w.put(&i.at)
+    })?;
+    w.seq(log.counters(), |w, c| {
+        w.put(&c.cycle)?;
+        w.put(&c.name)?;
+        w.put(&c.value)
+    })?;
+    w.put(&rec.open_cta_entries())
 }
 
-fn restore_recorder<R: io::Read>(r: &mut Reader<R>, n_sms: usize) -> io::Result<TraceRecorder> {
-    let record_spans = r.bool()?;
-    let record_counters = r.bool()?;
-    let n = r.len(1 << 28)?;
-    let mut spans = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        spans.push(restore_span(r)?);
-    }
-    let n_bufs = r.len(1 << 16)?;
-    if n_bufs != n_sms {
+fn restore_recorder<R: io::Read>(
+    r: &mut Reader<R>,
+    n_sms: usize,
+    now: u64,
+) -> io::Result<TraceRecorder> {
+    let (record_spans, record_counters) = r.get()?;
+    let spans = r.seq(get_span)?;
+    let sm_spans = r.seq(|r| r.seq(get_span))?;
+    if sm_spans.len() != n_sms {
         return Err(bad(format!(
-            "trace log has {n_bufs} SM buffers, config has {n_sms} SMs"
+            "trace log has {} SM buffers, config has {n_sms} SMs",
+            sm_spans.len()
         )));
     }
-    let mut sm_spans = Vec::with_capacity(n_bufs);
-    for _ in 0..n_bufs {
-        let n = r.len(1 << 28)?;
-        let mut buf = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            buf.push(restore_span(r)?);
-        }
-        sm_spans.push(buf);
-    }
-    let n = r.len(1 << 28)?;
-    let mut instants = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let track = restore_track(r)?;
-        let name = r.str()?;
-        let cat = cat_from(r.u8()?)?;
-        let at = r.u64()?;
-        instants.push(InstantEvent {
-            track,
-            name,
-            cat,
-            at,
-        });
-    }
-    let n = r.len(1 << 28)?;
-    let mut counters = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let cycle = r.u64()?;
-        let name = r.str()?;
-        let value = r.f64()?;
-        counters.push(CounterSample { cycle, name, value });
-    }
-    let n_open = r.len(1 << 20)?;
-    let mut open = Vec::with_capacity(n_open.min(1 << 12));
-    for _ in 0..n_open {
-        let seq = r.u64()?;
-        let sm = r.u32()?;
-        let stream = r.u32()?;
-        let cta_index = r.u64()? as usize;
-        let start = r.u64()?;
-        open.push((seq, sm, stream, cta_index, start));
+    let instants = r.seq(|r| {
+        Ok(InstantEvent {
+            track: get_track(r)?,
+            name: r.get()?,
+            cat: cat_from(r.get()?)?,
+            at: r.get()?,
+        })
+    })?;
+    let counters = r.seq(|r| {
+        Ok(CounterSample {
+            cycle: r.get()?,
+            name: r.get()?,
+            value: r.get()?,
+        })
+    })?;
+    let open: Vec<(u64, u32, u32, usize, u64)> = r.get()?;
+    if open
+        .iter()
+        .any(|&(_, sm, _, _, start)| sm as usize >= n_sms || start > now)
+    {
+        return Err(bad("open CTA span on a nonexistent SM or in the future"));
     }
     Ok(TraceRecorder::from_parts(
         TraceLog::from_parts(spans, sm_spans, instants, counters),

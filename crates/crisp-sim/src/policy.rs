@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, Reader, Wire, Writer};
 use crisp_mem::TapConfig;
 use crisp_sm::{ResourceQuota, SmConfig};
 use crisp_trace::StreamId;
@@ -161,125 +161,56 @@ impl PartitionSpec {
     }
 }
 
-impl CheckpointState for SmPartition {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
+impl Wire for SmPartition {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            SmPartition::Greedy => w.u8(0),
+            SmPartition::Greedy => w.put(&0u8),
             SmPartition::InterSm(m) => {
-                w.u8(1)?;
-                let mut streams: Vec<StreamId> = m.keys().copied().collect();
-                streams.sort_unstable();
-                w.len(streams.len())?;
-                for s in streams {
-                    w.stream(s)?;
-                    let sms = &m[&s];
-                    w.len(sms.len())?;
-                    for &sm in sms {
-                        w.u64(sm as u64)?;
-                    }
-                }
-                Ok(())
+                w.put(&1u8)?;
+                w.put(m)
             }
             SmPartition::IntraSm(q) => {
-                w.u8(2)?;
-                let mut streams: Vec<StreamId> = q.keys().copied().collect();
-                streams.sort_unstable();
-                w.len(streams.len())?;
-                for s in streams {
-                    w.stream(s)?;
-                    q[&s].save(w, ())?;
-                }
-                Ok(())
+                w.put(&2u8)?;
+                w.put(q)
             }
             SmPartition::IntraSmDynamic(cfg) => {
-                w.u8(3)?;
-                cfg.save(w, ())
+                w.put(&3u8)?;
+                w.put(cfg)
             }
         }
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        match r.u8()? {
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
             0 => Ok(SmPartition::Greedy),
-            1 => {
-                let n = r.len(1 << 16)?;
-                let mut m = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let s = r.stream()?;
-                    let k = r.len(1 << 16)?;
-                    let mut sms = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        sms.push(r.u64()? as usize);
-                    }
-                    m.insert(s, sms);
-                }
-                Ok(SmPartition::InterSm(m))
-            }
-            2 => {
-                let n = r.len(1 << 16)?;
-                let mut q = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let s = r.stream()?;
-                    q.insert(s, ResourceQuota::restore(r, ())?);
-                }
-                Ok(SmPartition::IntraSm(q))
-            }
-            3 => Ok(SmPartition::IntraSmDynamic(SlicerConfig::restore(r, ())?)),
+            1 => Ok(SmPartition::InterSm(r.get()?)),
+            2 => Ok(SmPartition::IntraSm(r.get()?)),
+            3 => Ok(SmPartition::IntraSmDynamic(r.get()?)),
             t => Err(bad(format!("unknown SM-partition tag {t}"))),
         }
     }
 }
 
-impl CheckpointState for L2Policy {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
+impl Wire for L2Policy {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            L2Policy::Shared => w.u8(0),
-            L2Policy::BankSplit => w.u8(1),
-            L2Policy::Tap(tap) => {
-                w.u8(2)?;
-                w.u64(tap.epoch_accesses)?;
-                w.u64(tap.sample_every)?;
-                w.u64(tap.min_sets)
-            }
+            L2Policy::Shared => w.put(&0u8),
+            L2Policy::BankSplit => w.put(&1u8),
+            L2Policy::Tap(tap) => w.put(&(2u8, *tap)),
         }
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        match r.u8()? {
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
             0 => Ok(L2Policy::Shared),
             1 => Ok(L2Policy::BankSplit),
-            2 => Ok(L2Policy::Tap(TapConfig {
-                epoch_accesses: r.u64()?,
-                sample_every: r.u64()?,
-                min_sets: r.u64()?,
-            })),
+            2 => Ok(L2Policy::Tap(r.get()?)),
             t => Err(bad(format!("unknown L2-policy tag {t}"))),
         }
     }
 }
 
-impl CheckpointState for PartitionSpec {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        self.sm.save(w, ())?;
-        self.l2.save(w, ())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(PartitionSpec {
-            sm: SmPartition::restore(r, ())?,
-            l2: L2Policy::restore(r, ())?,
-        })
-    }
-}
+crisp_ckpt::wire_struct!(PartitionSpec { sm, l2 });
 
 #[cfg(test)]
 mod tests {
@@ -360,9 +291,9 @@ mod tests {
         for spec in specs {
             let mut buf = Vec::new();
             let mut w = Writer::new(&mut buf);
-            spec.save(&mut w, ()).unwrap();
+            w.put(&spec).unwrap();
             let mut r = Reader::new(buf.as_slice());
-            let back = PartitionSpec::restore(&mut r, ()).unwrap();
+            let back = r.get::<PartitionSpec>().unwrap();
             // No PartialEq on the spec (HashMaps inside); compare behaviour.
             for s in [A, B, StreamId(7)] {
                 assert_eq!(back.sms_for(s, cfg.n_sms), spec.sms_for(s, cfg.n_sms));

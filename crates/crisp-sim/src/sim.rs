@@ -35,7 +35,6 @@ use crate::gpu::{GpuSim, SimResult, DEFAULT_WATCHDOG};
 use crate::policy::{L2Policy, PartitionSpec, SmPartition};
 use crisp_analyze::{AnalysisConfig, LintLevel};
 use crisp_obs::host::{set_alloc_phase, HostPhase, HostProfiler};
-use crisp_sm::CtaResources;
 use crisp_trace::{CommandMeta, TraceInput, TraceSource};
 
 /// Which periodic telemetry a simulation records.
@@ -566,28 +565,8 @@ impl SimulationBuilder {
             }
         }
         if let Some(src) = source.as_ref() {
-            let sm = &cfg.sm;
-            for s in src.streams() {
-                for cmd in &s.commands {
-                    let CommandMeta::Launch { info, .. } = cmd else {
-                        continue;
-                    };
-                    if info.grid == 0 {
-                        continue;
-                    }
-                    let res = CtaResources::of_info(info);
-                    if res.threads > sm.max_threads
-                        || res.warps > sm.max_warps
-                        || res.regs > sm.max_regs
-                        || res.smem > sm.max_smem
-                    {
-                        return invalid(format!(
-                            "kernel '{}' on {} needs {res:?} per CTA, which exceeds \
-                             the SM's physical resources",
-                            info.name, s.id
-                        ));
-                    }
-                }
+            if let Some(msg) = crate::gpu::unplaceable_kernel(src, &cfg.sm) {
+                return invalid(msg);
             }
             if let Some(label) = &self.fast_forward_to {
                 let found = src.streams().iter().any(|s| {

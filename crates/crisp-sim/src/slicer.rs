@@ -9,7 +9,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, Reader, Wire, Writer};
 use crisp_sm::{ResourceQuota, SmConfig};
 use crisp_trace::StreamId;
 
@@ -177,99 +177,63 @@ impl WarpedSlicer {
     }
 }
 
-impl CheckpointState for SlicerConfig {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(SlicerConfig {
+    sample_cycles,
+    ratios
+} check = SlicerConfig::check_restored);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.sample_cycles)?;
-        w.len(self.ratios.len())?;
-        for &(num, denom) in &self.ratios {
-            w.u32(num)?;
-            w.u32(denom)?;
+impl SlicerConfig {
+    /// `ResourceQuota::fraction` divides by `denom` and the slicer computes
+    /// `denom - num` for the complement side — both panic paths on corrupt
+    /// input.
+    fn check_restored(&self) -> io::Result<()> {
+        match self
+            .ratios
+            .iter()
+            .find(|&&(num, denom)| denom == 0 || num > denom)
+        {
+            Some((num, denom)) => Err(bad(format!("invalid slicer ratio {num}/{denom}"))),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let sample_cycles = r.u64()?;
-        let n = r.len(1 << 12)?;
-        let mut ratios = Vec::with_capacity(n);
-        for _ in 0..n {
-            let num = r.u32()?;
-            let denom = r.u32()?;
-            // `ResourceQuota::fraction` divides by `denom` and the slicer
-            // computes `denom - num` for the complement side — both panic
-            // paths on corrupt input.
-            if denom == 0 || num > denom {
-                return Err(bad(format!("invalid slicer ratio {num}/{denom}")));
-            }
-            ratios.push((num, denom));
-        }
-        Ok(SlicerConfig {
-            sample_cycles,
-            ratios,
-        })
     }
 }
 
-impl CheckpointState for WarpedSlicer {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        self.cfg.save(w, ())?;
-        w.stream(self.streams[0])?;
-        w.stream(self.streams[1])?;
-        match self.state {
-            State::Sampling { until } => {
-                w.u8(0)?;
-                w.u64(until)?;
-            }
-            State::Applied => w.u8(1)?,
+impl Wire for State {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        match *self {
+            State::Sampling { until } => w.put(&(0u8, until)),
+            State::Applied => w.put(&1u8),
         }
-        w.u32(self.chosen.0)?;
-        w.u32(self.chosen.1)?;
-        w.len(self.history.len())?;
-        for &(cycle, frac) in &self.history {
-            w.u64(cycle)?;
-            w.f64(frac)?;
-        }
-        w.u64(self.resets)
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let cfg = SlicerConfig::restore(r, ())?;
-        if cfg.ratios.is_empty() {
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(State::Sampling { until: r.get()? }),
+            1 => Ok(State::Applied),
+            t => Err(bad(format!("unknown slicer state tag {t}"))),
+        }
+    }
+}
+
+crisp_ckpt::wire_struct!(WarpedSlicer {
+    cfg,
+    streams,
+    state,
+    chosen,
+    history,
+    resets
+} check = WarpedSlicer::check_restored);
+
+impl WarpedSlicer {
+    fn check_restored(&self) -> io::Result<()> {
+        if self.cfg.ratios.is_empty() {
             return Err(bad("slicer checkpoint has no candidate ratios"));
         }
-        let streams = [r.stream()?, r.stream()?];
-        let state = match r.u8()? {
-            0 => State::Sampling { until: r.u64()? },
-            1 => State::Applied,
-            t => return Err(bad(format!("unknown slicer state tag {t}"))),
-        };
-        let chosen = (r.u32()?, r.u32()?);
-        if chosen.1 == 0 || chosen.0 > chosen.1 {
-            return Err(bad(format!(
-                "invalid chosen slicer ratio {}/{}",
-                chosen.0, chosen.1
-            )));
+        let (num, denom) = self.chosen;
+        if denom == 0 || num > denom {
+            return Err(bad(format!("invalid chosen slicer ratio {num}/{denom}")));
         }
-        let n = r.len(1 << 20)?;
-        let mut history = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            history.push((cycle, r.f64()?));
-        }
-        Ok(WarpedSlicer {
-            cfg,
-            streams,
-            state,
-            chosen,
-            history,
-            resets: r.u64()?,
-        })
+        Ok(())
     }
 }
 
@@ -364,9 +328,9 @@ mod tests {
         s.on_reset(20_000);
         let mut buf = Vec::new();
         let mut w = Writer::new(&mut buf);
-        s.save(&mut w, ()).unwrap();
+        w.put(&s).unwrap();
         let mut r = Reader::new(buf.as_slice());
-        let back = WarpedSlicer::restore(&mut r, ()).unwrap();
+        let back = r.get::<WarpedSlicer>().unwrap();
         assert_eq!(back.streams(), s.streams());
         assert_eq!(back.is_sampling(), s.is_sampling());
         assert_eq!(back.chosen_fraction(), s.chosen_fraction());
@@ -378,14 +342,15 @@ mod tests {
     fn checkpoint_restore_rejects_zero_denominator() {
         // Hand-craft a config with a zero denominator — `fraction` would
         // divide by it at quota time.
+        let cfg = SlicerConfig {
+            sample_cycles: 100,
+            ratios: vec![(1, 0)],
+        };
         let mut buf = Vec::new();
         let mut w = Writer::new(&mut buf);
-        w.u64(100).unwrap(); // sample_cycles
-        w.len(1).unwrap();
-        w.u32(1).unwrap(); // num
-        w.u32(0).unwrap(); // denom = 0
+        w.put(&cfg).unwrap();
         let mut r = Reader::new(buf.as_slice());
-        let err = SlicerConfig::restore(&mut r, ()).unwrap_err();
+        let err = r.get::<SlicerConfig>().unwrap_err();
         assert!(err.to_string().contains("ratio"), "{err}");
     }
 

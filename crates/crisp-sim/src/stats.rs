@@ -6,9 +6,7 @@
 //! timeline behind Figure 13.
 
 use std::collections::BTreeMap;
-use std::io;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
 use crisp_trace::StreamId;
 
 /// One occupancy sample: resident-warp fraction per stream at a cycle.
@@ -59,54 +57,14 @@ impl PerStreamStats {
     }
 }
 
-impl CheckpointState for OccupancySample {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.cycle)?;
-        w.len(self.by_stream.len())?;
-        for (&s, &v) in &self.by_stream {
-            w.stream(s)?;
-            w.f64(v)?;
-        }
-        Ok(())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let cycle = r.u64()?;
-        let n = r.len(1 << 16)?;
-        let mut by_stream = BTreeMap::new();
-        for _ in 0..n {
-            let s = r.stream()?;
-            by_stream.insert(s, r.f64()?);
-        }
-        Ok(OccupancySample { cycle, by_stream })
-    }
-}
-
-impl CheckpointState for PerStreamStats {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.start_cycle)?;
-        w.u64(self.finish_cycle)?;
-        w.u64(self.instructions)?;
-        w.u64(self.ctas)?;
-        w.u64(self.kernels)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(PerStreamStats {
-            start_cycle: r.u64()?,
-            finish_cycle: r.u64()?,
-            instructions: r.u64()?,
-            ctas: r.u64()?,
-            kernels: r.u64()?,
-        })
-    }
-}
+crisp_ckpt::wire_struct!(OccupancySample { cycle, by_stream });
+crisp_ckpt::wire_struct!(PerStreamStats {
+    start_cycle,
+    finish_cycle,
+    instructions,
+    ctas,
+    kernels
+});
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, Reader, Wire, Writer};
 use crisp_trace::{Op, Space};
 
 /// Warp-scheduler selection policy.
@@ -107,81 +107,78 @@ impl SmConfig {
     }
 }
 
-impl CheckpointState for SmConfig {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u32(self.max_warps)?;
-        w.u32(self.max_threads)?;
-        w.u32(self.max_ctas)?;
-        w.u32(self.max_regs)?;
-        w.u32(self.max_smem)?;
-        w.u32(self.schedulers)?;
-        w.u32(self.fp_units)?;
-        w.u32(self.int_units)?;
-        w.u32(self.sfu_units)?;
-        w.u32(self.tensor_units)?;
-        w.u32(self.l1_ports)?;
-        w.u64(self.lsu_queue_depth as u64)?;
-        w.u64(self.smem_latency)?;
-        w.u8(match self.scheduler {
-            SchedulerPolicy::Gto => 0,
+impl Wire for SchedulerPolicy {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&match self {
+            SchedulerPolicy::Gto => 0u8,
             SchedulerPolicy::Lrr => 1,
         })
     }
 
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let cfg = SmConfig {
-            max_warps: r.u32()?,
-            max_threads: r.u32()?,
-            max_ctas: r.u32()?,
-            max_regs: r.u32()?,
-            max_smem: r.u32()?,
-            schedulers: r.u32()?,
-            fp_units: r.u32()?,
-            int_units: r.u32()?,
-            sfu_units: r.u32()?,
-            tensor_units: r.u32()?,
-            l1_ports: r.u32()?,
-            lsu_queue_depth: r.u64()? as usize,
-            smem_latency: r.u64()?,
-            scheduler: match r.u8()? {
-                0 => SchedulerPolicy::Gto,
-                1 => SchedulerPolicy::Lrr,
-                t => return Err(bad(format!("unknown scheduler policy tag {t}"))),
-            },
-        };
-        // Restored counts bound later allocations (warp slots, pipeline
-        // vectors, LSU queue) — reject values a real SM could never have
-        // before anything is sized from them.
-        if cfg.max_warps == 0 || cfg.max_warps > 4096 {
-            return Err(bad(format!("implausible max_warps {}", cfg.max_warps)));
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(SchedulerPolicy::Gto),
+            1 => Ok(SchedulerPolicy::Lrr),
+            t => Err(bad(format!("unknown scheduler policy tag {t}"))),
         }
-        if cfg.max_ctas == 0 || cfg.max_ctas > 4096 {
-            return Err(bad(format!("implausible max_ctas {}", cfg.max_ctas)));
+    }
+}
+
+crisp_ckpt::wire_struct!(SmConfig {
+    max_warps,
+    max_threads,
+    max_ctas,
+    max_regs,
+    max_smem,
+    schedulers,
+    fp_units,
+    int_units,
+    sfu_units,
+    tensor_units,
+    l1_ports,
+    lsu_queue_depth,
+    smem_latency,
+    scheduler
+} check = SmConfig::check_restored);
+
+impl SmConfig {
+    /// Restored counts bound later allocations (warp slots, pipeline
+    /// vectors, LSU queue) — reject values a real SM could never have
+    /// before anything is sized from them.
+    fn check_restored(&self) -> io::Result<()> {
+        if self.max_warps == 0 || self.max_warps > 4096 {
+            return Err(bad(format!("implausible max_warps {}", self.max_warps)));
         }
-        if cfg.schedulers == 0 || cfg.schedulers > 4096 {
-            return Err(bad(format!("implausible schedulers {}", cfg.schedulers)));
+        if self.max_ctas == 0 || self.max_ctas > 4096 {
+            return Err(bad(format!("implausible max_ctas {}", self.max_ctas)));
+        }
+        if self.schedulers == 0 || self.schedulers > 4096 {
+            return Err(bad(format!("implausible schedulers {}", self.schedulers)));
         }
         for (name, v) in [
-            ("fp_units", cfg.fp_units),
-            ("int_units", cfg.int_units),
-            ("sfu_units", cfg.sfu_units),
-            ("tensor_units", cfg.tensor_units),
-            ("l1_ports", cfg.l1_ports),
+            ("fp_units", self.fp_units),
+            ("int_units", self.int_units),
+            ("sfu_units", self.sfu_units),
+            ("tensor_units", self.tensor_units),
+            ("l1_ports", self.l1_ports),
         ] {
             if v > 4096 {
                 return Err(bad(format!("implausible {name} {v}")));
             }
         }
-        if cfg.lsu_queue_depth > 1 << 16 {
+        if self.lsu_queue_depth > 1 << 16 {
             return Err(bad(format!(
                 "implausible lsu_queue_depth {}",
-                cfg.lsu_queue_depth
+                self.lsu_queue_depth
             )));
         }
-        Ok(cfg)
+        if self.smem_latency > 1 << 32 {
+            return Err(bad(format!(
+                "implausible smem_latency {}",
+                self.smem_latency
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -219,9 +216,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         let mut w = Writer::new(&mut buf);
-        c.save(&mut w, ()).unwrap();
+        w.put(&c).unwrap();
         let mut r = Reader::new(buf.as_slice());
-        assert_eq!(SmConfig::restore(&mut r, ()).unwrap(), c);
+        assert_eq!(r.get::<SmConfig>().unwrap(), c);
     }
 
     #[test]
@@ -232,9 +229,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         let mut w = Writer::new(&mut buf);
-        c.save(&mut w, ()).unwrap();
+        w.put(&c).unwrap();
         let mut r = Reader::new(buf.as_slice());
-        let err = SmConfig::restore(&mut r, ()).unwrap_err();
+        let err = r.get::<SmConfig>().unwrap_err();
         assert!(err.to_string().contains("max_warps"));
     }
 

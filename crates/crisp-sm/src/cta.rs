@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
-use crisp_ckpt::{CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{CtaTrace, KernelId, KernelInfo, KernelTrace, StreamId, WARP_SIZE};
 
 use crate::config::SmConfig;
@@ -45,7 +45,7 @@ impl CtaResources {
     /// any instruction payload in.
     pub fn of_info(info: &KernelInfo) -> Self {
         CtaResources {
-            threads: info.warps_per_cta() * WARP_SIZE as u32,
+            threads: info.warps_per_cta().saturating_mul(WARP_SIZE as u32),
             warps: info.warps_per_cta(),
             regs: info.regs_per_cta(),
             smem: info.smem_per_cta,
@@ -228,102 +228,74 @@ impl SmResources {
     }
 }
 
-impl CheckpointState for CtaResources {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(CtaResources {
+    threads,
+    warps,
+    regs,
+    smem
+});
+crisp_ckpt::wire_struct!(ResourceQuota {
+    threads,
+    warps,
+    regs,
+    smem,
+    ctas
+});
+crisp_ckpt::wire_struct!(Usage {
+    threads,
+    warps,
+    regs,
+    smem,
+    ctas
+});
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u32(self.threads)?;
-        w.u32(self.warps)?;
-        w.u32(self.regs)?;
-        w.u32(self.smem)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(CtaResources {
-            threads: r.u32()?,
-            warps: r.u32()?,
-            regs: r.u32()?,
-            smem: r.u32()?,
-        })
-    }
-}
-
-impl CheckpointState for ResourceQuota {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u32(self.threads)?;
-        w.u32(self.warps)?;
-        w.u32(self.regs)?;
-        w.u32(self.smem)?;
-        w.u32(self.ctas)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(ResourceQuota {
-            threads: r.u32()?,
-            warps: r.u32()?,
-            regs: r.u32()?,
-            smem: r.u32()?,
-            ctas: r.u32()?,
-        })
-    }
-}
-
-impl CheckpointState for Usage {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u32(self.threads)?;
-        w.u32(self.warps)?;
-        w.u32(self.regs)?;
-        w.u32(self.smem)?;
-        w.u32(self.ctas)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(Usage {
-            threads: r.u32()?,
-            warps: r.u32()?,
-            regs: r.u32()?,
-            smem: r.u32()?,
-            ctas: r.u32()?,
-        })
+impl SmResources {
+    /// Check restored accounting against the resident CTAs it must equal:
+    /// SM-wide and per-stream sums within the physical caps. Anything else
+    /// would underflow at CTA commit or overflow at the next fit test.
+    pub(crate) fn check_restored(
+        &self,
+        residents: impl IntoIterator<Item = (StreamId, CtaResources)>,
+    ) -> io::Result<()> {
+        let cfg = &self.cfg;
+        let mut fresh = SmResources::new(*cfg);
+        for (stream, r) in residents {
+            let t = fresh.total;
+            let fits = |used: u32, need: u32, cap: u32| used as u64 + need as u64 <= cap as u64;
+            if !(fits(t.threads, r.threads, cfg.max_threads)
+                && fits(t.warps, r.warps, cfg.max_warps)
+                && fits(t.regs, r.regs, cfg.max_regs)
+                && fits(t.smem, r.smem, cfg.max_smem)
+                && t.ctas < cfg.max_ctas)
+            {
+                return Err(bad("resident CTAs exceed the SM's physical resources"));
+            }
+            fresh.allocate(stream, r);
+        }
+        let mut streams = self.by_stream.keys().chain(fresh.by_stream.keys());
+        if fresh.total != self.total || streams.any(|&s| fresh.of_stream(s) != self.of_stream(s)) {
+            return Err(bad(
+                "SM resource accounting disagrees with its resident CTAs",
+            ));
+        }
+        Ok(())
     }
 }
 
 impl CheckpointState for SmResources {
-    type SaveCtx<'a> = ();
     /// The SM configuration the accounting was built against.
     type RestoreCtx<'a> = SmConfig;
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        self.total.save(w, ())?;
-        let mut streams: Vec<StreamId> = self.by_stream.keys().copied().collect();
-        streams.sort_unstable();
-        w.len(streams.len())?;
-        for s in streams {
-            w.stream(s)?;
-            self.by_stream[&s].save(w, ())?;
-        }
-        Ok(())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.total)?;
+        w.put(&self.by_stream)
     }
 
     fn restore<R: io::Read>(r: &mut Reader<R>, cfg: SmConfig) -> io::Result<Self> {
-        let total = Usage::restore(r, ())?;
-        let n = r.len(1 << 16)?;
-        let mut by_stream = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let s = r.stream()?;
-            by_stream.insert(s, Usage::restore(r, ())?);
-        }
         Ok(SmResources {
             cfg,
-            total,
-            by_stream,
+            total: r.get()?,
+            by_stream: r.get()?,
         })
     }
 }

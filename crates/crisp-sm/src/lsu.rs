@@ -154,72 +154,47 @@ impl Lsu {
     }
 }
 
-impl CheckpointState for LsuEntry {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
+crisp_ckpt::wire_struct!(LsuEntry {
+    stream,
+    class,
+    space,
+    is_load,
+    sectors,
+    next,
+    inflight_id
+} check = LsuEntry::check_restored);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.stream(self.stream)?;
-        w.class(self.class)?;
-        w.space(self.space)?;
-        w.bool(self.is_load)?;
-        w.len(self.sectors.len())?;
-        for &s in &self.sectors {
-            w.u64(s)?;
-        }
-        w.u64(self.next as u64)?;
-        w.u64(self.inflight_id)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        let stream = r.stream()?;
-        let class = r.class()?;
-        let space = r.space()?;
-        let is_load = r.bool()?;
-        let n = r.len(1 << 16)?;
-        let mut sectors = Vec::with_capacity(n);
-        for _ in 0..n {
-            sectors.push(r.u64()?);
-        }
-        let next = r.u64()? as usize;
-        if next > sectors.len() {
+impl LsuEntry {
+    fn check_restored(&self) -> io::Result<()> {
+        if self.next > self.sectors.len() {
             return Err(bad("lsu entry cursor past its sector list"));
         }
-        Ok(LsuEntry {
-            stream,
-            class,
-            space,
-            is_load,
-            sectors,
-            next,
-            inflight_id: r.u64()?,
-        })
+        Ok(())
     }
 }
 
 impl CheckpointState for Lsu {
-    type SaveCtx<'a> = ();
     /// The SM configuration, which fixes the queue depth.
     type RestoreCtx<'a> = &'a SmConfig;
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.len(self.queue.len())?;
-        for e in &self.queue {
-            e.save(w, ())?;
-        }
-        w.u64(self.sectors_issued)
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.queue)?;
+        w.put(&self.sectors_issued)
     }
 
     fn restore<R: io::Read>(r: &mut Reader<R>, cfg: &SmConfig) -> io::Result<Self> {
-        let n = r.len(cfg.lsu_queue_depth)?;
-        let mut queue = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            queue.push_back(LsuEntry::restore(r, ())?);
+        let queue: VecDeque<LsuEntry> = r.get()?;
+        if queue.len() > cfg.lsu_queue_depth {
+            return Err(bad(format!(
+                "{} queued lsu entries exceed depth {}",
+                queue.len(),
+                cfg.lsu_queue_depth
+            )));
         }
         Ok(Lsu {
             queue,
             depth: cfg.lsu_queue_depth,
-            sectors_issued: r.u64()?,
+            sectors_issued: r.get()?,
         })
     }
 }

@@ -339,6 +339,11 @@ impl Sm {
         self.lsu.sectors_issued()
     }
 
+    /// `(stream, kernel)` of every resident CTA, in slot order.
+    pub fn resident_kernels(&self) -> impl Iterator<Item = (StreamId, KernelId)> + '_ {
+        self.ctas.iter().flatten().map(|c| (c.stream, c.kernel))
+    }
+
     /// Scheduler-slot accounting since construction.
     /// Point-in-time snapshot of the SM's scheduling and memory-side state,
     /// for deadlock reports. Read-only and deterministic: depends only on
@@ -761,287 +766,196 @@ impl Sm {
     }
 }
 
-impl CheckpointState for StallBreakdown {
-    type SaveCtx<'a> = ();
-    type RestoreCtx<'a> = ();
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.issued)?;
-        w.u64(self.empty)?;
-        w.u64(self.blocked)?;
-        w.u64(self.scoreboard)?;
-        w.u64(self.mem_pending)?;
-        w.u64(self.mshr_full)?;
-        w.u64(self.pipe_busy)?;
-        w.u64(self.barrier)
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, _: ()) -> io::Result<Self> {
-        Ok(StallBreakdown {
-            issued: r.u64()?,
-            empty: r.u64()?,
-            blocked: r.u64()?,
-            scoreboard: r.u64()?,
-            mem_pending: r.u64()?,
-            mshr_full: r.u64()?,
-            pipe_busy: r.u64()?,
-            barrier: r.u64()?,
-        })
-    }
-}
-
-impl CheckpointState for ResidentCta {
-    type SaveCtx<'a> = ();
-    /// Warp-slot bound (`cfg.max_warps`) for index validation.
-    type RestoreCtx<'a> = usize;
-
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.stream(self.stream)?;
-        w.u32(self.kernel.0)?;
-        w.u64(self.seq)?;
-        w.u64(self.cta_index as u64)?;
-        self.resources.save(w, ())?;
-        w.len(self.warp_slots.len())?;
-        for &s in &self.warp_slots {
-            w.u64(s as u64)?;
-        }
-        w.u64(self.live_warps as u64)?;
-        for &n in &self.arrivals {
-            w.u16(n)?;
-        }
-        Ok(())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, max_warps: usize) -> io::Result<Self> {
-        let stream = r.stream()?;
-        let kernel = KernelId(r.u32()?);
-        let seq = r.u64()?;
-        let cta_index = r.u64()? as usize;
-        let resources = CtaResources::restore(r, ())?;
-        let n = r.len(max_warps)?;
-        let mut warp_slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = r.u64()? as usize;
-            if s >= max_warps {
-                return Err(bad(format!("cta warp slot {s} >= {max_warps}")));
-            }
-            warp_slots.push(s);
-        }
-        let live_warps = r.u64()? as usize;
-        let mut arrivals = [0u16; NUM_BARRIERS];
-        for n in &mut arrivals {
-            *n = r.u16()?;
-        }
-        let parked: usize = arrivals.iter().map(|&n| n as usize).sum();
-        if live_warps > warp_slots.len() || parked > warp_slots.len() {
-            return Err(bad("cta warp counts exceed its slot list"));
-        }
-        Ok(ResidentCta {
-            stream,
-            kernel,
-            seq,
-            cta_index,
-            resources,
-            warp_slots,
-            live_warps,
-            arrivals,
-        })
-    }
-}
+crisp_ckpt::wire_struct!(StallBreakdown {
+    issued,
+    empty,
+    blocked,
+    scoreboard,
+    mem_pending,
+    mshr_full,
+    pipe_busy,
+    barrier
+});
+crisp_ckpt::wire_struct!(ResidentCta {
+    stream,
+    kernel,
+    seq,
+    cta_index,
+    resources,
+    warp_slots,
+    live_warps,
+    arrivals
+});
+crisp_ckpt::wire_struct!(Inflight {
+    warp_slot,
+    reg,
+    remaining
+});
 
 impl CheckpointState for Sm {
-    type SaveCtx<'a> = ();
     /// `(sm id, core config, hierarchy config, trace source)` — everything
     /// outside the serialized state needed to rebuild the SM. Resident
     /// warps page their CTAs back in through the source.
     type RestoreCtx<'a> = (usize, SmConfig, &'a MemConfig, &'a mut TraceSource);
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u64(self.id as u64)?;
-        self.resources.save(w, ())?;
-        w.len(self.warps.len())?;
-        for warp in &self.warps {
-            w.option(warp.as_ref(), |w, ws| ws.save(w, ()))?;
-        }
-        w.len(self.ctas.len())?;
-        for cta in &self.ctas {
-            w.option(cta.as_ref(), |w, c| c.save(w, ()))?;
-        }
-        self.units.save(w, ())?;
-        self.lsu.save(w, ())?;
-        self.port.save(w, ())?;
-        // Heap contents serialized sorted for a deterministic byte stream;
-        // sorted push-rebuild pops identically.
-        let mut wbs: Vec<(u64, usize, u16)> = self.writebacks.iter().map(|Reverse(x)| *x).collect();
-        wbs.sort_unstable();
-        w.len(wbs.len())?;
-        for (t, slot, reg) in wbs {
-            w.u64(t)?;
-            w.u64(slot as u64)?;
-            w.u16(reg)?;
-        }
-        let mut ready: Vec<(u64, u64)> = self.mem_ready.iter().map(|Reverse(x)| *x).collect();
-        ready.sort_unstable();
-        w.len(ready.len())?;
-        for (t, id) in ready {
-            w.u64(t)?;
-            w.u64(id)?;
-        }
-        let mut ids: Vec<u64> = self.inflight.keys().copied().collect();
-        ids.sort_unstable();
-        w.len(ids.len())?;
-        for id in ids {
-            let f = &self.inflight[&id];
-            w.u64(id)?;
-            w.u64(f.warp_slot as u64)?;
-            w.option(f.reg.as_ref(), |w, r| w.u16(r.0))?;
-            w.u64(f.remaining as u64)?;
-        }
-        w.u64(self.next_inflight)?;
-        w.u64(self.launch_seq)?;
-        w.len(self.last_issued.len())?;
-        for slot in &self.last_issued {
-            w.option(slot.as_ref(), |w, &s| w.u64(s as u64))?;
-        }
-        for counters in [&self.issued_by_stream, &self.window_issued] {
-            let mut streams: Vec<StreamId> = counters.keys().copied().collect();
-            streams.sort_unstable();
-            w.len(streams.len())?;
-            for s in streams {
-                w.stream(s)?;
-                w.u64(counters[&s])?;
-            }
-        }
-        self.stalls.save(w, ())
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.id)?;
+        self.resources.save(w)?;
+        w.seq(&self.warps, |w, warp| {
+            w.option(warp.as_ref(), |w, ws| ws.save(w))
+        })?;
+        w.put(&self.ctas)?;
+        w.put(&self.units)?;
+        self.lsu.save(w)?;
+        self.port.save(w)?;
+        // Heaps are written sorted and hash maps by key, for a
+        // deterministic byte stream; a sorted push-rebuild pops identically.
+        w.put(&self.writebacks)?;
+        w.put(&self.mem_ready)?;
+        w.put(&self.inflight)?;
+        w.put(&self.next_inflight)?;
+        w.put(&self.launch_seq)?;
+        w.put(&self.last_issued)?;
+        w.put(&self.issued_by_stream)?;
+        w.put(&self.window_issued)?;
+        w.put(&self.stalls)
     }
 
     fn restore<R: io::Read>(
         r: &mut Reader<R>,
         (id, cfg, mem_cfg, source): (usize, SmConfig, &MemConfig, &mut TraceSource),
     ) -> io::Result<Self> {
-        let found = r.u64()? as usize;
+        let found: usize = r.get()?;
         if found != id {
             return Err(bad(format!("checkpoint SM id {found}, expected {id}")));
         }
         let resources = SmResources::restore(r, cfg)?;
-        let max_warps = cfg.max_warps as usize;
-        let n = r.len(max_warps)?;
-        if n != max_warps {
-            return Err(bad(format!(
-                "SM has {n} warp slots, config implies {max_warps}"
-            )));
-        }
-        let mut warps = Vec::with_capacity(n);
-        let mut n_resident_warps = 0;
-        for _ in 0..n {
-            let warp = r.option(|r| WarpState::restore(r, &mut *source))?;
-            if let Some(w) = &warp {
-                if w.cta_slot >= cfg.max_ctas as usize {
-                    return Err(bad(format!("warp cta slot {} out of range", w.cta_slot)));
-                }
-                n_resident_warps += 1;
-            }
-            warps.push(warp);
-        }
-        let max_ctas = cfg.max_ctas as usize;
-        let n = r.len(max_ctas)?;
-        if n != max_ctas {
-            return Err(bad(format!(
-                "SM has {n} CTA slots, config implies {max_ctas}"
-            )));
-        }
-        let mut ctas = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cta = r.option(|r| ResidentCta::restore(r, max_warps))?;
-            if let Some(c) = &cta {
-                if c.kernel.0 as usize >= source.n_kernels() {
-                    return Err(bad(format!("resident CTA references unknown {}", c.kernel)));
-                }
-            }
-            ctas.push(cta);
-        }
-        let units = ExecUnits::restore(r, &cfg)?;
+        let warps = r.seq(|r| r.option(|r| WarpState::restore(r, &mut *source)))?;
+        let ctas: Vec<Option<ResidentCta>> = r.get()?;
+        let units: ExecUnits = r.get()?;
         let lsu = Lsu::restore(r, &cfg)?;
         let port = SmMemPort::restore(r, (id as u16, mem_cfg))?;
-        let n = r.len(1 << 24)?;
-        let mut writebacks = BinaryHeap::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let t = r.u64()?;
-            let slot = r.u64()? as usize;
+        let writebacks: BinaryHeap<Reverse<(u64, usize, u16)>> = r.get()?;
+        let mem_ready = r.get()?;
+        // Read as a list, not a map, so a duplicated id is caught.
+        let inflight: Vec<(u64, Inflight)> = r.get()?;
+        let next_inflight = r.get()?;
+        let launch_seq = r.get()?;
+        let last_issued: Vec<Option<usize>> = r.get()?;
+        let issued_by_stream = r.get()?;
+        let window_issued = r.get()?;
+        let stalls = r.get()?;
+
+        let max_warps = cfg.max_warps as usize;
+        let max_ctas = cfg.max_ctas as usize;
+        let n_sched = cfg.schedulers as usize;
+        if warps.len() != max_warps {
+            return Err(bad(format!(
+                "SM has {} warp slots, config implies {max_warps}",
+                warps.len()
+            )));
+        }
+        if ctas.len() != max_ctas {
+            return Err(bad(format!(
+                "SM has {} CTA slots, config implies {max_ctas}",
+                ctas.len()
+            )));
+        }
+        // Every resident CTA owns distinct warp slots holding warps that
+        // point back at it, and every resident warp is owned that way.
+        let mut owner = vec![None; max_warps];
+        for (ci, c) in ctas.iter().enumerate() {
+            let Some(c) = c else { continue };
+            if c.kernel.0 as usize >= source.n_kernels() {
+                return Err(bad(format!("resident CTA references unknown {}", c.kernel)));
+            }
+            let parked: usize = c.arrivals.iter().map(|&n| n as usize).sum();
+            if c.live_warps > c.warp_slots.len() || parked > c.warp_slots.len() {
+                return Err(bad("cta warp counts exceed its slot list"));
+            }
+            for &s in &c.warp_slots {
+                if s >= max_warps {
+                    return Err(bad(format!("cta warp slot {s} >= {max_warps}")));
+                }
+                if owner[s].replace(ci).is_some() {
+                    return Err(bad(format!("warp slot {s} owned by two CTAs")));
+                }
+            }
+        }
+        for (slot, w) in warps.iter().enumerate() {
+            if let Some(w) = w {
+                if w.cta_slot >= max_ctas {
+                    return Err(bad(format!("warp cta slot {} out of range", w.cta_slot)));
+                }
+                let cta = ctas[w.cta_slot]
+                    .as_ref()
+                    .filter(|_| owner[slot] == Some(w.cta_slot));
+                if cta.is_none_or(|c| (c.kernel, c.cta_index) != (w.kernel, w.cta_index)) {
+                    return Err(bad(format!("warp slot {slot} not owned by its CTA")));
+                }
+            } else if owner[slot].is_some() {
+                return Err(bad(format!("CTA owns empty warp slot {slot}")));
+            }
+        }
+        // Live and parked counts are exactly what the owned warps' states
+        // say; exit and barrier release decrement and reset them.
+        for c in ctas.iter().flatten() {
+            let states = c.warp_slots.iter().filter_map(|&s| warps[s].as_ref());
+            let live = states.clone().filter(|w| w.status != WarpStatus::Exited);
+            let mut parked = [0usize; NUM_BARRIERS];
+            for w in states {
+                if let WarpStatus::AtBarrier(id) = w.status {
+                    parked[id as usize] += 1;
+                }
+            }
+            if c.live_warps != live.count()
+                || c.arrivals.iter().zip(parked).any(|(&a, p)| a as usize != p)
+            {
+                return Err(bad("CTA warp counts disagree with its warps"));
+            }
+        }
+        resources.check_restored(ctas.iter().flatten().map(|c| (c.stream, c.resources)))?;
+        units.check_restored(&cfg)?;
+        for &Reverse((_, slot, reg)) in &writebacks {
             if slot >= max_warps {
                 return Err(bad(format!("writeback warp slot {slot} out of range")));
             }
-            let reg = r.u16()?;
             if reg >= 128 {
                 return Err(bad(format!("writeback register {reg} out of range")));
             }
-            writebacks.push(Reverse((t, slot, reg)));
         }
-        let n = r.len(1 << 24)?;
-        let mut mem_ready = BinaryHeap::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let t = r.u64()?;
-            let id = r.u64()?;
-            mem_ready.push(Reverse((t, id)));
-        }
-        let n = r.len(1 << 24)?;
-        let mut inflight = HashMap::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let fid = r.u64()?;
-            let warp_slot = r.u64()? as usize;
-            if warp_slot >= max_warps {
-                return Err(bad(format!("inflight warp slot {warp_slot} out of range")));
+        let mut inflight_map = HashMap::with_capacity(inflight.len());
+        for (fid, f) in inflight {
+            if f.warp_slot >= max_warps {
+                return Err(bad(format!(
+                    "inflight warp slot {} out of range",
+                    f.warp_slot
+                )));
             }
-            let reg = r.option(|r| r.u16())?;
-            if reg.is_some_and(|x| x >= 128) {
+            if f.reg.is_some_and(|x| x.0 >= 128) {
                 return Err(bad("inflight register out of range"));
             }
-            let remaining = r.u64()? as usize;
-            if inflight
-                .insert(
-                    fid,
-                    Inflight {
-                        warp_slot,
-                        reg: reg.map(Reg),
-                        remaining,
-                    },
-                )
-                .is_some()
-            {
+            if f.remaining == 0 {
+                return Err(bad("inflight load with no sectors outstanding"));
+            }
+            if inflight_map.insert(fid, f).is_some() {
                 return Err(bad("duplicate inflight id"));
             }
         }
-        let next_inflight = r.u64()?;
-        let launch_seq = r.u64()?;
-        let n_sched = cfg.schedulers as usize;
-        let n = r.len(n_sched)?;
-        if n != n_sched {
+        if last_issued.len() != n_sched {
             return Err(bad(format!(
-                "SM has {n} scheduler pointers, config implies {n_sched}"
+                "SM has {} scheduler pointers, config implies {n_sched}",
+                last_issued.len()
             )));
         }
-        let mut last_issued = Vec::with_capacity(n);
-        for _ in 0..n {
-            let slot = r.option(|r| r.u64())?.map(|s| s as usize);
-            if slot.is_some_and(|s| s >= max_warps) {
-                return Err(bad("scheduler pointer out of range"));
-            }
-            last_issued.push(slot);
+        if last_issued.iter().flatten().any(|&s| s >= max_warps) {
+            return Err(bad("scheduler pointer out of range"));
         }
-        let mut counters = [HashMap::new(), HashMap::new()];
-        for map in &mut counters {
-            let n = r.len(1 << 16)?;
-            for _ in 0..n {
-                let s = r.stream()?;
-                let v = r.u64()?;
-                map.insert(s, v);
-            }
-        }
-        let [issued_by_stream, window_issued] = counters;
         Ok(Sm {
             id,
             cfg,
             resources,
+            n_resident_warps: warps.iter().flatten().count(),
             warps,
             ctas,
             units,
@@ -1049,14 +963,13 @@ impl CheckpointState for Sm {
             port,
             writebacks,
             mem_ready,
-            inflight,
+            inflight: inflight_map,
             next_inflight,
             launch_seq,
             last_issued,
             issued_by_stream,
             window_issued,
-            n_resident_warps,
-            stalls: StallBreakdown::restore(r, ())?,
+            stalls,
         })
     }
 }

@@ -8,7 +8,7 @@
 
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::bad;
 use crisp_trace::Op;
 
 use crate::config::SmConfig;
@@ -74,37 +74,30 @@ impl ExecUnits {
     }
 }
 
-impl CheckpointState for ExecUnits {
-    type SaveCtx<'a> = ();
-    /// The SM configuration, which fixes the pipeline counts.
-    type RestoreCtx<'a> = &'a SmConfig;
+crisp_ckpt::wire_struct!(ExecUnits {
+    fp,
+    int,
+    sfu,
+    tensor
+});
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        for group in [&self.fp, &self.int, &self.sfu, &self.tensor] {
-            w.len(group.len())?;
-            for &next_free in group {
-                w.u64(next_free)?;
+impl ExecUnits {
+    /// Reject restored pipeline groups whose sizes disagree with `cfg`.
+    pub(crate) fn check_restored(&self, cfg: &SmConfig) -> io::Result<()> {
+        for (group, expected) in [
+            (&self.fp, cfg.fp_units),
+            (&self.int, cfg.int_units),
+            (&self.sfu, cfg.sfu_units),
+            (&self.tensor, cfg.tensor_units),
+        ] {
+            if group.len() != expected as usize {
+                return Err(bad(format!(
+                    "exec-unit group has {} pipes, config implies {expected}",
+                    group.len()
+                )));
             }
         }
         Ok(())
-    }
-
-    fn restore<R: io::Read>(r: &mut Reader<R>, cfg: &SmConfig) -> io::Result<Self> {
-        let mut read_group = |expected: u32| -> io::Result<Vec<u64>> {
-            let n = r.len(expected as usize)?;
-            if n != expected as usize {
-                return Err(bad(format!(
-                    "exec-unit group has {n} pipes, config implies {expected}"
-                )));
-            }
-            (0..n).map(|_| r.u64()).collect()
-        };
-        Ok(ExecUnits {
-            fp: read_group(cfg.fp_units)?,
-            int: read_group(cfg.int_units)?,
-            sfu: read_group(cfg.sfu_units)?,
-            tensor: read_group(cfg.tensor_units)?,
-        })
     }
 }
 

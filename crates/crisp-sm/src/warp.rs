@@ -3,7 +3,7 @@
 use std::io;
 use std::sync::Arc;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, CheckpointState, Reader, Wire, Writer};
 use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Reg, StreamId, TraceSource};
 
 /// Why a warp cannot issue right now.
@@ -159,39 +159,45 @@ impl WarpState {
     }
 }
 
+impl Wire for WarpStatus {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        match *self {
+            WarpStatus::Ready => w.put(&0u8),
+            // Tag byte, then the barrier slot: checkpoint VERSION 3.
+            WarpStatus::AtBarrier(id) => w.put(&(1u8, id)),
+            WarpStatus::Exited => w.put(&2u8),
+        }
+    }
+
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(WarpStatus::Ready),
+            1 => match r.get::<u8>()? {
+                id if (id as usize) < crisp_trace::NUM_BARRIERS => Ok(WarpStatus::AtBarrier(id)),
+                id => Err(bad(format!("bad barrier slot {id}"))),
+            },
+            2 => Ok(WarpStatus::Exited),
+            t => Err(bad(format!("bad warp status tag {t}"))),
+        }
+    }
+}
+
 impl CheckpointState for WarpState {
     /// Warps are written as `(kernel id, cta index)` cursors into the
     /// checkpoint's trace source rather than inline instruction payloads;
     /// restore pages the CTA back in through the source.
-    type SaveCtx<'a> = ();
     type RestoreCtx<'a> = &'a mut TraceSource;
 
-    fn save<W: io::Write>(&self, w: &mut Writer<W>, _: ()) -> io::Result<()> {
-        w.u32(self.kernel.0)?;
-        w.u64(self.cta_index as u64)?;
-        w.u64(self.warp_index as u64)?;
-        w.u64(self.cta_slot as u64)?;
-        w.stream(self.stream)?;
-        w.u64(self.pc as u64)?;
-        w.u128(self.pending_writes)?;
-        w.u128(self.pending_mem)?;
-        match self.status {
-            WarpStatus::Ready => w.u8(0)?,
-            // Tag byte, then the barrier slot: checkpoint VERSION 3.
-            WarpStatus::AtBarrier(id) => {
-                w.u8(1)?;
-                w.u8(id)?;
-            }
-            WarpStatus::Exited => w.u8(2)?,
-        }
-        w.u64(self.age)
+    fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&(self.kernel, self.cta_index, self.warp_index, self.cta_slot))?;
+        w.put(&(self.stream, self.pc, self.pending_writes, self.pending_mem))?;
+        w.put(&(self.status, self.age))
     }
 
     fn restore<R: io::Read>(r: &mut Reader<R>, source: &mut TraceSource) -> io::Result<Self> {
-        let kernel = KernelId(r.u32()?);
-        let cta_index = r.u64()? as usize;
-        let warp_index = r.u64()? as usize;
-        let cta_slot = r.u64()? as usize;
+        let (kernel, cta_index, warp_index, cta_slot): (KernelId, usize, usize, usize) = r.get()?;
+        let (stream, pc, pending_writes, pending_mem): (_, _, u128, u128) = r.get()?;
+        let (status, age) = r.get()?;
         let info = source
             .kernel_info(kernel)
             .ok_or_else(|| bad(format!("warp references unknown {kernel}")))?
@@ -209,25 +215,9 @@ impl CheckpointState for WarpState {
         if warp_index >= n_warps {
             return Err(bad(format!("warp index {warp_index} >= {n_warps}")));
         }
-        let stream = r.stream()?;
-        let pc = r.u64()? as usize;
-        let pending_writes = r.u128()?;
-        let pending_mem = r.u128()?;
         if pending_mem & !pending_writes != 0 {
             return Err(bad("pending_mem must be a subset of pending_writes"));
         }
-        let status = match r.u8()? {
-            0 => WarpStatus::Ready,
-            1 => {
-                let id = r.u8()?;
-                if id as usize >= crisp_trace::NUM_BARRIERS {
-                    return Err(bad(format!("bad barrier slot {id}")));
-                }
-                WarpStatus::AtBarrier(id)
-            }
-            2 => WarpStatus::Exited,
-            t => return Err(bad(format!("bad warp status tag {t}"))),
-        };
         Ok(WarpState {
             info,
             cta,
@@ -240,7 +230,7 @@ impl CheckpointState for WarpState {
             pending_writes,
             pending_mem,
             status,
-            age: r.u64()?,
+            age,
         })
     }
 }

@@ -722,97 +722,6 @@ pub(crate) fn read_bundle_rest_v1<R: Read>(r: &mut R) -> io::Result<TraceBundle>
     Ok(TraceBundle::from_streams(streams))
 }
 
-/// Read the rest of a version-2 container (after magic + version),
-/// materializing every CTA. The payload is consumed sequentially — the
-/// index validation guarantees spans tile it in offset order — so this
-/// works on plain non-seekable readers.
-pub(crate) fn read_bundle_rest_v2<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    let (dir, payload_len) = read_directory_v2(r)?;
-    // Decode blobs in payload order, then hand them back out in index order.
-    let mut order: Vec<(u64, u64, usize, usize, usize)> = Vec::new(); // (off, len, stream, cmd, cta)
-    for (si, s) in dir.iter().enumerate() {
-        for (ci, c) in s.cmds.iter().enumerate() {
-            if let DirCmd::Launch(k) = c {
-                for (cta, &(off, len)) in k.spans.iter().enumerate() {
-                    order.push((off, len, si, ci, cta));
-                }
-            }
-        }
-    }
-    order.sort_unstable();
-    let mut decoded: std::collections::BTreeMap<(usize, usize, usize), CtaTrace> =
-        std::collections::BTreeMap::new();
-    let mut pos = 0u64;
-    for &(off, len, si, ci, cta) in &order {
-        debug_assert_eq!(off, pos, "index validation guarantees exact tiling");
-        let max_warps = match &dir[si].cmds[ci] {
-            DirCmd::Launch(k) => max_warps_of(k.block_threads),
-            DirCmd::Marker(_) => unreachable!("order only holds launches"),
-        };
-        let mut lim = r.take(len);
-        let blob = read_cta_blob(&mut lim, max_warps)?;
-        if lim.limit() != 0 {
-            return Err(bad("CTA blob shorter than its indexed span"));
-        }
-        decoded.insert((si, ci, cta), blob);
-        pos = off + len;
-    }
-    debug_assert_eq!(pos, payload_len);
-    let mut streams = Vec::with_capacity(dir.len());
-    for (si, d) in dir.into_iter().enumerate() {
-        let mut s = Stream::new(d.id, d.kind);
-        for (ci, c) in d.cmds.into_iter().enumerate() {
-            match c {
-                DirCmd::Launch(k) => {
-                    let ctas: Vec<CtaTrace> = (0..k.spans.len())
-                        .map(|cta| decoded.remove(&(si, ci, cta)).expect("decoded above"))
-                        .collect();
-                    s.launch(KernelTrace::new(
-                        k.name,
-                        k.block_threads,
-                        k.regs_per_thread,
-                        k.smem_per_cta,
-                        ctas,
-                    ));
-                }
-                DirCmd::Marker(m) => {
-                    s.marker(m);
-                }
-            }
-        }
-        streams.push(s);
-    }
-    Ok(TraceBundle::from_streams(streams))
-}
-
-/// Internal bundle reader shared by the deprecated entry points and
-/// [`TraceSource`](crate::TraceSource): dispatches on the version field and
-/// materializes the whole bundle.
-pub(crate) fn read_bundle_impl<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    check_magic(r, MAGIC, "CRSP trace")?;
-    match read_version(r)? {
-        VERSION_V1 => read_bundle_rest_v1(r),
-        VERSION_V2 => read_bundle_rest_v2(r),
-        found => Err(unsupported_version(found)),
-    }
-}
-
-/// Read a bundle written by [`write_bundle`] (either format version),
-/// materializing every CTA in memory.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a bad magic number, version or structure, and
-/// propagates underlying I/O errors.
-#[deprecated(
-    since = "0.6.0",
-    note = "open a `TraceSource` via `TraceInput` instead; it demand-pages CTAs \
-            and still offers `to_bundle()` for full materialization"
-)]
-pub fn read_bundle<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
-    read_bundle_impl(r)
-}
-
 /// Write a bundle to a file.
 ///
 /// # Errors
@@ -824,25 +733,84 @@ pub fn save(bundle: &TraceBundle, path: impl AsRef<std::path::Path>) -> io::Resu
     f.flush()
 }
 
-/// Read a bundle from a file, materializing every CTA in memory.
-///
-/// # Errors
-///
-/// Propagates filesystem errors and format errors from [`read_bundle`].
-#[deprecated(
-    since = "0.6.0",
-    note = "open a `TraceSource` via `TraceInput::from(path).open()` instead; it \
-            demand-pages CTAs and still offers `to_bundle()` for full materialization"
-)]
-pub fn load(path: impl AsRef<std::path::Path>) -> io::Result<TraceBundle> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_bundle_impl(&mut f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::{DataClass, Instr, MemAccess, Op, Reg, Space};
+
+    /// Read the rest of a version-2 container (after magic + version),
+    /// materializing every CTA. The payload is consumed sequentially — the
+    /// index validation guarantees spans tile it in offset order — so this
+    /// works on plain non-seekable readers.
+    fn read_bundle_rest_v2<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
+        let (dir, payload_len) = read_directory_v2(r)?;
+        // Decode blobs in payload order, then hand them back out in index order.
+        let mut order: Vec<(u64, u64, usize, usize, usize)> = Vec::new(); // (off, len, stream, cmd, cta)
+        for (si, s) in dir.iter().enumerate() {
+            for (ci, c) in s.cmds.iter().enumerate() {
+                if let DirCmd::Launch(k) = c {
+                    for (cta, &(off, len)) in k.spans.iter().enumerate() {
+                        order.push((off, len, si, ci, cta));
+                    }
+                }
+            }
+        }
+        order.sort_unstable();
+        let mut decoded: std::collections::BTreeMap<(usize, usize, usize), CtaTrace> =
+            std::collections::BTreeMap::new();
+        let mut pos = 0u64;
+        for &(off, len, si, ci, cta) in &order {
+            debug_assert_eq!(off, pos, "index validation guarantees exact tiling");
+            let max_warps = match &dir[si].cmds[ci] {
+                DirCmd::Launch(k) => max_warps_of(k.block_threads),
+                DirCmd::Marker(_) => unreachable!("order only holds launches"),
+            };
+            let mut lim = r.take(len);
+            let blob = read_cta_blob(&mut lim, max_warps)?;
+            if lim.limit() != 0 {
+                return Err(bad("CTA blob shorter than its indexed span"));
+            }
+            decoded.insert((si, ci, cta), blob);
+            pos = off + len;
+        }
+        debug_assert_eq!(pos, payload_len);
+        let mut streams = Vec::with_capacity(dir.len());
+        for (si, d) in dir.into_iter().enumerate() {
+            let mut s = Stream::new(d.id, d.kind);
+            for (ci, c) in d.cmds.into_iter().enumerate() {
+                match c {
+                    DirCmd::Launch(k) => {
+                        let ctas: Vec<CtaTrace> = (0..k.spans.len())
+                            .map(|cta| decoded.remove(&(si, ci, cta)).expect("decoded above"))
+                            .collect();
+                        s.launch(KernelTrace::new(
+                            k.name,
+                            k.block_threads,
+                            k.regs_per_thread,
+                            k.smem_per_cta,
+                            ctas,
+                        ));
+                    }
+                    DirCmd::Marker(m) => {
+                        s.marker(m);
+                    }
+                }
+            }
+            streams.push(s);
+        }
+        Ok(TraceBundle::from_streams(streams))
+    }
+
+    /// Whole-bundle reference decoder: dispatches on the version field and
+    /// materializes every CTA, independent of the demand-paging source.
+    fn read_bundle_impl<R: Read>(r: &mut R) -> io::Result<TraceBundle> {
+        check_magic(r, MAGIC, "CRSP trace")?;
+        match read_version(r)? {
+            VERSION_V1 => read_bundle_rest_v1(r),
+            VERSION_V2 => read_bundle_rest_v2(r),
+            found => Err(unsupported_version(found)),
+        }
+    }
 
     fn sample_bundle() -> TraceBundle {
         let mut w = WarpTrace::new();
@@ -891,16 +859,6 @@ mod tests {
         let mut buf = Vec::new();
         write_bundle_v1(&b, &mut buf).unwrap();
         let back = read_bundle_impl(&mut buf.as_slice()).unwrap();
-        assert_eq!(b, back);
-    }
-
-    #[test]
-    fn deprecated_entry_points_still_work() {
-        let b = sample_bundle();
-        let mut buf = Vec::new();
-        write_bundle(&b, &mut buf).unwrap();
-        #[allow(deprecated)]
-        let back = read_bundle(&mut buf.as_slice()).unwrap();
         assert_eq!(b, back);
     }
 
@@ -1054,8 +1012,10 @@ mod tests {
         let b = sample_bundle();
         let p = std::env::temp_dir().join("crisp_codec_test.crsp");
         save(&b, &p).unwrap();
-        #[allow(deprecated)]
-        let back = load(&p).unwrap();
+        let back = crate::TraceInput::from(p.clone())
+            .open()
+            .and_then(|mut src| src.to_bundle())
+            .unwrap();
         assert_eq!(b, back);
         let _ = std::fs::remove_file(p);
     }

@@ -148,8 +148,11 @@ impl KernelTrace {
 
     /// Registers required by one CTA.
     pub fn regs_per_cta(&self) -> u32 {
-        // Register files allocate per warp at warp granularity.
-        self.warps_per_cta() * WARP_SIZE as u32 * self.regs_per_thread
+        // Register files allocate per warp at warp granularity. Saturates
+        // for geometry no SM can hold, so placement checks reject it.
+        self.warps_per_cta()
+            .saturating_mul(WARP_SIZE as u32)
+            .saturating_mul(self.regs_per_thread)
     }
 
     /// Total dynamic instruction count.

@@ -47,6 +47,6 @@ pub use source::{
 };
 pub use stream::{Command, Stream, StreamId, StreamKind, TraceBundle};
 pub use validate::{
-    validate_bundle, validate_kernel, validate_source, TraceError, TraceErrorKind, TraceErrorSite,
-    SCOREBOARD_REGS,
+    validate_bundle, validate_kernel, validate_source, validate_source_from, TraceError,
+    TraceErrorKind, TraceErrorSite, SCOREBOARD_REGS,
 };

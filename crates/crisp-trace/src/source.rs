@@ -109,8 +109,11 @@ impl KernelInfo {
     }
 
     /// Registers required by one CTA (allocated at warp granularity).
+    /// Saturates for geometry no SM can hold, so placement checks reject it.
     pub fn regs_per_cta(&self) -> u32 {
-        self.warps_per_cta() * WARP_SIZE as u32 * self.regs_per_thread
+        self.warps_per_cta()
+            .saturating_mul(WARP_SIZE as u32)
+            .saturating_mul(self.regs_per_thread)
     }
 
     /// Total threads launched (grid × block).
@@ -551,7 +554,7 @@ impl TraceSource {
             .ok_or_else(|| bad(format!("{kernel} is not in this trace source")))
     }
 
-    fn is_resident(&self, kernel: KernelId, cta_index: usize) -> bool {
+    pub(crate) fn is_resident(&self, kernel: KernelId, cta_index: usize) -> bool {
         match self.kernels.get(kernel.0 as usize).map(|k| &k.ctas) {
             Some(CtaStore::Loaded { window, .. }) => window.contains(&cta_index),
             Some(CtaStore::Lazy { resident, .. }) => resident.contains_key(&cta_index),

@@ -25,7 +25,7 @@ use std::fmt;
 
 use crate::isa::{Op, Space, WARP_SIZE};
 use crate::kernel::{CtaTrace, KernelTrace};
-use crate::source::{CommandMeta, TraceSource};
+use crate::source::{CommandMeta, KernelId, KernelInfo, TraceSource};
 use crate::stream::{Command, StreamId, TraceBundle};
 
 /// Number of architectural registers the timing model's scoreboard tracks
@@ -160,6 +160,20 @@ pub enum TraceErrorKind {
     },
 }
 
+impl TraceErrorKind {
+    /// Whether the defect can only stall a run — the forward-progress
+    /// watchdog turns it into a typed deadlock error — rather than break an
+    /// invariant the timing model indexes or asserts on. A simulation built
+    /// without pre-flight may hold such a trace, and its checkpoints must
+    /// still load.
+    pub fn only_stalls(&self) -> bool {
+        matches!(
+            self,
+            TraceErrorKind::UnterminatedWarp | TraceErrorKind::BarrierMismatch { .. }
+        )
+    }
+}
+
 impl fmt::Display for TraceErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -286,11 +300,10 @@ pub fn validate_bundle(bundle: &TraceBundle) -> Result<(), Vec<TraceError>> {
     }
 }
 
-/// Validate a [`TraceSource`] incrementally: kernels are materialized one
-/// at a time (and released again on streaming sources), so a bundle far
-/// larger than RAM lints in bounded memory. The checks and the resulting
-/// error list are identical to [`validate_bundle`] over the materialized
-/// bundle.
+/// Validate a [`TraceSource`] incrementally: CTAs are paged in one at a
+/// time (and released again on streaming sources), so a bundle far larger
+/// than RAM lints in bounded memory. The checks and the resulting error
+/// list are identical to [`validate_bundle`] over the materialized bundle.
 ///
 /// # Errors
 ///
@@ -298,6 +311,21 @@ pub fn validate_bundle(bundle: &TraceBundle) -> Result<(), Vec<TraceError>> {
 /// failure while paging a kernel in surfaces as a
 /// [`TraceErrorKind::Semantic`] with code `trace-io`.
 pub fn validate_source(src: &mut TraceSource) -> Result<(), Vec<TraceError>> {
+    validate_source_from(src, |_| 0)
+}
+
+/// [`validate_source`] over only the commands a partly run source can
+/// still execute: each stream is checked from command index
+/// `first(stream)` on. A restored checkpoint uses this to skip the kernels
+/// that already finished.
+///
+/// # Errors
+///
+/// As [`validate_source`].
+pub fn validate_source_from(
+    src: &mut TraceSource,
+    first: impl Fn(StreamId) -> usize,
+) -> Result<(), Vec<TraceError>> {
     let mut lint = Lint {
         errors: Vec::new(),
         site: TraceErrorSite::default(),
@@ -313,30 +341,32 @@ pub fn validate_source(src: &mut TraceSource) -> Result<(), Vec<TraceError>> {
             lint.push(TraceErrorKind::DuplicateStreamId);
         }
         seen.push(s.id);
-        for cmd in &s.commands {
+        for cmd in s.commands.iter().skip(first(s.id)) {
             match cmd {
                 CommandMeta::Marker(label) => {
                     if label.is_empty() {
                         lint.push(TraceErrorKind::EmptyMarkerLabel);
                     }
                 }
-                CommandMeta::Launch { kernel, info } => match src.materialize_kernel(*kernel) {
-                    Ok(k) => {
-                        validate_kernel_into(&k, &mut lint);
-                        lint.site = TraceErrorSite {
-                            stream: Some(s.id),
-                            ..Default::default()
-                        };
+                CommandMeta::Launch { kernel, info } => {
+                    // A kernel that fails to page in reports only the I/O
+                    // error, as if it had been materialized whole.
+                    let mut kernel_lint = Lint {
+                        errors: Vec::new(),
+                        site: lint.site.clone(),
+                    };
+                    match validate_source_kernel(src, *kernel, info, &mut kernel_lint) {
+                        Ok(()) => lint.errors.append(&mut kernel_lint.errors),
+                        Err(e) => {
+                            lint.site.kernel = Some(info.name.clone());
+                            lint.push(TraceErrorKind::Semantic {
+                                code: "trace-io".into(),
+                                message: e.to_string(),
+                            });
+                            lint.site.kernel = None;
+                        }
                     }
-                    Err(e) => {
-                        lint.site.kernel = Some(info.name.clone());
-                        lint.push(TraceErrorKind::Semantic {
-                            code: "trace-io".into(),
-                            message: e.to_string(),
-                        });
-                        lint.site.kernel = None;
-                    }
-                },
+                }
             }
         }
     }
@@ -345,6 +375,32 @@ pub fn validate_source(src: &mut TraceSource) -> Result<(), Vec<TraceError>> {
     } else {
         Err(lint.errors)
     }
+}
+
+/// Validate one kernel of `src` CTA by CTA, straight from the source's
+/// window, releasing each CTA that was not already resident.
+fn validate_source_kernel(
+    src: &mut TraceSource,
+    kernel: KernelId,
+    info: &KernelInfo,
+    lint: &mut Lint,
+) -> std::io::Result<()> {
+    let stream = lint.site.stream;
+    for ci in 0..info.grid {
+        let was_resident = src.is_resident(kernel, ci);
+        let cta = src.fetch_cta(kernel, ci)?;
+        lint.site = TraceErrorSite {
+            stream,
+            kernel: Some(info.name.clone()),
+            cta: Some(ci),
+            ..Default::default()
+        };
+        validate_cta_of_kernel(&cta, info.warps_per_cta() as usize, lint);
+        if !was_resident {
+            src.release_cta(kernel, ci);
+        }
+    }
+    Ok(())
 }
 
 /// Validate a single kernel trace outside any bundle context.
@@ -375,22 +431,27 @@ fn validate_kernel_into(k: &KernelTrace, lint: &mut Lint) {
             cta: Some(ci),
             ..Default::default()
         };
-        if cta.warps.is_empty() {
-            lint.push(TraceErrorKind::EmptyCta);
-            continue;
-        }
-        if cta.warp_count() > max_warps {
-            lint.push(TraceErrorKind::OverfullCta {
-                warps: cta.warp_count(),
-                max: max_warps,
-            });
-        }
-        validate_cta_into(cta, lint);
+        validate_cta_of_kernel(cta, max_warps, lint);
     }
     lint.site = TraceErrorSite {
         stream,
         ..Default::default()
     };
+}
+
+/// The checks on one CTA of a kernel whose CTAs hold at most `max_warps`.
+fn validate_cta_of_kernel(cta: &CtaTrace, max_warps: usize, lint: &mut Lint) {
+    if cta.warps.is_empty() {
+        lint.push(TraceErrorKind::EmptyCta);
+        return;
+    }
+    if cta.warp_count() > max_warps {
+        lint.push(TraceErrorKind::OverfullCta {
+            warps: cta.warp_count(),
+            max: max_warps,
+        });
+    }
+    validate_cta_into(cta, lint);
 }
 
 fn validate_cta_into(cta: &CtaTrace, lint: &mut Lint) {

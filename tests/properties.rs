@@ -622,14 +622,11 @@ fn corrupt_trace_bundles_are_rejected_not_fatal() {
     );
 }
 
-/// Corrupt `CKPT` checkpoints must be rejected with `Err`, never a panic —
-/// including mid-run images with live warps, caches, and telemetry.
-#[test]
-fn corrupt_checkpoints_are_rejected_not_fatal() {
-    let mut rng = Rng::new(5);
-    let mut stream = Stream::new(StreamId(0), StreamKind::Compute);
+/// A stream of two random kernels.
+fn random_stream(rng: &mut Rng, id: StreamId, kind: StreamKind) -> Stream {
+    let mut stream = Stream::new(id, kind);
     for ki in 0..2 {
-        let (recipe, warps, ctas, regs) = random_kernel(&mut rng, 30);
+        let (recipe, warps, ctas, regs) = random_kernel(rng, 30);
         let ctav: Vec<CtaTrace> = (0..ctas)
             .map(|c| {
                 CtaTrace::new(
@@ -647,6 +644,17 @@ fn corrupt_checkpoints_are_rejected_not_fatal() {
             ctav,
         ));
     }
+    stream
+}
+
+/// Corrupt `CKPT` checkpoints must be rejected with `Err`, never a panic —
+/// including mid-run images with live warps, caches, and telemetry. A
+/// flipped image that *does* decode must also run without panicking: every
+/// restored index, count and trace payload is validated at restore.
+#[test]
+fn corrupt_checkpoints_are_rejected_not_fatal() {
+    let mut rng = Rng::new(5);
+    let stream = random_stream(&mut rng, StreamId(0), StreamKind::Compute);
     let mut sim = Simulation::builder()
         .gpu(GpuConfig::test_tiny())
         .telemetry(crisp_sim::Telemetry::FULL)
@@ -658,7 +666,90 @@ fn corrupt_checkpoints_are_rejected_not_fatal() {
     sim.run_until(60).unwrap();
     let mut bytes = Vec::new();
     sim.write_checkpoint(&mut bytes).expect("serialize");
-    assert_reader_robust(&bytes, |b| GpuSim::read_checkpoint(b), "CKPT checkpoint");
+    assert_reader_robust(
+        &bytes,
+        |b| {
+            let mut sim = GpuSim::read_checkpoint(b)?;
+            // Simulation errors (deadlock, budget) are fine; panics are not.
+            let _ = sim.run_until(1_500);
+            Ok(())
+        },
+        "CKPT checkpoint",
+    );
+}
+
+/// Every partition policy, at cycles drawn from the test `Rng`: a
+/// checkpoint re-serializes byte for byte after a read, and the run
+/// resumed from it matches the uninterrupted run in every export.
+#[test]
+fn checkpoints_roundtrip_and_resume_under_every_policy() {
+    use crisp_sim::{L2Policy, SlicerConfig, Telemetry};
+    let gpu = GpuConfig::test_tiny();
+    let (a, b) = (StreamId(0), StreamId(1));
+    let tap = TapConfig {
+        epoch_accesses: 100,
+        sample_every: 1,
+        min_sets: 1,
+    };
+    let slicer = SlicerConfig {
+        sample_cycles: 150,
+        ratios: vec![(2, 8), (4, 8), (6, 8)],
+    };
+    let specs = [
+        (PartitionSpec::greedy(), None),
+        (PartitionSpec::mps_even(&gpu, a, b), None),
+        (PartitionSpec::mig_even(&gpu, a, b), None),
+        (PartitionSpec::fg_even(&gpu, a, b), None),
+        (PartitionSpec::fg_dynamic(slicer), None),
+        (PartitionSpec::tap_even(&gpu, a, b, tap), None),
+        (
+            PartitionSpec::mps_even(&gpu, a, b),
+            Some(L2Policy::BankSplit),
+        ),
+    ];
+    let mut rng = Rng::new(41);
+    let bundle = TraceBundle::from_streams(vec![
+        random_stream(&mut rng, a, StreamKind::Graphics),
+        random_stream(&mut rng, b, StreamKind::Compute),
+    ]);
+    let fingerprint =
+        |r: &crisp_sim::SimResult| (format!("{r:?}"), r.metrics_csv(), r.chrome_trace_json());
+    for (i, (spec, l2)) in specs.into_iter().enumerate() {
+        let build = || {
+            let mut builder = Simulation::builder()
+                .gpu(gpu.clone())
+                .partition(spec.clone())
+                .telemetry(Telemetry::FULL)
+                .occupancy_interval(30)
+                .composition_interval(70)
+                .counter_interval(50)
+                .trace(bundle.clone());
+            if let Some(l2) = l2.clone() {
+                builder = builder.l2(l2);
+            }
+            builder.build()
+        };
+        let full = build().run_or_panic();
+        let want = fingerprint(&full);
+        for _ in 0..3 {
+            let cycle = rng.range(1, full.cycles);
+            let mut sim = build();
+            assert!(!sim.run_until(cycle).unwrap(), "spec {i} @ {cycle}");
+            let mut bytes = Vec::new();
+            sim.write_checkpoint(&mut bytes).expect("serialize");
+            let mut resumed = GpuSim::read_checkpoint(bytes.as_slice()).expect("deserialize");
+            let mut again = Vec::new();
+            resumed.write_checkpoint(&mut again).expect("re-serialize");
+            assert!(
+                again == bytes,
+                "spec {i} @ {cycle}: write(read(bytes)) != bytes"
+            );
+            let got = fingerprint(&resumed.run_or_panic());
+            assert_eq!(got.0, want.0, "spec {i} @ {cycle}: SimResult");
+            assert_eq!(got.1, want.1, "spec {i} @ {cycle}: metrics CSV");
+            assert_eq!(got.2, want.2, "spec {i} @ {cycle}: Chrome trace");
+        }
+    }
 }
 
 /// Fuzz: any two-stream intra-SM quota split (both sides >= 1/8) lets both
