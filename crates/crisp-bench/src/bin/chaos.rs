@@ -14,9 +14,6 @@
 //! harness runs every case under `catch_unwind` and fails — with a non-zero
 //! exit code — if any case panics, completes successfully, or takes longer
 //! than the wall-clock guard.
-//!
-//! `--quick` runs the runtime cases at a single worker-thread count
-//! (CI smoke); the default sweeps 1/2/4 threads.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -220,7 +217,7 @@ fn analyze_case_pinned(
     })
 }
 
-fn cases(quick: bool) -> Vec<Case> {
+fn cases() -> Vec<Case> {
     let mut v: Vec<Case> = Vec::new();
 
     // --- structural trace mutations (caught by pre-flight validation) ---
@@ -697,27 +694,16 @@ fn cases(quick: bool) -> Vec<Case> {
     }));
 
     // --- runtime faults (pre-flight disabled; the watchdog must catch them) ---
-    let thread_counts: &[usize] = if quick { &[2] } else { &[1, 2, 4] };
-    for &threads in thread_counts {
-        v.push(case(
-            match threads {
-                1 => "runtime/deadlock-1-thread",
-                2 => "runtime/deadlock-2-threads",
-                _ => "runtime/deadlock-4-threads",
-            },
-            move || {
-                expect_sim_err(|| {
-                    Simulation::builder()
-                        .gpu(gpu())
-                        .threads(threads)
-                        .preflight(false)
-                        .watchdog(2_000)
-                        .trace(wedged_bundle())
-                        .run()
-                })
-            },
-        ));
-    }
+    v.push(case("runtime/deadlock", || {
+        expect_sim_err(|| {
+            Simulation::builder()
+                .gpu(gpu())
+                .preflight(false)
+                .watchdog(2_000)
+                .trace(wedged_bundle())
+                .run()
+        })
+    }));
     v.push(case("runtime/cycle-budget-exceeded", || {
         expect_sim_err(|| {
             let mut cfg = gpu();
@@ -731,18 +717,29 @@ fn cases(quick: bool) -> Vec<Case> {
         })
     }));
     v.push(case("runtime/worker-panic", || {
-        expect_sim_err(|| {
-            let mut w = WarpTrace::new();
-            w.push(Instr::alu(Op::IntAlu, Reg(300), &[])); // past the scoreboard
-            w.seal();
-            let k = KernelTrace::new("hot", 32, 8, 0, vec![CtaTrace::new(vec![w])]);
+        let mut w = WarpTrace::new();
+        w.push(Instr::alu(Op::IntAlu, Reg(300), &[])); // past the scoreboard
+        w.seal();
+        let k = KernelTrace::new("hot", 32, 8, 0, vec![CtaTrace::new(vec![w])]);
+        let run = || {
             Simulation::builder()
                 .gpu(gpu())
-                .threads(2)
                 .preflight(false)
                 .trace(bundle_of(k))
                 .run()
-        })
+        };
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(Err(SimError::WorkerPanic { message, ctx })) => match ctx.report.sms.len() {
+                n if n == gpu().n_sms => Ok(first_line(&message)),
+                n => Err(format!("WorkerPanic reports {n} of {} SMs", gpu().n_sms)),
+            },
+            Ok(Err(e)) => Err(format!(
+                "expected WorkerPanic: {}",
+                first_line(&e.to_string())
+            )),
+            Ok(Ok(_)) => Err("completed successfully — the fault went undetected".into()),
+            Err(payload) => Err(panic_reason(payload)),
+        }
     }));
 
     // --- container index corruption (caught when opening the source) ---
@@ -1141,19 +1138,15 @@ fn main() {
     if args.first().map(String::as_str) == Some("--corpus") {
         std::process::exit(run_corpus(&args[1..]));
     }
-    let quick = args.iter().any(|a| a == "--quick");
 
     // Expected panics (the worker-panic case, asserts behind catch_unwind)
     // would spray backtraces over the report; keep the output to ours.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    let all = cases(quick);
+    let all = cases();
     let total = all.len();
-    println!(
-        "== chaos: {total} fault injections{} ==",
-        if quick { " (--quick)" } else { "" }
-    );
+    println!("== chaos: {total} fault injections ==");
 
     let mut failures = 0usize;
     for c in all {

@@ -2,9 +2,9 @@
 //! allocation accounting, and the throughput numbers the perf-regression
 //! gate tracks.
 //!
-//! Runs the paper-scale concurrent render+compute workload (the same
-//! scenario as `thread_scaling`) with `.host_profile(true)` and the
-//! counting allocator installed, prints the self-profile report, and
+//! Runs the paper-scale concurrent render+compute workload (SPH + HOLO on
+//! the RTX 3070 under an even intra-SM split) with `.host_profile(true)`
+//! and the counting allocator installed, prints the self-profile report, and
 //! writes:
 //!
 //! * `BENCH_host.json` — the machine-readable trajectory record
@@ -15,12 +15,11 @@
 //!   trace (simulated timeline + host self-profile as named Perfetto
 //!   processes).
 //!
-//! The run fails (exit 1) when the per-shard phase attribution covers
-//! less than 90% of measured wall-clock — the self-profiler's own
-//! accuracy contract.
+//! The run fails (exit 1) when the phase attribution covers less than 90%
+//! of measured wall-clock — the self-profiler's own accuracy contract.
 //!
 //! `--quick` (or `CRISP_SCALE=quick`) shrinks the workload for smoke
-//! runs; `CRISP_THREADS=n` overrides the worker-thread count.
+//! runs.
 
 use crisp_core::experiments::ExpScale;
 use crisp_core::prelude::*;
@@ -42,23 +41,13 @@ fn main() {
     } else {
         "paper"
     };
-    let threads: usize = std::env::var("CRISP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8)
-        });
-
     let gpu = GpuConfig::rtx3070();
     let (w, h) = s.res.dims();
     let frame = Scene::build(SceneId::SponzaPbr, s.detail).render(w, h, false, GRAPHICS_STREAM);
     let trace = concurrent_bundle(frame.trace, holo(COMPUTE_STREAM, s.compute));
 
     println!(
-        "== hostprof: {} ({} SMs), {threads} threads, {scale_name} scale ==",
+        "== hostprof: {} ({} SMs), {scale_name} scale ==",
         gpu.name, gpu.n_sms
     );
 
@@ -71,7 +60,6 @@ fn main() {
             GRAPHICS_STREAM,
             COMPUTE_STREAM,
         ))
-        .threads(threads)
         .telemetry(Telemetry::NONE)
         .host_profile(true)
         .trace(trace)
@@ -99,11 +87,10 @@ fn main() {
         .as_ref()
         .map_or((0, 0), |a| (a.total_count, a.total_bytes));
     let json = format!(
-        "{{\n\"version\": 1,\n\"scale\": \"{scale_name}\",\n\"threads\": {threads},\n\
+        "{{\n\"version\": 1,\n\"scale\": \"{scale_name}\",\n\
          \"cycles\": {cycles},\n\"instrs\": {instrs},\n\"wall_s\": {wall:.4},\n\
          \"cycles_per_sec\": {cps:.1},\n\"instrs_per_sec\": {ips:.1},\n\
-         \"coverage\": {cov:.4},\n\"shard_coverage\": {scov:.4},\n\
-         \"shard_imbalance\": {imb:.4},\n\"allocs_per_cycle\": {apc:.4},\n\
+         \"coverage\": {cov:.4},\n\"allocs_per_cycle\": {apc:.4},\n\
          \"alloc_total\": {alloc_count},\n\"alloc_bytes\": {alloc_bytes},\n\
          \"heartbeats\": {hb},\n\"driver_phase_ns\": {{{phases}}}\n}}\n",
         cycles = prof.cycles,
@@ -112,8 +99,6 @@ fn main() {
         cps = prof.cycles_per_sec(),
         ips = prof.instrs_per_sec(),
         cov = prof.coverage(),
-        scov = prof.shard_coverage(),
-        imb = prof.shard_imbalance(),
         apc = prof.allocs_per_cycle(),
         hb = prof.heartbeats.len(),
     );
@@ -122,8 +107,8 @@ fn main() {
     println!("(saved to BENCH_host.json)");
 
     // Accuracy contract: the phase attribution must account for ≥90% of
-    // the wall-clock each shard worker (or the serial driver) observed.
-    let cov = prof.shard_coverage();
+    // the measured wall-clock.
+    let cov = prof.coverage();
     if cov < 0.90 {
         eprintln!(
             "hostprof: FAIL — phase attribution covers only {:.1}% of \
@@ -132,8 +117,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!(
-        "phase attribution covers {:.1}% of wall-clock across shards",
-        cov * 100.0
-    );
+    println!("phase attribution covers {:.1}% of wall-clock", cov * 100.0);
 }

@@ -3,32 +3,13 @@
 //! Trace Event file (load in Perfetto / `chrome://tracing`), counter and
 //! metric CSVs, and the human-readable profile report.
 //!
-//! Doubles as a determinism check for the exporters: the trace produced
-//! at 1 worker thread and at 4 worker threads must be byte-identical,
-//! and the emitted JSON must pass the bundled RFC 8259 validator.
+//! The emitted JSON must pass the bundled RFC 8259 validator.
 //!
 //! `CRISP_SCALE=quick` shrinks the workload for CI.
 
 use crisp_bench::{out_dir, scale};
 use crisp_core::prelude::*;
 use crisp_core::{concurrent_bundle, COMPUTE_STREAM, GRAPHICS_STREAM};
-use crisp_sim::SimResult;
-
-fn bundle(detail: f32, w: u32, h: u32, compute: ComputeScale) -> TraceBundle {
-    let frame = Scene::build(SceneId::SponzaKhronos, detail).render(w, h, false, GRAPHICS_STREAM);
-    concurrent_bundle(frame.trace, vio(COMPUTE_STREAM, compute))
-}
-
-fn run(gpu: &GpuConfig, trace: TraceBundle, threads: usize) -> SimResult {
-    Simulation::builder()
-        .gpu(gpu.clone())
-        .partition(PartitionSpec::fg_even(gpu, GRAPHICS_STREAM, COMPUTE_STREAM))
-        .threads(threads)
-        .telemetry(Telemetry::FULL)
-        .counter_interval(500)
-        .trace(trace)
-        .run_or_panic()
-}
 
 fn main() {
     let s = scale();
@@ -37,37 +18,40 @@ fn main() {
     gpu.n_sms = 6;
 
     println!("== profile: concurrent render+compute with full telemetry ==");
-    let serial = run(&gpu, bundle(s.detail, w, h, s.compute), 1);
-    let parallel = run(&gpu, bundle(s.detail, w, h, s.compute), 4);
+    let frame = Scene::build(SceneId::SponzaKhronos, s.detail).render(w, h, false, GRAPHICS_STREAM);
+    let result = Simulation::builder()
+        .gpu(gpu.clone())
+        .partition(PartitionSpec::fg_even(
+            &gpu,
+            GRAPHICS_STREAM,
+            COMPUTE_STREAM,
+        ))
+        .telemetry(Telemetry::FULL)
+        .counter_interval(500)
+        .trace(concurrent_bundle(
+            frame.trace,
+            vio(COMPUTE_STREAM, s.compute),
+        ))
+        .run_or_panic();
 
-    let trace_json = serial.chrome_trace_json();
-    assert_eq!(
-        trace_json,
-        parallel.chrome_trace_json(),
-        "trace export must be byte-identical at 1 and 4 worker threads"
-    );
-    assert_eq!(
-        serial.counters_csv(),
-        parallel.counters_csv(),
-        "counter export must be byte-identical at 1 and 4 worker threads"
-    );
+    let trace_json = result.chrome_trace_json();
     crisp_sim::obs::json::validate(&trace_json).expect("exported trace is valid JSON");
     assert!(
-        !serial.timeline.is_empty(),
+        !result.timeline.is_empty(),
         "full telemetry must record spans"
     );
     println!(
-        "determinism: 1-thread and 4-thread exports byte-identical ({} spans, {} bytes of JSON)",
-        serial.timeline.span_count(),
+        "{} spans, {} bytes of JSON",
+        result.timeline.span_count(),
         trace_json.len()
     );
 
     let dir = out_dir().join("profile");
-    serial.write_profile(&dir).expect("write profile artifacts");
+    result.write_profile(&dir).expect("write profile artifacts");
     println!(
         "(saved trace.json / counters.csv / metrics.csv / profile.txt to {})",
         dir.display()
     );
     println!();
-    print!("{}", serial.profile_report());
+    print!("{}", result.profile_report());
 }

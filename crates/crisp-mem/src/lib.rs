@@ -24,12 +24,11 @@
 //! [`MemSystem::tick`]. `crisp-sm` turns warp instructions into requests and
 //! `crisp-sim` drives the clock.
 //!
-//! The hierarchy is split along the threading boundary of `crisp-sim`'s
-//! parallel executor: each SM owns an [`SmMemPort`] (private L1 + MSHRs +
-//! an egress queue) it can use from any worker thread, while the shared
+//! The hierarchy is split at the SM boundary: each SM owns an
+//! [`SmMemPort`] (private L1 + MSHRs + an egress queue), while the shared
 //! [`MemSystem`] (crossbar, banked L2, DRAM) drains every port's egress in
-//! ascending SM-id order each tick — making simulation results bit-identical
-//! at any worker-thread count.
+//! ascending SM-id order each tick. That drain order is the request order
+//! the crossbar sees.
 
 mod cache;
 mod dram;

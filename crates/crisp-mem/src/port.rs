@@ -5,12 +5,10 @@
 //! accesses to the port, which resolves them against the SM-private L1 and
 //! MSHRs **without touching any shared state** — misses and write-throughs
 //! are parked in a local egress queue instead of entering the crossbar
-//! directly. This is what lets whole SMs tick on worker threads: the only
-//! cross-SM structures (crossbar, L2 banks, DRAM) are reached later, when
-//! [`MemSystem::tick`](crate::MemSystem::tick) drains every port's egress
-//! queue **in ascending SM-id order**. That drain order reproduces exactly
-//! the request interleaving of a single-threaded simulation, so results are
-//! bit-identical at any worker count.
+//! directly. The cross-SM structures (crossbar, L2 banks, DRAM) are reached
+//! later, when [`MemSystem::tick`](crate::MemSystem::tick) drains every
+//! port's egress queue **in ascending SM-id order**; that drain order
+//! defines the request interleaving the crossbar sees.
 
 use std::collections::VecDeque;
 use std::io;

@@ -2,11 +2,10 @@
 //! partitions, driven by an external clock.
 //!
 //! The SM-private side (unified L1 + MSHRs) lives in [`SmMemPort`]; each SM
-//! owns its port and can therefore tick on a worker thread without touching
-//! shared state. `crisp-sim` calls [`MemSystem::tick`] once per core cycle
-//! with every port: the tick first **drains each port's egress queue in
-//! ascending SM-id order** (reproducing the exact request interleaving of a
-//! single-threaded run), then advances the L2/DRAM pipelines, and finally
+//! owns its port, so an SM's cycle touches no shared state. `crisp-sim`
+//! calls [`MemSystem::tick`] once per core cycle with every port: the tick
+//! first **drains each port's egress queue in ascending SM-id order** (the
+//! request order), then advances the L2/DRAM pipelines, and finally
 //! fills the ports with arriving responses, returning the [`Completion`]s to
 //! route back to the issuing warps.
 

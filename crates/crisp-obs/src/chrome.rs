@@ -21,8 +21,8 @@
 //! self-profile ([`HostProfile`]) as its **own named process** (pid 1,
 //! "host self-profile") next to the simulated timeline (pid 0): top-level
 //! spans (preflight/analyze/fast-forward/checkpoint I/O) at their real
-//! wall-clock offsets, per-phase driver aggregates and per-shard
-//! execute/wait totals as sequential strips, and heartbeat counter tracks.
+//! wall-clock offsets, per-phase driver aggregates as a sequential strip,
+//! and a heartbeat counter track.
 //! Host timestamps are wall-clock **microseconds**; simulated timestamps
 //! are cycles — two clock domains, two processes, one file. The plain
 //! [`write_chrome_trace`] export is unchanged by host profiling, so
@@ -201,8 +201,7 @@ fn write_log_events(log: &TraceLog, w: &mut impl Write, sep: &mut Sep) -> io::Re
 
 /// The host self-profile process (pid 1). Tids: 0 = driver (top-level spans
 /// at real offsets), 1 = driver phase aggregates (a sequential strip, since
-/// per-cycle phases are accumulated rather than individually timestamped),
-/// 2+i = shard workers (execute/wait aggregate strips).
+/// per-cycle phases are accumulated rather than individually timestamped).
 fn write_host_events(host: &HostProfile, w: &mut impl Write, sep: &mut Sep) -> io::Result<()> {
     const PID: u32 = 1;
     let us = |ns: u64| ns / 1_000;
@@ -221,15 +220,6 @@ fn write_host_events(host: &HostProfile, w: &mut impl Write, sep: &mut Sep) -> i
         w,
         "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":1,\"name\":\"thread_name\",\"args\":{{\"name\":\"driver phases (aggregate)\"}}}}",
     )?;
-    for i in 0..host.shards.len() {
-        sep.emit(w)?;
-        write!(
-            w,
-            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-            2 + i,
-            json_str(&format!("shard{i} (aggregate)")),
-        )?;
-    }
 
     // Top-level spans at their real wall-clock offsets.
     for s in &host.spans {
@@ -259,27 +249,7 @@ fn write_host_events(host: &HostProfile, w: &mut impl Write, sep: &mut Sep) -> i
         cursor += dur;
     }
 
-    // Per-shard execute/wait strips.
-    for (i, sh) in host.shards.iter().enumerate() {
-        let tid = 2 + i;
-        let (exec, wait) = (us(sh.execute_ns), us(sh.wait_ns));
-        if exec > 0 {
-            sep.emit(w)?;
-            write!(
-                w,
-                "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"ts\":0,\"dur\":{exec},\"name\":\"execute\",\"cat\":\"host\"}}",
-            )?;
-        }
-        if wait > 0 {
-            sep.emit(w)?;
-            write!(
-                w,
-                "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"ts\":{exec},\"dur\":{wait},\"name\":\"barrier-wait\",\"cat\":\"host\"}}",
-            )?;
-        }
-    }
-
-    // Heartbeat counter tracks at real offsets.
+    // Heartbeat counter track at real offsets.
     for hb in &host.heartbeats {
         let ts = us(hb.wall_ns);
         sep.emit(w)?;
@@ -287,12 +257,6 @@ fn write_host_events(host: &HostProfile, w: &mut impl Write, sep: &mut Sep) -> i
             w,
             "{{\"ph\":\"C\",\"pid\":{PID},\"ts\":{ts},\"name\":\"host/cycles_per_sec\",\"args\":{{\"value\":{}}}}}",
             json_num(hb.cycles_per_sec),
-        )?;
-        sep.emit(w)?;
-        write!(
-            w,
-            "{{\"ph\":\"C\",\"pid\":{PID},\"ts\":{ts},\"name\":\"host/shard_skew\",\"args\":{{\"value\":{}}}}}",
-            json_num(hb.shard_skew),
         )?;
     }
     Ok(())
@@ -347,9 +311,8 @@ mod tests {
     }
 
     fn sample_host_profile() -> crate::host::HostProfile {
-        use crate::host::{HostPhase, HostProfiler, ShardTimes};
+        use crate::host::{HostPhase, HostProfiler};
         let mut p = HostProfiler::new(10);
-        p.set_workers(2);
         p.add(HostPhase::Dispatch, 3_000_000);
         p.add(HostPhase::Execute, 9_000_000);
         let t0 = p.elapsed_ns();
@@ -358,23 +321,7 @@ mod tests {
             "validate",
             t0.saturating_sub(2_000_000),
         );
-        p.merge_shard(
-            0,
-            ShardTimes {
-                execute_ns: 8_000_000,
-                wait_ns: 1_000_000,
-                cycles: 100,
-            },
-        );
-        p.merge_shard(
-            1,
-            ShardTimes {
-                execute_ns: 5_000_000,
-                wait_ns: 4_000_000,
-                cycles: 100,
-            },
-        );
-        p.heartbeat(10, 0, &[50, 50]);
+        p.heartbeat(10, 0, 100);
         p.finish(100, 1000, None)
     }
 
@@ -385,9 +332,9 @@ mod tests {
         json::validate(&s).expect("dual-clock export must be well-formed JSON");
         assert!(s.contains("host self-profile"));
         assert!(s.contains("\"driver\""));
-        assert!(s.contains("shard0 (aggregate)"));
+        assert!(s.contains("driver phases (aggregate)"));
         assert!(s.contains("preflight:validate"));
-        assert!(s.contains("barrier-wait"));
+        assert!(s.contains("\"execute\""));
         assert!(s.contains("host/cycles_per_sec"));
         // Host events live on pid 1, never pid 0.
         assert!(s.contains("\"pid\":1"));

@@ -7,12 +7,11 @@
 //! instrument. Three pieces:
 //!
 //! * [`HostProfiler`] — the live accumulator the simulator drives: driver
-//!   phase times ([`HostPhase`]), per-shard-worker execute/barrier-wait
-//!   times, top-level spans (preflight, analyze, fast-forward, checkpoint
-//!   I/O), and periodic [`Heartbeat`] samples whose rates come from the
-//!   [`MetricsSnapshot::counter_delta`] diff API.
+//!   phase times ([`HostPhase`]), top-level spans (preflight, analyze,
+//!   fast-forward, checkpoint I/O), and periodic [`Heartbeat`] samples whose
+//!   rates come from the [`MetricsSnapshot::counter_delta`] diff API.
 //! * [`HostProfile`] — the frozen end-of-run result surfaced through
-//!   `SimResult::host_profile`: phase table, shard imbalance, cycles/s, and
+//!   `SimResult::host_profile`: phase table, cycles/s, and
 //!   (when the `alloc-profile` feature is on) per-phase allocation counts.
 //! * [`set_alloc_phase`] — tags the current thread's allocations with the
 //!   running phase for the feature-gated counting allocator; compiles to a
@@ -30,7 +29,7 @@ use crate::registry::{Labels, MetricRegistry, MetricsSnapshot};
 
 /// One phase of the simulator's own execution, on the host clock.
 ///
-/// The first four and the last two are *top-level* phases (they happen once
+/// The first three and the last two are *top-level* phases (they happen once
 /// or rarely); the middle five are *per-cycle* phases of the cycle loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
@@ -44,10 +43,8 @@ pub enum HostPhase {
     /// Serial front/back of each cycle: stream advance, CTA issue, commit
     /// absorption, scheduling bookkeeping.
     Dispatch,
-    /// Warp execution — SM `cycle()` calls (driver window in sharded runs).
+    /// Warp execution — SM `cycle()` calls.
     Execute,
-    /// Shard workers blocked at the generation barrier.
-    BarrierWait,
     /// Draining per-SM memory-port egress queues into the interconnect.
     PortDrain,
     /// L2 bank / DRAM channel ticking and response delivery.
@@ -62,7 +59,7 @@ pub enum HostPhase {
 
 impl HostPhase {
     /// Number of phases (array sizing).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every phase, in declaration (= report) order.
     pub const ALL: [HostPhase; HostPhase::COUNT] = [
@@ -71,7 +68,6 @@ impl HostPhase {
         HostPhase::FastForward,
         HostPhase::Dispatch,
         HostPhase::Execute,
-        HostPhase::BarrierWait,
         HostPhase::PortDrain,
         HostPhase::MemTick,
         HostPhase::Telemetry,
@@ -87,7 +83,6 @@ impl HostPhase {
             HostPhase::FastForward => "fast-forward",
             HostPhase::Dispatch => "dispatch",
             HostPhase::Execute => "execute",
-            HostPhase::BarrierWait => "barrier-wait",
             HostPhase::PortDrain => "port-drain",
             HostPhase::MemTick => "mem-tick",
             HostPhase::Telemetry => "telemetry",
@@ -146,17 +141,6 @@ impl PhaseTimes {
     }
 }
 
-/// Wall-clock totals for one shard worker thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTimes {
-    /// Time spent cycling this shard's SMs.
-    pub execute_ns: u64,
-    /// Time spent blocked at the generation barrier.
-    pub wait_ns: u64,
-    /// Cycles this shard participated in.
-    pub cycles: u64,
-}
-
 /// One top-level host span (preflight, analyze, fast-forward, checkpoint
 /// write, export) with a real start offset from the profiler's origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,9 +170,6 @@ pub struct Heartbeat {
     pub instrs_per_sec: f64,
     /// Bytes of trace instructions resident (streaming window).
     pub resident_bytes: u64,
-    /// Shard load skew since the previous heartbeat: max over shards of
-    /// instructions issued, divided by the mean (1.0 = perfectly balanced).
-    pub shard_skew: f64,
 }
 
 /// Per-phase allocation totals from the feature-gated counting allocator.
@@ -216,14 +197,11 @@ pub struct AllocReport {
 pub struct HostProfiler {
     origin: Instant,
     heartbeat_interval: u64,
-    workers: usize,
     driver: PhaseTimes,
-    shards: Vec<ShardTimes>,
     spans: Vec<HostSpan>,
     heartbeats: Vec<Heartbeat>,
     registry: MetricRegistry,
     last_hb: Option<(MetricsSnapshot, u64)>,
-    prev_sm_instrs: Vec<u64>,
 }
 
 impl HostProfiler {
@@ -236,14 +214,11 @@ impl HostProfiler {
         HostProfiler {
             origin: Instant::now(),
             heartbeat_interval,
-            workers: 0,
             driver: PhaseTimes::default(),
-            shards: Vec::new(),
             spans: Vec::new(),
             heartbeats: Vec::new(),
             registry: MetricRegistry::new(),
             last_hb: None,
-            prev_sm_instrs: Vec::new(),
         }
     }
 
@@ -259,7 +234,7 @@ impl HostProfiler {
         self.heartbeat_interval > 0 && cycle > 0 && cycle.is_multiple_of(self.heartbeat_interval)
     }
 
-    /// Add `ns` to `phase` on the driver thread.
+    /// Add `ns` to `phase`.
     #[inline]
     pub fn add(&mut self, phase: HostPhase, ns: u64) {
         self.driver.add(phase, ns);
@@ -282,33 +257,12 @@ impl HostProfiler {
         });
     }
 
-    /// Declare the sharded-run worker count (sizes the per-shard tables and
-    /// the heartbeat skew computation). Serial runs never call this.
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = n;
-        if self.shards.len() < n {
-            self.shards.resize(n, ShardTimes::default());
-        }
-    }
-
-    /// Fold one segment's worth of shard-worker times into shard `i`.
-    pub fn merge_shard(&mut self, i: usize, t: ShardTimes) {
-        if self.shards.len() <= i {
-            self.shards.resize(i + 1, ShardTimes::default());
-        }
-        let s = &mut self.shards[i];
-        s.execute_ns += t.execute_ns;
-        s.wait_ns += t.wait_ns;
-        s.cycles += t.cycles;
-    }
-
-    /// Record a heartbeat at simulated `cycle`. `per_sm_instrs` is the
-    /// cumulative instruction count per SM (ascending SM id); `resident` is
-    /// the resident trace-window footprint in bytes. Rates are computed as
-    /// counter deltas against the previous heartbeat's snapshot.
-    pub fn heartbeat(&mut self, cycle: u64, resident: u64, per_sm_instrs: &[u64]) {
+    /// Record a heartbeat at simulated `cycle`. `instrs` is the cumulative
+    /// instruction count over all SMs; `resident` is the resident
+    /// trace-window footprint in bytes. Rates are computed as counter
+    /// deltas against the previous heartbeat's snapshot.
+    pub fn heartbeat(&mut self, cycle: u64, resident: u64, instrs: u64) {
         let wall = self.elapsed_ns();
-        let instrs: u64 = per_sm_instrs.iter().sum();
         let l = Labels::new();
         let prev = self.last_hb.take();
 
@@ -337,32 +291,6 @@ impl HostProfiler {
         };
         let secs = (d_wall as f64 / 1e9).max(1e-12);
 
-        // Shard skew from per-SM instruction deltas grouped into the same
-        // contiguous chunks run_parallel shards SMs by.
-        let shards = self.workers.max(1);
-        let chunk = per_sm_instrs.len().div_ceil(shards).max(1);
-        self.prev_sm_instrs.resize(per_sm_instrs.len(), 0);
-        let mut max_d = 0u64;
-        let mut sum_d = 0u64;
-        let mut n_shards = 0u64;
-        for (s, sms) in per_sm_instrs.chunks(chunk).enumerate() {
-            let d: u64 = sms
-                .iter()
-                .zip(&self.prev_sm_instrs[s * chunk..])
-                .map(|(cur, prev)| cur.saturating_sub(*prev))
-                .sum();
-            max_d = max_d.max(d);
-            sum_d += d;
-            n_shards += 1;
-        }
-        self.prev_sm_instrs.copy_from_slice(per_sm_instrs);
-        let mean_d = sum_d as f64 / n_shards.max(1) as f64;
-        let shard_skew = if mean_d > 0.0 {
-            max_d as f64 / mean_d
-        } else {
-            1.0
-        };
-
         self.heartbeats.push(Heartbeat {
             wall_ns: wall,
             cycle,
@@ -370,7 +298,6 @@ impl HostProfiler {
             cycles_per_sec: d_cycles as f64 / secs,
             instrs_per_sec: d_instrs as f64 / secs,
             resident_bytes: resident,
-            shard_skew,
         });
         self.last_hb = Some((snap, wall));
     }
@@ -381,10 +308,8 @@ impl HostProfiler {
             wall_ns: self.origin.elapsed().as_nanos() as u64,
             cycles,
             instrs,
-            workers: self.workers,
             heartbeat_interval: self.heartbeat_interval,
             driver: self.driver,
-            shards: self.shards,
             spans: self.spans,
             heartbeats: self.heartbeats,
             alloc,
@@ -402,14 +327,10 @@ pub struct HostProfile {
     pub cycles: u64,
     /// Instructions retired (all SMs).
     pub instrs: u64,
-    /// Shard worker threads (0 for a serial run).
-    pub workers: usize,
     /// Heartbeat interval in simulated cycles (0 = disabled).
     pub heartbeat_interval: u64,
-    /// Driver-thread time per phase (includes the top-level spans).
+    /// Time per phase (includes the top-level spans).
     pub driver: PhaseTimes,
-    /// Per-shard-worker execute / barrier-wait totals (empty for serial).
-    pub shards: Vec<ShardTimes>,
     /// Top-level spans for the Chrome Trace host process.
     pub spans: Vec<HostSpan>,
     /// Periodic throughput samples.
@@ -443,55 +364,24 @@ impl HostProfile {
         }
     }
 
-    /// Fraction of wall-clock attributed to a phase by the *driver* thread.
+    /// Fraction of wall-clock attributed to a phase.
     pub fn coverage(&self) -> f64 {
         self.driver.total() as f64 / self.wall_ns.max(1) as f64
     }
 
-    /// Worst-case per-shard coverage: for each shard worker, the fraction
-    /// of wall-clock accounted for by (driver serial phases + that shard's
-    /// execute + barrier-wait); the minimum over shards. Falls back to
-    /// [`coverage`](HostProfile::coverage) for serial runs.
-    pub fn shard_coverage(&self) -> f64 {
-        if self.shards.is_empty() {
-            return self.coverage();
-        }
-        let serial = self
-            .driver
-            .total()
-            .saturating_sub(self.driver.get(HostPhase::Execute));
-        self.shards
-            .iter()
-            .map(|s| (serial + s.execute_ns + s.wait_ns) as f64 / self.wall_ns.max(1) as f64)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Shard execute-time imbalance: slowest shard / fastest shard (1.0 for
-    /// serial runs or perfectly balanced shards).
-    pub fn shard_imbalance(&self) -> f64 {
-        let max = self.shards.iter().map(|s| s.execute_ns).max().unwrap_or(0);
-        let min = self.shards.iter().map(|s| s.execute_ns).min().unwrap_or(0);
-        if min == 0 {
-            1.0
-        } else {
-            max as f64 / min as f64
-        }
-    }
-
-    /// The human-readable self-profile: phase table, per-shard imbalance,
-    /// heartbeat summary, allocation sites.
+    /// The human-readable self-profile: phase table, heartbeat summary,
+    /// allocation sites.
     pub fn report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "=== CRISP self-profile (host clock) ===");
         let _ = writeln!(
             out,
-            "wall {:.3} s | {} cycles | {} instrs | {}/s cycles | {}/s instrs | {} workers",
+            "wall {:.3} s | {} cycles | {} instrs | {}/s cycles | {}/s instrs",
             self.wall_secs(),
             self.cycles,
             self.instrs,
             si(self.cycles_per_sec()),
             si(self.instrs_per_sec()),
-            self.workers.max(1),
         );
 
         let _ = writeln!(out, "\n-- driver phases --");
@@ -518,31 +408,6 @@ impl HostProfile {
             100.0 * self.coverage(),
         );
 
-        if !self.shards.is_empty() {
-            let _ = writeln!(out, "\n-- shard workers --");
-            let _ = writeln!(
-                out,
-                "{:<6} {:>12} {:>12} {:>7}",
-                "shard", "execute", "wait", "busy"
-            );
-            for (i, s) in self.shards.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:>12} {:>12} {:>6.1}%",
-                    i,
-                    fmt_ns(s.execute_ns),
-                    fmt_ns(s.wait_ns),
-                    pct(s.execute_ns, s.execute_ns + s.wait_ns),
-                );
-            }
-            let _ = writeln!(
-                out,
-                "imbalance (exec max/min) {:.2} | worst shard coverage {:.1}% of wall",
-                self.shard_imbalance(),
-                100.0 * self.shard_coverage(),
-            );
-        }
-
         if let Some(hb) = self.heartbeats.last() {
             let _ = writeln!(
                 out,
@@ -552,11 +417,10 @@ impl HostProfile {
             );
             let _ = writeln!(
                 out,
-                "last: {}/s cycles | {}/s instrs | {} resident | skew {:.2}",
+                "last: {}/s cycles | {}/s instrs | {} resident",
                 si(hb.cycles_per_sec),
                 si(hb.instrs_per_sec),
                 fmt_bytes(hb.resident_bytes),
-                hb.shard_skew,
             );
         }
 
@@ -682,11 +546,10 @@ mod tests {
     #[test]
     fn heartbeat_rates_come_from_snapshot_deltas() {
         let mut p = HostProfiler::new(100);
-        p.set_workers(2);
-        // 4 SMs → shards of 2. First heartbeat: 100 cycles, 1000 instrs.
-        p.heartbeat(100, 0, &[400, 300, 200, 100]);
-        // Second: +100 cycles, +400 instrs, shard0 +300 shard1 +100.
-        p.heartbeat(200, 64, &[600, 400, 250, 150]);
+        // First heartbeat: 100 cycles, 1000 instrs.
+        p.heartbeat(100, 0, 1000);
+        // Second: +100 cycles, +400 instrs.
+        p.heartbeat(200, 64, 1400);
         assert_eq!(p.heartbeats.len(), 2);
         let a = p.heartbeats[0];
         let b = p.heartbeats[1];
@@ -696,54 +559,8 @@ mod tests {
         assert_eq!(b.resident_bytes, 64);
         // Interval deltas: 100 cycles, 400 instrs → instrs/s = 4× cycles/s.
         assert!((b.instrs_per_sec / b.cycles_per_sec - 4.0).abs() < 1e-9);
-        // Skew: shard deltas 300 vs 100, mean 200 → max/mean = 1.5.
-        assert!((b.shard_skew - 1.5).abs() < 1e-9);
         // First sample covers everything since origin.
         assert!(a.cycles_per_sec > 0.0);
-    }
-
-    #[test]
-    fn shard_merge_and_coverage() {
-        let mut p = HostProfiler::new(0);
-        assert!(!p.heartbeat_due(100));
-        p.set_workers(2);
-        p.add(HostPhase::Dispatch, 100);
-        p.add(HostPhase::Execute, 500); // driver window, excluded from shard coverage
-        p.merge_shard(
-            0,
-            ShardTimes {
-                execute_ns: 400,
-                wait_ns: 100,
-                cycles: 10,
-            },
-        );
-        p.merge_shard(
-            0,
-            ShardTimes {
-                execute_ns: 100,
-                wait_ns: 0,
-                cycles: 5,
-            },
-        );
-        p.merge_shard(
-            1,
-            ShardTimes {
-                execute_ns: 200,
-                wait_ns: 300,
-                cycles: 15,
-            },
-        );
-        let prof = p.finish(1000, 5000, None);
-        assert_eq!(prof.shards[0].execute_ns, 500);
-        assert_eq!(prof.shards[0].cycles, 15);
-        assert!((prof.shard_imbalance() - 2.5).abs() < 1e-9);
-        // Coverage denominators are real wall time; just sanity-check range.
-        assert!(prof.shard_coverage() >= 0.0);
-        assert!(prof.cycles_per_sec() > 0.0);
-        let r = prof.report();
-        assert!(r.contains("driver phases"));
-        assert!(r.contains("shard workers"));
-        assert!(r.contains("not counted"));
     }
 
     #[test]
@@ -754,6 +571,12 @@ mod tests {
         assert_eq!(p.spans.len(), 1);
         assert_eq!(p.spans[0].phase, HostPhase::Preflight);
         assert_eq!(p.driver.get(HostPhase::Preflight), p.spans[0].dur_ns);
+        assert!(!p.heartbeat_due(100));
+        let prof = p.finish(1000, 5000, None);
+        assert!(prof.cycles_per_sec() > 0.0);
+        let r = prof.report();
+        assert!(r.contains("driver phases"));
+        assert!(r.contains("not counted"));
     }
 
     #[test]

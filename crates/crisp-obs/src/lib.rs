@@ -12,7 +12,7 @@
 //! * [`TraceRecorder`] / [`TraceLog`] — a cycle-stamped span and event
 //!   recorder. Spans that originate on a specific SM are buffered per SM and
 //!   merged in **ascending SM-id order**, so the exported timeline is
-//!   bit-identical at any worker-thread count.
+//!   bit-identical from run to run.
 //! * Exporters — [`chrome::write_chrome_trace`] (Chrome Trace Event Format
 //!   JSON, loadable in Perfetto or `chrome://tracing`),
 //!   [`csv::write_counters_csv`] / [`csv::write_metrics_csv`] time-series,
@@ -27,8 +27,7 @@
 //! stack (SM, LSU, memory system, GPU loop, bench bins) share one registry.
 //!
 //! A second clock domain lives in [`host`]: wall-clock self-profiling of
-//! the simulator's *own* execution (phase attribution, shard imbalance,
-//! heartbeat throughput, and — behind the off-by-default `alloc-profile`
+//! the simulator's *own* execution (phase attribution, heartbeat throughput, and — behind the off-by-default `alloc-profile`
 //! feature — per-phase allocation accounting via the `alloc` module).
 
 #[cfg(feature = "alloc-profile")]

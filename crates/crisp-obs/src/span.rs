@@ -1,10 +1,9 @@
 //! Cycle-stamped span / event recording.
 //!
-//! The recorder is fed from the simulator's driving thread; events that
-//! conceptually belong to one SM (CTA execution spans) are buffered in that
-//! SM's private vector and only merged — in ascending SM-id order — when the
-//! log is read. Together with the simulator's deterministic drain order this
-//! makes the exported timeline bit-identical at any worker-thread count.
+//! Events that conceptually belong to one SM (CTA execution spans) are
+//! buffered in that SM's private vector and only merged — in ascending
+//! SM-id order — when the log is read, so the exported timeline is
+//! bit-identical from run to run.
 
 use std::collections::HashMap;
 

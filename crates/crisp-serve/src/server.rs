@@ -47,7 +47,7 @@
 //! park-and-fail runaway jobs, transient failures retry from the job's
 //! last checkpoint with exponential backoff, consecutive permanent
 //! failures trip a per-tenant circuit breaker at admission, and every
-//! spool write goes through an injectable [`SpoolIo`] with `ENOSPC`
+//! spool write goes through an injectable [`SpoolIo`](crate::SpoolIo) with `ENOSPC`
 //! degrading the daemon to in-memory-only operation instead of killing
 //! jobs.
 

@@ -45,10 +45,6 @@ pub struct GpuConfig {
     pub l1_mshr_entries: usize,
     /// L2 victim-selection policy.
     pub l2_replacement: Replacement,
-    /// Worker threads for the per-cycle SM loop (1 = fully serial). Any
-    /// value produces bit-identical results; see the shard executor in
-    /// `crisp_sim::gpu`.
-    pub threads: usize,
 }
 
 impl GpuConfig {
@@ -76,7 +72,6 @@ impl GpuConfig {
             max_cycles: u64::MAX,
             l1_mshr_entries: 64,
             l2_replacement: Replacement::Lru,
-            threads: 1,
         }
     }
 
@@ -104,7 +99,6 @@ impl GpuConfig {
             max_cycles: u64::MAX,
             l1_mshr_entries: 64,
             l2_replacement: Replacement::Lru,
-            threads: 1,
         }
     }
 
@@ -134,7 +128,6 @@ impl GpuConfig {
             max_cycles: 50_000_000,
             l1_mshr_entries: 64,
             l2_replacement: Replacement::Lru,
-            threads: 1,
         }
     }
 
@@ -191,8 +184,7 @@ crisp_ckpt::wire_struct!(GpuConfig {
     dram_gbps,
     max_cycles,
     l1_mshr_entries,
-    l2_replacement,
-    threads
+    l2_replacement
 } check = GpuConfig::check_restored);
 
 impl GpuConfig {
@@ -246,9 +238,6 @@ impl GpuConfig {
                 "invalid clocking: {} MHz, {} GB/s",
                 cfg.core_clock_mhz, cfg.dram_gbps
             )));
-        }
-        if cfg.threads == 0 || cfg.threads > 4096 {
-            return Err(bad(format!("implausible thread count {}", cfg.threads)));
         }
         // Completion cycles add these to the current cycle.
         let latencies = [

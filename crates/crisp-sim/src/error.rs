@@ -1,7 +1,7 @@
 //! Structured simulation errors and the deadlock report.
 //!
 //! Every way a run can fail — a cycle budget blown, a genuine scheduling
-//! deadlock, a worker-thread panic, a malformed trace or config, a
+//! deadlock, an SM panic, a malformed trace or config, a
 //! checkpoint that would not write — maps to one [`SimError`] variant.
 //! The hang-shaped variants carry a [`HangContext`]: the cycle of failure,
 //! a full [`DeadlockReport`] (per-stream frontier plus per-SM scheduling
@@ -63,9 +63,8 @@ impl fmt::Display for StreamFrontier {
 }
 
 /// Everything the watchdog could learn about why nothing retires: the
-/// per-stream dispatch frontier plus a scheduling snapshot of every SM.
-/// Built on the driving thread from final state, so it is identical at any
-/// thread count.
+/// per-stream dispatch frontier plus a scheduling snapshot of every SM,
+/// built from final state.
 #[derive(Debug, Clone)]
 pub struct DeadlockReport {
     /// Cycle the report was taken at.
@@ -182,7 +181,7 @@ impl fmt::Display for DeadlockReport {
 }
 
 /// Context attached to every hang-shaped failure (budget, deadlock,
-/// worker panic): what the simulator knew at the moment it gave up.
+/// SM panic): what the simulator knew at the moment it gave up.
 #[derive(Debug)]
 pub struct HangContext {
     /// Cycle the run stopped at.
@@ -256,9 +255,9 @@ pub enum SimError {
         /// Diagnostic context.
         ctx: Box<HangContext>,
     },
-    /// A worker thread panicked inside the sharded cycle loop. The panic
-    /// was caught at the shard barrier; SM state was recovered onto the
-    /// driving thread for the report.
+    /// An SM panicked during its cycle (a corrupt trace run without
+    /// pre-flight). The cycle loop caught the panic; every SM stays in the
+    /// report.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,
@@ -397,7 +396,7 @@ impl fmt::Display for SimError {
                 hang_footer(f, ctx)
             }
             SimError::WorkerPanic { message, ctx } => {
-                writeln!(f, "a simulation worker thread panicked: {message}")?;
+                writeln!(f, "an SM panicked during the cycle loop: {message}")?;
                 hang_footer(f, ctx)
             }
             SimError::Cancelled { generation, ctx } => {

@@ -12,7 +12,7 @@ use crisp_mem::{
     BankMap, Completion, CompositionSnapshot, MemReq, MemStats, MemSystem, ReqToken, SetPartition,
     TapController, TickTimes,
 };
-use crisp_obs::host::{set_alloc_phase, HostPhase, HostProfile, HostProfiler, ShardTimes};
+use crisp_obs::host::{set_alloc_phase, HostPhase, HostProfile, HostProfiler};
 use crisp_obs::{
     CounterSample, InstantEvent, Labels, MetricRegistry, MetricsSnapshot, SpanEvent, TraceLog,
     TraceRecorder, Track,
@@ -107,8 +107,8 @@ pub struct SimResult {
     /// reflects only the CTAs that were in flight at once.
     pub trace: TraceStats,
     /// Host-clock self-profile: wall-clock attribution of the simulator's
-    /// own phases (dispatch, execute, barrier wait, memory tick, telemetry,
-    /// …), per-shard imbalance, heartbeats, and — when the `alloc-profile`
+    /// own phases (dispatch, execute, memory tick, telemetry, …),
+    /// heartbeats, and — when the `alloc-profile`
     /// feature's counting allocator is installed — allocation accounting.
     /// `None` unless the run was built with `.host_profile(true)`. Purely
     /// observational: simulated results and the sim-clock exports are
@@ -133,15 +133,16 @@ pub const DEFAULT_WATCHDOG: u64 = 10_000_000;
 pub const DEFAULT_INTERRUPT_INTERVAL: u64 = 1_024;
 
 /// Why the cycle loop gave up. Internal: converted into a full
-/// [`SimError`] by `GpuSim::failure` once every SM is back on the driving
-/// thread (the report needs them).
+/// [`SimError`] by `GpuSim::failure` once every SM is back in the
+/// simulator (the report needs them).
 #[derive(Debug)]
 enum Violation {
     /// `now` crossed `cfg.max_cycles`.
     Budget,
     /// The forward-progress watchdog window elapsed without any SM issuing.
     Stall,
-    /// A worker thread panicked; carries the payload when it was a string.
+    /// An SM panicked during its cycle; carries the payload when it was a
+    /// string.
     WorkerPanic(String),
     /// The trace source failed to page a CTA in (I/O error or a corrupt
     /// container detected mid-stream).
@@ -150,6 +151,13 @@ enum Violation {
     /// cooperative cancellation. Carries the observed generation.
     Cancelled(u64),
 }
+
+/// The value of the two retired worker-thread slots of a checkpoint (after
+/// the config and after the partition spec). The simulator is
+/// single-threaded; the slots keep the format at version 3, and restore
+/// reads and range-checks them, then drops them, so checkpoints written by
+/// multi-threaded runs of older builds still load.
+const RETIRED_THREADS: usize = 1;
 
 /// Render a caught panic payload for diagnostics.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -208,8 +216,8 @@ impl SimResult {
         }
     }
 
-    /// The human-readable host self-profile report (phase table, shard
-    /// balance, heartbeat trajectory, allocation accounting).
+    /// The human-readable host self-profile report (phase table, heartbeat
+    /// trajectory, allocation accounting).
     pub fn host_report(&self) -> String {
         match &self.host_profile {
             Some(h) => h.report(),
@@ -356,22 +364,15 @@ impl StreamState {
 /// assert!(result.cycles > 0);
 /// ```
 ///
-/// # Threading
-///
-/// With `threads > 1` (via [`GpuConfig::threads`] or the builder's
-/// `.threads(n)`), the per-cycle SM loop is sharded over persistent worker
-/// threads. Every cross-SM interaction — CTA dispatch, the memory
-/// hierarchy, telemetry — stays on the driving thread, and each SM's
-/// memory traffic is buffered in its private [`crisp_mem::SmMemPort`] and
-/// drained into the crossbar in ascending SM-id order. Results are
-/// therefore **bit-identical at any thread count**.
+/// The simulator runs on the calling thread. Each SM's memory traffic is
+/// buffered in its private [`crisp_mem::SmMemPort`] and drained into the
+/// crossbar in ascending SM-id order, which defines the request order.
 #[derive(Debug)]
 pub struct GpuSim {
     cfg: GpuConfig,
     spec: PartitionSpec,
     sms: Vec<Sm>,
     mem: MemSystem,
-    threads: usize,
     streams: Vec<StreamState>,
     /// The attached trace source: every CTA's instructions are paged in
     /// through it at dispatch and released at commit.
@@ -446,36 +447,8 @@ pub struct GpuSim {
     /// Reused buffer for memory-system completions, so the steady-state
     /// cycle loop allocates nothing. Always empty between cycles.
     scratch_completions: Vec<Completion>,
-    /// Reused buffer for per-SM cycle outputs on the serial path (the
-    /// sharded path buffers into each shard). Always empty between cycles.
+    /// Reused buffer for per-SM cycle outputs. Always empty between cycles.
     scratch_outs: Vec<CycleOutput>,
-}
-
-/// Uniform view over `Sm` and `&mut Sm`, so the driver helpers accept both
-/// the serial loop's owned `&mut [Sm]` and the sharded loop's per-cycle
-/// `Vec<&mut Sm>` (borrowed out of shard guards). This is what lets the
-/// serial hot path run without building a reference vector every cycle.
-trait AsSm {
-    fn sm(&self) -> &Sm;
-    fn sm_mut(&mut self) -> &mut Sm;
-}
-
-impl AsSm for Sm {
-    fn sm(&self) -> &Sm {
-        self
-    }
-    fn sm_mut(&mut self) -> &mut Sm {
-        self
-    }
-}
-
-impl AsSm for &mut Sm {
-    fn sm(&self) -> &Sm {
-        self
-    }
-    fn sm_mut(&mut self) -> &mut Sm {
-        self
-    }
 }
 
 /// Lap timer for the driver's per-cycle phases. Laps are contiguous — each
@@ -531,7 +504,6 @@ impl GpuSim {
             mem,
             sms,
             spec,
-            threads: cfg.threads.max(1),
             streams: Vec::new(),
             source: None,
             residency_telemetry: false,
@@ -662,17 +634,6 @@ impl GpuSim {
         self.source.as_ref()
     }
 
-    /// Worker threads the cycle loop will use (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Override the worker-thread count (also settable via
-    /// [`GpuConfig::threads`]). Results are identical for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Turn on host-clock self-profiling with a heartbeat every
     /// `heartbeat_interval` simulated cycles (0 = no heartbeats). The
     /// builder's `.host_profile(true)` does this for you; profiling is
@@ -720,8 +681,7 @@ impl GpuSim {
 
     /// Install (or drop) the span/counter recorder. The builder calls this
     /// from its `telemetry` flags; directly-constructed `GpuSim`s keep
-    /// recording off. All recording happens on the driving thread, so the
-    /// timeline is bit-identical at any worker-thread count.
+    /// recording off.
     pub fn set_telemetry(&mut self, spans: bool, counters: bool) {
         self.recorder = if spans || counters {
             Some(TraceRecorder::new(self.sms.len(), spans, counters))
@@ -741,7 +701,7 @@ impl GpuSim {
     /// [`SimError::CycleBudgetExceeded`] past `cfg.max_cycles`,
     /// [`SimError::Deadlock`] when no SM issues an instruction for
     /// [`watchdog`](Self::watchdog) cycles with work remaining,
-    /// [`SimError::WorkerPanic`] when a sharded worker thread panics, and
+    /// [`SimError::WorkerPanic`] when an SM panics during its cycle, and
     /// [`SimError::CheckpointIo`] when a periodic checkpoint cannot be
     /// written. The hang-shaped errors carry a [`DeadlockReport`], the
     /// partial [`SimResult`], and — when a checkpoint directory is
@@ -824,28 +784,21 @@ impl GpuSim {
     }
 
     /// Shared driver behind [`run`](Self::run) and
-    /// [`run_until`](Self::run_until): pick serial or sharded execution and
-    /// advance until done or the cycle limit. Returns `true` when all work
-    /// has drained. A loop violation is converted into a full [`SimError`]
-    /// here, after the parallel path has merged shard SMs back into `self`,
-    /// so the diagnostic covers every SM even when a worker panicked.
+    /// [`run_until`](Self::run_until): advance until done or the cycle
+    /// limit. Returns `true` when all work has drained. A loop violation is
+    /// converted into a full [`SimError`] here, with every SM back in
+    /// `self`, so the diagnostic covers every SM even when one panicked.
     fn run_segment(&mut self, limit: Option<u64>) -> Result<bool, SimError> {
-        // More workers than SMs would just idle; never exceed one SM/worker.
-        let workers = self.threads.min(self.sms.len().max(1));
-        let r = if workers > 1 {
-            self.run_parallel(workers, limit)
-        } else {
-            self.run_serial(limit)
-        };
-        r.map_err(|v| self.failure(v))
+        self.run_serial(limit).map_err(|v| self.failure(v))
     }
 
+    /// The cycle loop.
     fn run_serial(&mut self, limit: Option<u64>) -> Result<bool, Violation> {
         while self.work_remains() {
             if limit.is_some_and(|l| self.now >= l) {
                 return Ok(false);
             }
-            self.step().map_err(|e| Violation::TraceIo(e.to_string()))?;
+            self.tick()?;
             if let Some(v) = self.budget_violation() {
                 return Err(v);
             }
@@ -869,21 +822,10 @@ impl GpuSim {
         })
     }
 
-    /// Like [`work_remains`](Self::work_remains) but over SMs that have been
-    /// moved out of `self` (the cycle loop holds them — owned on the serial
-    /// path, borrowed out of shards on the parallel path).
-    fn work_remains_in<S: AsSm>(&self, sms: &[S]) -> bool {
-        self.streams
-            .iter()
-            .any(|s| s.work_remains() && !self.parked(s))
-            || sms.iter().any(|sm| sm.sm().busy())
-            || !self.mem.quiescent()
-    }
-
     /// Whether the whole memory hierarchy — shared L2/DRAM *and* every SM's
     /// private L1/MSHRs/egress — has drained.
-    fn hierarchy_quiescent<S: AsSm>(&self, sms: &[S]) -> bool {
-        self.mem.quiescent() && sms.iter().all(|sm| sm.sm().port().quiescent())
+    fn hierarchy_quiescent(&self, sms: &[Sm]) -> bool {
+        self.mem.quiescent() && sms.iter().all(|sm| sm.port().quiescent())
     }
 
     fn budget_violation(&self) -> Option<Violation> {
@@ -929,9 +871,8 @@ impl GpuSim {
     }
 
     /// The full diagnostic snapshot attached to hang-shaped [`SimError`]s:
-    /// per-stream frontier plus per-SM scheduling state. Built on the
-    /// driving thread from architectural state only, so serial and sharded
-    /// runs produce identical reports at the same cycle.
+    /// per-stream frontier plus per-SM scheduling state, built from
+    /// architectural state only.
     pub fn deadlock_report(&self) -> DeadlockReport {
         DeadlockReport {
             cycle: self.now,
@@ -1003,40 +944,60 @@ impl GpuSim {
     ///
     /// # Errors
     ///
-    /// Propagates trace-source I/O errors from demand-paging a CTA.
-    pub fn step(&mut self) -> io::Result<()> {
+    /// [`SimError::TraceIo`] when demand-paging a CTA fails, and
+    /// [`SimError::WorkerPanic`] when an SM panics during the cycle.
+    pub fn step(&mut self) -> Result<(), SimError> {
+        self.tick().map_err(|v| self.failure(v))
+    }
+
+    /// One cycle. The SMs are moved out of `self` so the driver helpers can
+    /// borrow them alongside the rest of the simulator, and are always put
+    /// back, so a failed cycle still leaves every SM for the report.
+    fn tick(&mut self) -> Result<(), Violation> {
         let mut sms = std::mem::take(&mut self.sms);
+        let r = self.tick_with(&mut sms);
+        self.sms = sms;
+        if r.is_ok() {
+            self.now += 1;
+        }
+        r
+    }
+
+    fn tick_with(&mut self, sms: &mut [Sm]) -> Result<(), Violation> {
         let now = self.now;
         let mut clock = PhaseClock::start(self.host.is_some(), HostPhase::Dispatch);
-        self.advance_streams(now, &mut sms[..]);
-        let issued = self.issue_ctas(now, &mut sms[..]);
-        if issued.is_ok() {
-            clock.switch(&mut self.host, HostPhase::Execute);
-            // Buffer the outputs and absorb after the loop, exactly like the
-            // sharded path does per shard — same absorb order (ascending SM
-            // id), and the buffer is reused so the steady state stays
-            // allocation-free.
-            let mut outs = std::mem::take(&mut self.scratch_outs);
+        self.advance_streams(now, sms);
+        if let Err(e) = self.issue_ctas(now, sms) {
+            clock.finish(&mut self.host);
+            return Err(Violation::TraceIo(e.to_string()));
+        }
+        clock.switch(&mut self.host, HostPhase::Execute);
+        // Buffer the outputs and absorb them after the loop in ascending SM
+        // id; the buffer is reused so the steady state stays
+        // allocation-free. One catch around the whole loop turns an SM
+        // panic (a corrupt trace run without pre-flight) into a typed error.
+        let mut outs = std::mem::take(&mut self.scratch_outs);
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for sm in sms.iter_mut() {
                 if sm.busy() {
                     outs.push(sm.cycle(now));
                 }
             }
-            clock.switch(&mut self.host, HostPhase::Dispatch);
-            for out in outs.drain(..) {
-                self.absorb_output(now, out);
-            }
+        }));
+        clock.switch(&mut self.host, HostPhase::Dispatch);
+        if let Err(payload) = ran {
+            outs.clear();
             self.scratch_outs = outs;
             clock.finish(&mut self.host);
-            self.finish_cycle(now, &mut sms[..]);
-        } else {
-            clock.finish(&mut self.host);
+            return Err(Violation::WorkerPanic(panic_message(payload.as_ref())));
         }
-        self.sms = sms;
-        if issued.is_ok() {
-            self.now += 1;
+        for out in outs.drain(..) {
+            self.absorb_output(now, out);
         }
-        issued
+        self.scratch_outs = outs;
+        clock.finish(&mut self.host);
+        self.finish_cycle(now, sms);
+        Ok(())
     }
 
     /// Fold one SM's cycle output into global accounting: progress
@@ -1093,7 +1054,7 @@ impl GpuSim {
     /// Everything after the per-SM compute phase: drain the ports through
     /// the shared memory system, deliver completions, tick the slicer,
     /// sample telemetry.
-    fn finish_cycle<S: AsSm + AsMut<crisp_mem::SmMemPort>>(&mut self, now: u64, sms: &mut [S]) {
+    fn finish_cycle(&mut self, now: u64, sms: &mut [Sm]) {
         let mut tick_times = self.host.is_some().then(TickTimes::default);
         if self.host.is_some() {
             set_alloc_phase(HostPhase::MemTick);
@@ -1101,9 +1062,7 @@ impl GpuSim {
         self.mem
             .tick_into(now, sms, &mut self.scratch_completions, tick_times.as_mut());
         for c in &self.scratch_completions {
-            sms[c.token.sm as usize]
-                .sm_mut()
-                .on_mem_completion(c.token.id);
+            sms[c.token.sm as usize].on_mem_completion(c.token.id);
         }
         if let (Some(tt), Some(h)) = (tick_times, self.host.as_mut()) {
             h.add(HostPhase::PortDrain, tt.drain_ns);
@@ -1143,32 +1102,28 @@ impl GpuSim {
         }
     }
 
-    /// Record one heartbeat sample: throughput since the previous beat,
-    /// resident trace window, and shard skew from per-SM instruction
-    /// deltas. Heartbeats are rare (default every 100k cycles), so the
-    /// per-SM scratch vector here is off the steady-state path.
-    fn record_heartbeat<S: AsSm>(&mut self, now: u64, sms: &[S]) {
-        let per_sm: Vec<u64> = sms
+    /// Record one heartbeat sample: throughput since the previous beat and
+    /// the resident trace window. Heartbeats are rare (default every 100k
+    /// cycles), so the per-SM sum here is off the steady-state path.
+    fn record_heartbeat(&mut self, now: u64, sms: &[Sm]) {
+        let instrs = sms
             .iter()
-            .map(|s| {
-                let sm = s.sm();
-                self.stats.keys().map(|&id| sm.issued_for(id)).sum()
-            })
-            .collect();
+            .flat_map(|sm| self.stats.keys().map(|&id| sm.issued_for(id)))
+            .sum();
         let resident = self.source.as_ref().map_or(0, |s| s.stats().resident_bytes);
         let h = self.host.as_mut().expect("caller checked");
-        h.heartbeat(now, resident, &per_sm);
+        h.heartbeat(now, resident, instrs);
     }
 
     /// Sample the counter series into the trace: per-stream IPC and DRAM
     /// traffic, plus windowed L1/L2 hit rates. Deltas use `saturating_sub`
     /// because [`CLEAR_STATS_MARKER`] can reset the underlying cumulative
     /// statistics mid-run.
-    fn sample_counters<S: AsSm>(&mut self, now: u64, sms: &[S]) {
+    fn sample_counters(&mut self, now: u64, sms: &[Sm]) {
         let interval = self.counter_interval as f64;
         let mut samples: Vec<(String, f64)> = Vec::new();
         for st in &self.streams {
-            let total: u64 = sms.iter().map(|sm| sm.sm().issued_for(st.id)).sum();
+            let total: u64 = sms.iter().map(|sm| sm.issued_for(st.id)).sum();
             let prev = self.counter_prev_issued.insert(st.id, total).unwrap_or(0);
             samples.push((
                 format!("{}/ipc", st.id),
@@ -1183,7 +1138,7 @@ impl GpuSim {
         }
         let mut l1 = (0u64, 0u64);
         for sm in sms.iter() {
-            let t = sm.sm().port().stats().totals();
+            let t = sm.port().stats().totals();
             l1.0 += t.accesses;
             l1.1 += t.hits;
         }
@@ -1222,7 +1177,7 @@ impl GpuSim {
     }
 
     /// Pop markers and begin the next kernel of each idle stream.
-    fn advance_streams<S: AsSm>(&mut self, now: u64, sms: &mut [S]) {
+    fn advance_streams(&mut self, now: u64, sms: &mut [Sm]) {
         for si in 0..self.streams.len() {
             loop {
                 if self.streams[si].current.is_some() {
@@ -1262,7 +1217,7 @@ impl GpuSim {
                         if label == CLEAR_STATS_MARKER {
                             self.mem.clear_stats();
                             for sm in sms.iter_mut() {
-                                sm.sm_mut().port_mut().clear_stats();
+                                sm.port_mut().clear_stats();
                             }
                         }
                         // Drawcall boundary: dynamic partitions reset here.
@@ -1323,13 +1278,13 @@ impl GpuSim {
         }
     }
 
-    fn reset_slicer<S: AsSm>(&mut self, now: u64, sms: &mut [S]) {
+    fn reset_slicer(&mut self, now: u64, sms: &mut [Sm]) {
         if let Some(sl) = self.slicer.as_mut() {
             sl.on_reset(now);
             let streams = sl.streams();
             for sm in sms.iter_mut() {
                 for s in streams {
-                    let _ = sm.sm_mut().take_window_issued(s);
+                    let _ = sm.take_window_issued(s);
                 }
             }
         }
@@ -1368,7 +1323,7 @@ impl GpuSim {
     /// Issue at most one CTA per SM per cycle, honouring the partition.
     /// The CTA's instruction slice is demand-paged through the trace
     /// source here — the first (and only) decode of that CTA's payload.
-    fn issue_ctas<S: AsSm>(&mut self, now: u64, sms: &mut [S]) -> io::Result<()> {
+    fn issue_ctas(&mut self, now: u64, sms: &mut [Sm]) -> io::Result<()> {
         let n_streams = self.streams.len();
         if n_streams == 0 {
             return Ok(());
@@ -1401,7 +1356,7 @@ impl GpuSim {
                 }
                 let quota = self.quota_for(sm_id, id);
                 let res = CtaResources::of_info(&info);
-                if !sms[sm_id].sm().fits(id, res, quota) {
+                if !sms[sm_id].fits(id, res, quota) {
                     continue;
                 }
                 let cta = self
@@ -1422,7 +1377,7 @@ impl GpuSim {
                 self.cta_seq += 1;
                 running.next_cta += 1;
                 running.outstanding += 1;
-                sms[sm_id].sm_mut().launch_cta(work);
+                sms[sm_id].launch_cta(work);
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.cta_issued(seq, sm_id as u32, id.0, cta_index, now);
                 }
@@ -1433,7 +1388,7 @@ impl GpuSim {
         Ok(())
     }
 
-    fn slicer_tick<S: AsSm>(&mut self, now: u64, sms: &mut [S]) {
+    fn slicer_tick(&mut self, now: u64, sms: &mut [Sm]) {
         let Some(sl) = self.slicer.as_mut() else {
             return;
         };
@@ -1441,22 +1396,20 @@ impl GpuSim {
             return;
         }
         let n = sms.len();
-        let _ = sl.maybe_decide(now, n, |sm, stream| {
-            sms[sm].sm_mut().take_window_issued(stream)
-        });
+        let _ = sl.maybe_decide(now, n, |sm, stream| sms[sm].take_window_issued(stream));
     }
 
-    fn sample_occupancy<S: AsSm>(&mut self, now: u64, sms: &[S]) {
+    fn sample_occupancy(&mut self, now: u64, sms: &[Sm]) {
         let mut by_stream = BTreeMap::new();
         let mut issued_delta = BTreeMap::new();
         for st in &self.streams {
             let mean: f64 = sms
                 .iter()
-                .map(|sm| sm.sm().resources().stream_warp_occupancy(st.id))
+                .map(|sm| sm.resources().stream_warp_occupancy(st.id))
                 .sum::<f64>()
                 / sms.len() as f64;
             by_stream.insert(st.id, mean);
-            let total: u64 = sms.iter().map(|sm| sm.sm().issued_for(st.id)).sum();
+            let total: u64 = sms.iter().map(|sm| sm.issued_for(st.id)).sum();
             let prev = self.last_issued_snapshot.insert(st.id, total).unwrap_or(0);
             issued_delta.insert(st.id, total - prev);
         }
@@ -1465,259 +1418,6 @@ impl GpuSim {
             by_stream,
         });
         self.ipc_timeline.push((now, issued_delta));
-    }
-
-    /// The sharded cycle loop: `workers` persistent threads each own a
-    /// contiguous slice of SMs and tick them concurrently; everything that
-    /// crosses SM boundaries happens on this thread between generations.
-    ///
-    /// Determinism: the compute phase of a cycle is embarrassingly parallel
-    /// (each SM only touches its own state and its private
-    /// [`crisp_mem::SmMemPort`]); the shared [`MemSystem`] then drains every
-    /// port's egress in ascending SM-id order, which is exactly the order
-    /// the serial loop pushes requests — so results are bit-identical.
-    ///
-    /// Returns `Ok(true)` when all work drained, `Ok(false)` when the cycle
-    /// `limit` was reached first, and a [`Violation`] as `Err` instead of
-    /// panicking inside the thread scope (a panic there would strand
-    /// waiting workers). Worker panics are caught at the shard barrier
-    /// (`catch_unwind` around the shard tick), surfaced as
-    /// [`Violation::WorkerPanic`] with the first payload, and the shard's
-    /// SMs are recovered for the diagnostic report.
-    fn run_parallel(&mut self, workers: usize, limit: Option<u64>) -> Result<bool, Violation> {
-        use std::sync::{Condvar, Mutex};
-
-        struct Shard {
-            sms: Vec<Sm>,
-            out: Vec<crisp_sm::CycleOutput>,
-            /// Wall-clock this shard's worker spent ticking its SMs
-            /// (host profiling only; stays 0 otherwise).
-            exec_ns: u64,
-            /// Wall-clock the worker spent blocked at the generation
-            /// barrier waiting for the driver's serial phases.
-            wait_ns: u64,
-            /// Generations the worker timed (= cycles it participated in).
-            cycles: u64,
-        }
-
-        /// Generation-counted barrier state, guarded by one mutex.
-        struct BarrierState {
-            /// Advances once per cycle; workers run when it passes theirs.
-            gen: u64,
-            /// Cycle number for the current generation.
-            now: u64,
-            /// Workers that have finished the current generation.
-            done: usize,
-            quit: bool,
-            /// A worker panicked while ticking its shard.
-            poisoned: bool,
-            /// The first caught panic payload, rendered.
-            panic_msg: Option<String>,
-        }
-
-        struct Ctrl {
-            state: Mutex<BarrierState>,
-            /// Signalled by the driver when `gen` advances or `quit` is set.
-            go: Condvar,
-            /// Signalled by the last worker of a generation.
-            all_done: Condvar,
-        }
-
-        // Lock even if a worker panicked while holding the mutex; the
-        // poisoned flag is handled explicitly below.
-        fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        let n_sms = self.sms.len();
-        let chunk = n_sms.div_ceil(workers);
-        let mut pool = std::mem::take(&mut self.sms);
-        let mut shards: Vec<Mutex<Shard>> = Vec::new();
-        while !pool.is_empty() {
-            let rest = pool.split_off(chunk.min(pool.len()));
-            shards.push(Mutex::new(Shard {
-                sms: pool,
-                out: Vec::new(),
-                exec_ns: 0,
-                wait_ns: 0,
-                cycles: 0,
-            }));
-            pool = rest;
-        }
-        let shards = &shards;
-        let n_workers = shards.len();
-        let ctrl = &Ctrl {
-            state: Mutex::new(BarrierState {
-                gen: 0,
-                now: 0,
-                done: 0,
-                quit: false,
-                poisoned: false,
-                panic_msg: None,
-            }),
-            go: Condvar::new(),
-            all_done: Condvar::new(),
-        };
-
-        let profiling = self.host.is_some();
-        if let Some(h) = self.host.as_mut() {
-            h.set_workers(n_workers);
-        }
-        let mut violation: Option<Violation> = None;
-        let mut finished = false;
-        std::thread::scope(|scope| {
-            for shard in shards.iter() {
-                scope.spawn(move || {
-                    let mut my_gen = 0u64;
-                    if profiling {
-                        // Everything a worker allocates is warp execution.
-                        set_alloc_phase(HostPhase::Execute);
-                    }
-                    loop {
-                        let wait_t = profiling.then(Instant::now);
-                        let now = {
-                            let mut st = lock(&ctrl.state);
-                            while st.gen == my_gen && !st.quit {
-                                st = ctrl
-                                    .go
-                                    .wait(st)
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            }
-                            if st.quit {
-                                return;
-                            }
-                            my_gen = st.gen;
-                            st.now
-                        };
-                        let wait_ns = wait_t.map(|t| t.elapsed().as_nanos() as u64);
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut g = lock(shard);
-                            let sh = &mut *g;
-                            sh.out.clear();
-                            let exec_t = wait_ns.map(|_| Instant::now());
-                            for sm in sh.sms.iter_mut() {
-                                let out = if sm.busy() {
-                                    sm.cycle(now)
-                                } else {
-                                    crisp_sm::CycleOutput::default()
-                                };
-                                sh.out.push(out);
-                            }
-                            if let (Some(t), Some(w)) = (exec_t, wait_ns) {
-                                sh.exec_ns += t.elapsed().as_nanos() as u64;
-                                sh.wait_ns += w;
-                                sh.cycles += 1;
-                            }
-                        }));
-                        let mut st = lock(&ctrl.state);
-                        if let Err(payload) = r {
-                            st.poisoned = true;
-                            if st.panic_msg.is_none() {
-                                st.panic_msg = Some(panic_message(payload.as_ref()));
-                            }
-                        }
-                        st.done += 1;
-                        if st.done == n_workers {
-                            ctrl.all_done.notify_one();
-                        }
-                    }
-                });
-            }
-
-            loop {
-                if limit.is_some_and(|l| self.now >= l) {
-                    break;
-                }
-                let now = self.now;
-                let mut clock = PhaseClock::start(profiling, HostPhase::Dispatch);
-                // Serial pre-phase: stream advance + CTA dispatch.
-                {
-                    let mut guards: Vec<_> = shards.iter().map(lock).collect();
-                    let mut refs: Vec<&mut Sm> =
-                        guards.iter_mut().flat_map(|g| g.sms.iter_mut()).collect();
-                    if !self.work_remains_in(&refs) {
-                        finished = true;
-                        break;
-                    }
-                    self.advance_streams(now, &mut refs);
-                    if let Err(e) = self.issue_ctas(now, &mut refs) {
-                        violation = Some(Violation::TraceIo(e.to_string()));
-                        break;
-                    }
-                }
-                // Parallel compute phase: release the workers, wait for all.
-                // On the driver's clock this whole window — including the
-                // barrier handshake — is Execute; the workers' own
-                // execute/wait split is accounted per shard.
-                clock.switch(&mut self.host, HostPhase::Execute);
-                let poisoned = {
-                    let mut st = lock(&ctrl.state);
-                    st.done = 0;
-                    st.now = now;
-                    st.gen += 1;
-                    ctrl.go.notify_all();
-                    while st.done < n_workers {
-                        st = ctrl
-                            .all_done
-                            .wait(st)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    st.poisoned.then(|| st.panic_msg.take())
-                };
-                if let Some(msg) = poisoned {
-                    violation = Some(Violation::WorkerPanic(
-                        msg.unwrap_or_else(|| "non-string panic payload".into()),
-                    ));
-                    break;
-                }
-                // Serial post-phase: outputs in SM order, then the memory
-                // hierarchy, slicer, and telemetry.
-                {
-                    let mut guards: Vec<_> = shards.iter().map(lock).collect();
-                    clock.switch(&mut self.host, HostPhase::Dispatch);
-                    for g in guards.iter_mut() {
-                        for out in std::mem::take(&mut g.out) {
-                            self.absorb_output(now, out);
-                        }
-                    }
-                    clock.finish(&mut self.host);
-                    let mut refs: Vec<&mut Sm> =
-                        guards.iter_mut().flat_map(|g| g.sms.iter_mut()).collect();
-                    self.finish_cycle(now, &mut refs);
-                }
-                self.now += 1;
-                if let Some(v) = self.budget_violation() {
-                    violation = Some(v);
-                    break;
-                }
-            }
-            let mut st = lock(&ctrl.state);
-            st.quit = true;
-            ctrl.go.notify_all();
-        });
-
-        if let Some(h) = self.host.as_mut() {
-            for (i, s) in shards.iter().enumerate() {
-                let g = lock(s);
-                h.merge_shard(
-                    i,
-                    ShardTimes {
-                        execute_ns: g.exec_ns,
-                        wait_ns: g.wait_ns,
-                        cycles: g.cycles,
-                    },
-                );
-            }
-        }
-        self.sms = shards
-            .iter()
-            .flat_map(|s| std::mem::take(&mut lock(s).sms))
-            .collect();
-        debug_assert_eq!(self.sms.len(), n_sms);
-        match violation {
-            Some(v) => Err(v),
-            None => Ok(finished),
-        }
     }
 
     fn result(&mut self) -> SimResult {
@@ -2036,7 +1736,7 @@ impl GpuSim {
     /// Serialize the full architectural state — streams, SMs, memory
     /// hierarchy, statistics, telemetry — into `sink` in the versioned
     /// `CKPT` format. [`GpuSim::read_checkpoint`] restores a simulator that
-    /// continues **bit-identically** at any worker-thread count.
+    /// continues **bit-identically**.
     ///
     /// Instruction payloads are *not* serialized: the checkpoint records
     /// the trace source's provenance (its path, or — for in-memory sources
@@ -2052,8 +1752,9 @@ impl GpuSim {
         let mut w = Writer::new(sink);
         w.header()?;
         w.put(&self.cfg)?;
+        w.put(&RETIRED_THREADS)?;
         w.put(&self.spec)?;
-        w.put(&self.threads)?;
+        w.put(&RETIRED_THREADS)?;
         w.put(&self.residency_telemetry)?;
 
         // Trace-source provenance: enough to re-open the same container at
@@ -2124,9 +1825,7 @@ impl GpuSim {
     }
 
     /// Restore a simulator from a checkpoint written by
-    /// [`GpuSim::write_checkpoint`]. The worker-thread count is restored
-    /// from the checkpoint but may be overridden with
-    /// [`GpuSim::set_threads`] — results are identical either way.
+    /// [`GpuSim::write_checkpoint`].
     ///
     /// A restored trace source is validated like a built one: the same
     /// pre-flight lint (over every kernel the run can still execute) and
@@ -2145,8 +1844,12 @@ impl GpuSim {
         let mut r = Reader::new(src);
         r.header()?;
         let cfg: GpuConfig = r.get()?;
+        let threads: usize = r.get()?;
+        if threads == 0 || threads > 4096 {
+            return Err(bad(format!("implausible thread count {threads}")));
+        }
         let spec = r.get()?;
-        let threads = r.get::<usize>()?.clamp(1, 1 << 16);
+        let _threads: usize = r.get()?;
         let residency_telemetry = r.get()?;
 
         // Re-open the trace source from its provenance. Embedded container
@@ -2340,7 +2043,6 @@ impl GpuSim {
             spec,
             sms,
             mem,
-            threads,
             streams,
             source,
             residency_telemetry,
@@ -2947,14 +2649,33 @@ mod tests {
         gpu.run_until(100).unwrap();
         let mut bytes = Vec::new();
         gpu.write_checkpoint(&mut bytes).unwrap();
+        // Offsets of the two retired thread slots: after the config and
+        // after the partition spec.
+        let mut prefix = Vec::new();
+        let mut w = Writer::new(&mut prefix);
+        w.header().unwrap();
+        w.put(&gpu.cfg).unwrap();
+        let cfg_slot = prefix.len();
+        let mut w = Writer::new(&mut prefix);
+        w.put(&RETIRED_THREADS).unwrap();
+        w.put(&gpu.spec).unwrap();
+        let sim_slot = prefix.len();
+        assert_eq!((bytes[cfg_slot], bytes[sim_slot]), (1, 1));
+        // A checkpoint written by an older multi-threaded run restores and
+        // finishes identically.
         for threads in [2, 4] {
-            let mut resumed = GpuSim::read_checkpoint(&bytes[..]).unwrap();
-            resumed.set_threads(threads);
-            let r = resumed.run_or_panic();
+            let mut old = bytes.clone();
+            old[cfg_slot] = threads;
+            old[sim_slot] = threads;
+            let r = GpuSim::read_checkpoint(&old[..]).unwrap().run_or_panic();
             assert_eq!(r.cycles, r_base.cycles);
             assert_eq!(r.per_stream, r_base.per_stream);
             assert_eq!(r.chrome_trace_json(), r_base.chrome_trace_json());
         }
+        // The config's slot is still range-checked.
+        bytes[cfg_slot] = 0;
+        let err = GpuSim::read_checkpoint(&bytes[..]).unwrap_err();
+        assert!(err.to_string().contains("thread count"), "{err}");
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //!   snapshots (Figs 11, 15).
 //!
 //! The front door is [`Simulation::builder`]: pick a [`GpuConfig`], a
-//! [`PartitionSpec`], optionally a worker-thread count (`.threads(n)` — the
-//! sharded cycle loop is bit-identical to serial at any count) and a
-//! [`Telemetry`] set, hand it a trace, and `run()`. `.trace(..)` accepts
+//! [`PartitionSpec`] and a [`Telemetry`] set, hand it a trace, and `run()`. `.trace(..)` accepts
 //! anything convertible to a [`TraceInput`] — an in-memory bundle, a path
 //! to a CRSP container, or a seekable reader. Container inputs **stream**:
 //! each CTA's instructions are demand-paged through a [`TraceSource`] on
@@ -38,8 +36,7 @@
 //! `.checkpoint_to(dir)` write the full architectural state (warp contexts,
 //! caches, MSHRs, queues, statistics, telemetry) into versioned `CKPT`
 //! files via `crisp-ckpt`, and [`Simulation::resume`] restores a simulator
-//! that continues bit-identically at any worker-thread count. For region-of-
-//! interest sampling, `.fast_forward_to(marker)` functionally drains the
+//! that continues bit-identically. For region-of-interest sampling, `.fast_forward_to(marker)` functionally drains the
 //! commands before a marker — warming L1/L2/DRAM state without charging
 //! cycles — then simulates the ROI in detail.
 

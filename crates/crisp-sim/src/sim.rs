@@ -14,7 +14,6 @@
 //! let result = Simulation::builder()
 //!     .gpu(GpuConfig::test_tiny())
 //!     .partition(PartitionSpec::greedy())
-//!     .threads(4)                  // bit-identical to .threads(1)
 //!     .telemetry(Telemetry::FULL)
 //!     .trace(bundle)
 //!     .run()
@@ -24,7 +23,7 @@
 //!
 //! `run()` returns `Result<SimResult, SimError>`: the trace and
 //! configuration are validated up front (pre-flight), and a run that
-//! wedges, blows its cycle budget, or loses a worker thread comes back as
+//! wedges, blows its cycle budget, or panics inside an SM comes back as
 //! a structured [`SimError`] with a diagnostic report instead of a panic.
 //! Benches and throwaway scripts can use
 //! [`run_or_panic`](SimulationBuilder::run_or_panic).
@@ -103,7 +102,7 @@ pub struct Simulation;
 impl Simulation {
     /// Start configuring a simulation. Every knob has a sensible default:
     /// Jetson Orin hardware, greedy (unpartitioned) scheduling, shared L2,
-    /// one worker thread, occupancy telemetry, no trace.
+    /// occupancy telemetry, no trace.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder::default()
     }
@@ -112,8 +111,7 @@ impl Simulation {
     /// [`SimulationBuilder::checkpoint_every`] or
     /// [`GpuSim::save_checkpoint`]. The resumed run is **bit-identical** to
     /// the uninterrupted one — same [`SimResult`], metrics, and exported
-    /// timeline — at any worker-thread count ([`GpuSim::set_threads`] may
-    /// be called on the result).
+    /// timeline.
     ///
     /// # Errors
     ///
@@ -131,7 +129,6 @@ pub struct SimulationBuilder {
     gpu: Option<GpuConfig>,
     partition: Option<PartitionSpec>,
     l2: Option<L2Policy>,
-    threads: Option<usize>,
     telemetry: Telemetry,
     occupancy_interval: Option<u64>,
     composition_interval: Option<u64>,
@@ -168,10 +165,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Worker threads for the cycle loop (default: [`GpuConfig::threads`],
-    /// i.e. 1). Results are bit-identical for any value.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
+    /// Ignored: the simulator is single-threaded. Kept only because the
+    /// benchmark harness (`perfbench/src/pairs.rs`) still calls it.
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -390,7 +386,7 @@ impl SimulationBuilder {
     /// Profile the **simulator itself** on the host clock (default: off).
     /// Wall-clock time is attributed to every phase of the run — pre-flight
     /// validation, static analysis, fast-forward, and the cycle loop's
-    /// dispatch / execute / barrier-wait / memory / telemetry phases — and
+    /// dispatch / execute / memory / telemetry phases — and
     /// returned as [`SimResult::host_profile`], with a rendered report via
     /// [`SimResult::host_report`] and a dual-clock Chrome trace via
     /// [`SimResult::chrome_trace_json_with_host`]. Purely observational:
@@ -402,7 +398,7 @@ impl SimulationBuilder {
     }
 
     /// Simulated cycles between host-profile heartbeats (throughput,
-    /// resident trace window, shard skew). Default
+    /// resident trace window). Default
     /// [`HostProfiler::DEFAULT_HEARTBEAT`]; 0 disables heartbeats. Only
     /// meaningful with [`host_profile`](Self::host_profile)`(true)`.
     pub fn heartbeat_interval(mut self, cycles: u64) -> Self {
@@ -634,9 +630,6 @@ impl SimulationBuilder {
             spec.l2 = l2;
         }
         let mut sim = GpuSim::with_spec(cfg, spec);
-        if let Some(n) = self.threads {
-            sim.set_threads(n);
-        }
         sim.occupancy_interval = match self.occupancy_interval {
             Some(cycles) => cycles,
             None if self.telemetry.contains(Telemetry::OCCUPANCY) => 2_000,
@@ -801,7 +794,6 @@ mod tests {
         assert_eq!(sim.config().name, "Jetson Orin");
         assert_eq!(sim.occupancy_interval, 2_000);
         assert_eq!(sim.composition_interval, 0);
-        assert_eq!(sim.threads(), 1);
     }
 
     #[test]
@@ -928,27 +920,19 @@ mod tests {
 
     #[test]
     fn l2_override_applies() {
-        let cfg = GpuConfig::test_tiny();
-        let spec = PartitionSpec::greedy();
-        let sim = Simulation::builder()
-            .gpu(cfg)
-            .partition(spec)
-            .l2(L2Policy::Shared)
-            .build();
-        assert_eq!(sim.threads(), 1);
-    }
-
-    #[test]
-    fn threads_knob_reaches_the_sim() {
+        // A bank-split L2 needs exactly two streams; overriding it with a
+        // shared L2 lets a one-stream trace build.
+        let spec = PartitionSpec {
+            sm: SmPartition::Greedy,
+            l2: L2Policy::BankSplit,
+        };
         let sim = Simulation::builder()
             .gpu(GpuConfig::test_tiny())
-            .threads(4)
+            .partition(spec)
+            .l2(L2Policy::Shared)
+            .trace(bundle())
             .build();
-        assert_eq!(sim.threads(), 4);
-        let mut cfg = GpuConfig::test_tiny();
-        cfg.threads = 3;
-        let sim = Simulation::builder().gpu(cfg).build();
-        assert_eq!(sim.threads(), 3);
+        assert!(sim.source().is_some());
     }
 
     #[test]

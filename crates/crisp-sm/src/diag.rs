@@ -7,8 +7,7 @@
 //! that — a cheap, allocation-light snapshot of resident CTAs and warps plus
 //! memory-side occupancy — which `crisp-sim` assembles into a deadlock
 //! report. The snapshot is read-only and deterministic: it depends only on
-//! architectural state, so serial and sharded runs produce identical
-//! reports.
+//! architectural state.
 
 use crisp_trace::{StreamId, NUM_BARRIERS};
 

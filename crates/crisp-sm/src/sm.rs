@@ -138,9 +138,7 @@ struct Inflight {
 /// One streaming multiprocessor.
 ///
 /// An `Sm` owns its [`SmMemPort`] (private L1 + MSHRs), so a whole cycle —
-/// [`Sm::cycle`] — touches no shared state and may run on any worker
-/// thread. The type is `Send` by construction; the parallel executor in
-/// `crisp-sim` relies on that to ship SM shards across threads.
+/// [`Sm::cycle`] — touches no shared state.
 #[derive(Debug)]
 pub struct Sm {
     id: usize,
@@ -347,8 +345,7 @@ impl Sm {
     /// Scheduler-slot accounting since construction.
     /// Point-in-time snapshot of the SM's scheduling and memory-side state,
     /// for deadlock reports. Read-only and deterministic: depends only on
-    /// architectural state, so serial and sharded runs of the same trace
-    /// snapshot identically at the same cycle.
+    /// architectural state.
     pub fn diagnostics(&self) -> crate::diag::SmDiagnostics {
         use crate::diag::{CtaDiagnostics, SmDiagnostics, WarpDiagnostics, WarpStall};
         let mut warps = Vec::new();

@@ -47,12 +47,10 @@ fn main() -> std::io::Result<()> {
     println!("reference run: {} cycles", reference.cycles);
 
     // 2. Resume from the first checkpoint. The restored simulator finishes
-    //    with identical statistics — and byte-identical exports — even at a
-    //    different worker-thread count.
+    //    with identical statistics — and byte-identical exports.
     let ckpt = dir.join("ckpt-50000.ckpt");
     let mut resumed = Simulation::resume(&ckpt)?;
     println!("resumed from {} at cycle {}", ckpt.display(), resumed.now());
-    resumed.set_threads(2);
     let replay = resumed.run_or_panic();
     assert_eq!(replay.cycles, reference.cycles);
     assert_eq!(replay.per_stream, reference.per_stream);

@@ -28,8 +28,7 @@ fn main() {
     println!("VIO stream: {} kernels", compute.kernel_count());
 
     // 3. Simulate both streams concurrently under a fine-grained intra-SM
-    //    partition (the async-compute configuration). The worker-thread
-    //    count only changes wall-clock time, never the results.
+    //    partition (the async-compute configuration).
     let gpu = GpuConfig::jetson_orin();
     let spec = PartitionSpec::fg_even(
         &gpu,
@@ -39,7 +38,6 @@ fn main() {
     let result = Simulation::builder()
         .gpu(gpu.clone())
         .partition(spec)
-        .threads(std::thread::available_parallelism().map_or(1, |n| n.get().min(4)))
         .trace(crisp_core::concurrent_bundle(frame.trace, compute))
         .run_or_panic();
 

@@ -5,9 +5,8 @@
 //! never arrive — here, a warp whose trace ends without `Exit`. Pre-flight
 //! validation rejects that trace in milliseconds; with validation disabled
 //! (`.preflight(false)`), the watchdog catches it at runtime and returns
-//! [`SimError::Deadlock`] with the culprit CTA named — identically at any
-//! worker-thread count — plus an emergency checkpoint that
-//! [`Simulation::resume`] accepts.
+//! [`SimError::Deadlock`] with the culprit CTA named, plus an emergency
+//! checkpoint that [`Simulation::resume`] accepts.
 
 use crisp_sim::{GpuConfig, SimError, Simulation, WarpStall};
 use crisp_trace::{
@@ -75,47 +74,29 @@ fn preflight_rejects_the_deadlocking_trace_in_milliseconds() {
 }
 
 #[test]
-fn watchdog_names_the_culprit_cta_identically_at_any_thread_count() {
-    let mut reports = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let err = Simulation::builder()
-            .gpu(gpu())
-            .threads(threads)
-            .preflight(false)
-            .watchdog(2_000)
-            .trace(deadlock_bundle())
-            .run()
-            .expect_err("the wedged barrier must trip the watchdog");
-        let SimError::Deadlock { window, ctx } = &err else {
-            panic!("expected Deadlock at {threads} threads, got {err}");
-        };
-        assert_eq!(*window, 2_000);
-        let culprits = ctx.report.culprits();
-        assert_eq!(
-            culprits,
-            vec![(0, S, 0)],
-            "culprit CTA named at {threads} threads"
-        );
-        assert!(
-            ctx.report.sms[0]
-                .warps
-                .iter()
-                .any(|w| w.stall == WarpStall::TraceExhausted),
-            "per-warp stall cause surfaces the exhausted trace"
-        );
-        let rendered = err.to_string();
-        assert!(rendered.contains("at barrier"), "{rendered}");
-        assert!(rendered.contains("trace ended without Exit"), "{rendered}");
-        reports.push((ctx.cycle, rendered));
-    }
-    assert_eq!(
-        reports[0], reports[1],
-        "1- and 2-thread diagnostics must be identical"
+fn watchdog_names_the_culprit_cta() {
+    let err = Simulation::builder()
+        .gpu(gpu())
+        .preflight(false)
+        .watchdog(2_000)
+        .trace(deadlock_bundle())
+        .run()
+        .expect_err("the wedged barrier must trip the watchdog");
+    let SimError::Deadlock { window, ctx } = &err else {
+        panic!("expected Deadlock, got {err}");
+    };
+    assert_eq!(*window, 2_000);
+    assert_eq!(ctx.report.culprits(), vec![(0, S, 0)], "culprit CTA named");
+    assert!(
+        ctx.report.sms[0]
+            .warps
+            .iter()
+            .any(|w| w.stall == WarpStall::TraceExhausted),
+        "per-warp stall cause surfaces the exhausted trace"
     );
-    assert_eq!(
-        reports[0], reports[2],
-        "1- and 4-thread diagnostics must be identical"
-    );
+    let rendered = err.to_string();
+    assert!(rendered.contains("at barrier"), "{rendered}");
+    assert!(rendered.contains("trace ended without Exit"), "{rendered}");
 }
 
 #[test]
@@ -174,10 +155,10 @@ fn watchdog_zero_disables_and_the_cycle_budget_still_catches_it() {
 }
 
 #[test]
-fn worker_panic_is_caught_at_the_shard_barrier() {
-    // A register past the scoreboard range panics inside Sm::cycle on a
-    // worker thread; the pool must catch it and return WorkerPanic instead
-    // of propagating a poisoned mutex.
+fn worker_panic_is_caught_by_the_cycle_loop() {
+    // A register past the scoreboard range panics inside Sm::cycle; the
+    // cycle loop must catch it and return WorkerPanic instead of unwinding
+    // out of run().
     let mut w = WarpTrace::new();
     w.push(Instr::alu(Op::IntAlu, Reg(300), &[]));
     w.seal();
@@ -186,7 +167,6 @@ fn worker_panic_is_caught_at_the_shard_barrier() {
     s.launch(k);
     let err = Simulation::builder()
         .gpu(gpu())
-        .threads(2)
         .preflight(false)
         .trace(TraceBundle::from_streams(vec![s]))
         .run()
@@ -198,11 +178,7 @@ fn worker_panic_is_caught_at_the_shard_barrier() {
         message.contains("scoreboard"),
         "payload captured: {message}"
     );
-    assert_eq!(
-        ctx.report.sms.len(),
-        4,
-        "shard SMs recovered for the report"
-    );
+    assert_eq!(ctx.report.sms.len(), 4, "every SM is in the report");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Host self-profiler integration: the profile is populated, accurate, and
 //! — the load-bearing property — *purely observational*. Enabling it must
-//! not change a single simulated bit, at any thread count.
+//! not change a single simulated bit.
 //!
 //! (The companion zero-allocation suite lives in `hostprof_alloc.rs`, in
 //! its own test binary, because it has to install the counting allocator
@@ -11,7 +11,7 @@ use crisp_core::{concurrent_bundle, COMPUTE_STREAM, GRAPHICS_STREAM};
 use crisp_obs::HostPhase;
 use crisp_sim::SimResult;
 
-/// A small GPU with enough SMs that 4 workers get uneven shards.
+/// A small six-SM GPU.
 fn gpu() -> GpuConfig {
     let mut cfg = GpuConfig::test_tiny();
     cfg.n_sms = 6;
@@ -24,7 +24,7 @@ fn bundle() -> TraceBundle {
     concurrent_bundle(frame.trace, vio(COMPUTE_STREAM, ComputeScale::tiny()))
 }
 
-fn run(threads: usize, profile: bool) -> SimResult {
+fn run(profile: bool) -> SimResult {
     Simulation::builder()
         .gpu(gpu())
         .partition(PartitionSpec::fg_even(
@@ -32,7 +32,6 @@ fn run(threads: usize, profile: bool) -> SimResult {
             GRAPHICS_STREAM,
             COMPUTE_STREAM,
         ))
-        .threads(threads)
         .telemetry(Telemetry::FULL)
         .occupancy_interval(100)
         .counter_interval(100)
@@ -44,12 +43,10 @@ fn run(threads: usize, profile: bool) -> SimResult {
 
 #[test]
 fn serial_profile_is_populated() {
-    let result = run(1, true);
+    let result = run(true);
     let prof = result.host_profile.as_ref().expect("profile present");
     assert_eq!(prof.cycles, result.cycles);
     assert!(prof.wall_ns > 0);
-    assert_eq!(prof.workers, 0, "serial run has no shard workers");
-    assert!(prof.shards.is_empty());
 
     // The serial cycle loop must attribute time to its core phases.
     for phase in [HostPhase::Dispatch, HostPhase::Execute, HostPhase::MemTick] {
@@ -86,27 +83,8 @@ fn serial_profile_is_populated() {
 }
 
 #[test]
-fn sharded_profile_attributes_worker_time() {
-    let result = run(4, true);
-    let prof = result.host_profile.as_ref().expect("profile present");
-    // 6 SMs at 4 requested threads shard into ceil(6/ceil(6/4)) = 3 chunks;
-    // the profiler reports the *actual* worker count, not the request.
-    assert_eq!(prof.workers, 3);
-    assert_eq!(prof.shards.len(), prof.workers);
-    for (i, s) in prof.shards.iter().enumerate() {
-        assert!(s.cycles > 0, "shard {i} recorded no cycles");
-        assert!(s.execute_ns > 0, "shard {i} recorded no execute time");
-    }
-    assert!(prof.shard_imbalance() >= 1.0);
-    assert!(prof.shard_coverage() > 0.0);
-    let report = result.host_report();
-    assert!(report.contains("shard workers"));
-    assert!(report.contains("imbalance"));
-}
-
-#[test]
 fn disabled_profile_is_absent() {
-    let result = run(1, false);
+    let result = run(false);
     assert!(result.host_profile.is_none());
     assert!(result.host_report().contains("disabled"));
     // The host-aware export degrades to the plain sim-clock export.
@@ -118,12 +96,12 @@ fn disabled_profile_is_absent() {
 
 #[test]
 fn dual_clock_export_adds_host_process_only() {
-    let result = run(2, true);
+    let result = run(true);
     let plain = result.chrome_trace_json();
     let dual = result.chrome_trace_json_with_host();
     assert!(crisp_obs::json::validate(&dual).is_ok());
     assert!(dual.contains("host self-profile"));
-    assert!(dual.contains("barrier-wait"));
+    assert!(dual.contains("driver phases (aggregate)"));
     // Every sim-clock (pid 0) event survives untouched in the dual export.
     // The last line carries the `]}` JSON footer; others a trailing comma.
     for line in plain.lines().filter(|l| l.contains("\"pid\":0")) {
@@ -139,17 +117,13 @@ fn dual_clock_export_adds_host_process_only() {
 }
 
 /// The determinism contract with profiling ENABLED: simulated outputs are
-/// byte-identical to an unprofiled run and across thread counts. Host spans
+/// byte-identical to an unprofiled run. Host spans
 /// live only in `host_profile` / the dual-clock export, which are excluded
 /// from the comparison (wall-clock is inherently nondeterministic).
 #[test]
 fn profiling_never_perturbs_simulated_outputs() {
-    let base = run(1, false);
-    for (what, result) in [
-        ("serial profiled", run(1, true)),
-        ("2 threads profiled", run(2, true)),
-        ("4 threads profiled", run(4, true)),
-    ] {
+    let base = run(false);
+    for (what, result) in [("profiled", run(true)), ("profiled again", run(true))] {
         assert_eq!(base.cycles, result.cycles, "{what}: cycles");
         assert_eq!(base.per_stream, result.per_stream, "{what}: per-stream");
         assert_eq!(base.l2_stats, result.l2_stats, "{what}: L2 stats");

@@ -40,7 +40,6 @@ fn steady_state_hot_path_is_allocation_free() {
     let bundle = concurrent_bundle(frame.trace, vio(COMPUTE_STREAM, ComputeScale::tiny()));
     let mut sim = Simulation::builder()
         .gpu(gpu)
-        .threads(1)
         .telemetry(Telemetry::NONE)
         .trace(bundle)
         .build();
@@ -51,7 +50,7 @@ fn steady_state_hot_path_is_allocation_free() {
         "workload drained within the warm-up window — grow the trace"
     );
 
-    // Single-step the serial cycle loop, counting allocations per cycle,
+    // Single-step the cycle loop, counting allocations per cycle,
     // until we see WINDOW consecutive allocation-free cycles. Kernel
     // completions and fresh CTA launches legitimately allocate, so the
     // contract is "a steady-state window exists", not "every cycle is

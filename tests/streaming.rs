@@ -4,8 +4,8 @@
 //! The `TraceSource` contract (see `crisp_trace::source`) is that a
 //! simulation fed a version-2 container from disk — paging CTAs in on
 //! dispatch and out at retire — produces results *byte-identical* to the
-//! same simulation fed the fully materialized bundle, at any worker-thread
-//! count, across checkpoint/resume, and through the version-1
+//! same simulation fed the fully materialized bundle, across
+//! checkpoint/resume, and through the version-1
 //! compatibility scan. These tests hold the whole `SimResult` to that
 //! contract: cycles, stats, telemetry exports, and the paging counters
 //! themselves.
@@ -17,7 +17,7 @@ use crisp_core::{concurrent_bundle, COMPUTE_STREAM, GRAPHICS_STREAM};
 use crisp_sim::{GpuSim, SimResult};
 use crisp_trace::codec;
 
-/// A small GPU with enough SMs that 4 workers get uneven shards.
+/// A small six-SM GPU.
 fn gpu() -> GpuConfig {
     let mut cfg = GpuConfig::test_tiny();
     cfg.n_sms = 6;
@@ -42,11 +42,10 @@ fn saved_container(tag: &str, v1: bool) -> PathBuf {
     p
 }
 
-fn builder(trace: impl Into<crisp_sim::TraceInput>, threads: usize) -> SimulationBuilder {
+fn builder(trace: impl Into<crisp_sim::TraceInput>) -> SimulationBuilder {
     Simulation::builder()
         .gpu(gpu())
         .partition(PartitionSpec::greedy())
-        .threads(threads)
         .telemetry(Telemetry::FULL)
         .occupancy_interval(100)
         .counter_interval(100)
@@ -77,17 +76,11 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
 }
 
 #[test]
-fn streaming_is_byte_identical_to_materialized_at_any_thread_count() {
-    let materialized = builder(bundle(), 1).run_or_panic();
+fn streaming_is_byte_identical_to_materialized() {
+    let materialized = builder(bundle()).run_or_panic();
     let path = saved_container("identical", false);
-    for threads in [1, 2, 4] {
-        let streamed = builder(path.as_path(), threads).run_or_panic();
-        assert_identical(
-            &materialized,
-            &streamed,
-            &format!("streaming @ {threads} threads"),
-        );
-    }
+    let streamed = builder(path.as_path()).run_or_panic();
+    assert_identical(&materialized, &streamed, "streaming");
     // The streamed run really paged: its peak window stayed well under the
     // whole-bundle footprint a materialized load would physically occupy.
     let whole: u64 = bundle()
@@ -108,28 +101,25 @@ fn streaming_is_byte_identical_to_materialized_at_any_thread_count() {
 #[test]
 fn checkpoint_resume_mid_stream_is_byte_identical() {
     let path = saved_container("resume", false);
-    let full = builder(path.as_path(), 1).run_or_panic();
+    let full = builder(path.as_path()).run_or_panic();
 
-    let mut sim = builder(path.as_path(), 1).try_build().expect("build");
+    let mut sim = builder(path.as_path()).try_build().expect("build");
     let done = sim.run_until(full.cycles / 2).expect("first half");
     assert!(!done, "workload must outlast the checkpoint cycle");
     let mut bytes = Vec::new();
     sim.write_checkpoint(&mut bytes).expect("serialize");
 
-    for threads in [1, 2, 4] {
-        let mut resumed = GpuSim::read_checkpoint(&bytes[..]).expect("deserialize");
-        resumed.set_threads(threads);
-        let r = resumed.run_or_panic();
-        assert_identical(&full, &r, &format!("mid-stream resume @ {threads} threads"));
-    }
+    let mut resumed = GpuSim::read_checkpoint(&bytes[..]).expect("deserialize");
+    let r = resumed.run_or_panic();
+    assert_identical(&full, &r, "mid-stream resume");
     let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn v1_container_runs_through_the_compat_scan() {
-    let materialized = builder(bundle(), 1).run_or_panic();
+    let materialized = builder(bundle()).run_or_panic();
     let path = saved_container("v1", true);
-    let r = builder(path.as_path(), 1).run_or_panic();
+    let r = builder(path.as_path()).run_or_panic();
     assert_identical(&materialized, &r, "v1 compat");
     let _ = std::fs::remove_file(path);
 }
