@@ -27,14 +27,6 @@
 //! * [`LintCode::CfgDivergenceHostile`] — one barrier interval with
 //!   `divergence_paths`-or-more distinct per-warp control paths
 //!   (reconvergence-hostile divergence).
-//!
-//! CTAs are independent, so the pass fans out per CTA over
-//! `AnalysisConfig::threads` workers and merges in CTA order; the
-//! caller's final site-sort makes the report byte-identical at any
-//! thread count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crisp_trace::{
     CtaTrace, Instr, KernelTrace, Op, Space, StreamId, TraceErrorSite, NUM_BARRIERS,
@@ -373,40 +365,16 @@ fn check_cta(
     out
 }
 
-/// Run the CFG pass over every CTA of `k`, appending diagnostics. CTAs
-/// fan out over `cfg.threads` workers (self-scheduling, merged in CTA
-/// order) — combined with the caller's site-sort the output is identical
-/// at any thread count.
+/// Run the CFG pass over every CTA of `k` in CTA order, appending
+/// diagnostics.
 pub(crate) fn check_kernel(
     stream: Option<StreamId>,
     k: &KernelTrace,
     cfg: &AnalysisConfig,
     out: &mut Vec<Diagnostic>,
 ) {
-    let threads = cfg.threads.max(1).min(k.ctas.len().max(1));
-    if threads <= 1 {
-        for (ci, cta) in k.ctas.iter().enumerate() {
-            out.extend(check_cta(stream, k, ci, cta, cfg));
-        }
-        return;
-    }
-    let slots: Mutex<Vec<Option<Vec<Diagnostic>>>> =
-        Mutex::new((0..k.ctas.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let ci = next.fetch_add(1, Ordering::Relaxed);
-                if ci >= k.ctas.len() {
-                    break;
-                }
-                let r = check_cta(stream, k, ci, &k.ctas[ci], cfg);
-                slots.lock().unwrap()[ci] = Some(r);
-            });
-        }
-    });
-    for slot in slots.into_inner().unwrap() {
-        out.extend(slot.expect("every CTA slot filled"));
+    for (ci, cta) in k.ctas.iter().enumerate() {
+        out.extend(check_cta(stream, k, ci, cta, cfg));
     }
 }
 
@@ -574,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn cta_fanout_matches_sequential_order() {
+    fn wedged_ctas_are_reported_in_cta_order() {
         let wedged = |slot_a: u8, slot_b: u8| {
             CtaTrace::new(vec![
                 sealed(vec![Instr::bar_at(slot_a)]),
@@ -588,13 +556,9 @@ mod tests {
             0,
             vec![wedged(0, 1), wedged(2, 3), wedged(4, 5), wedged(6, 7)],
         );
-        let mut seq = Vec::new();
-        check_kernel(None, &k, &AnalysisConfig::new(), &mut seq);
-        for t in [2, 4] {
-            let mut par = Vec::new();
-            check_kernel(None, &k, &AnalysisConfig::new().threads(t), &mut par);
-            assert_eq!(seq, par, "thread count {t} changed the CFG pass");
-        }
-        assert_eq!(seq.len(), 4);
+        let mut out = Vec::new();
+        check_kernel(None, &k, &AnalysisConfig::new(), &mut out);
+        let ctas: Vec<_> = out.iter().map(|d| d.site.cta).collect();
+        assert_eq!(ctas, [Some(0), Some(1), Some(2), Some(3)]);
     }
 }

@@ -26,9 +26,6 @@ pub enum LintLevel {
 /// kernel-scoped allow wins over a blanket deny for that code.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisConfig {
-    /// Worker threads for the per-kernel analysis fan-out (1 = sequential).
-    /// Reports are deterministic regardless of this value.
-    pub threads: usize,
     /// A global access is flagged [`LintCode::Uncoalesced`] when it touches
     /// more than `ideal_sectors * uncoalesced_slack` 32 B sectors, where
     /// `ideal_sectors` is the minimum the touched bytes could occupy.
@@ -67,7 +64,6 @@ pub struct AnalysisConfig {
 impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
-            threads: 1,
             uncoalesced_slack: 2.0,
             uncoalesced_min_sectors: 8,
             bank_conflict_threshold: 8,
@@ -82,15 +78,9 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// The default configuration (all lints at default severity, 1 thread).
+    /// The default configuration (all lints at default severity).
     pub fn new() -> Self {
         AnalysisConfig::default()
-    }
-
-    /// Set the analysis worker-thread count (clamped to at least 1).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
     }
 
     /// Suppress `code` everywhere.
@@ -202,11 +192,5 @@ mod tests {
             cfg.severity_for(LintCode::BankConflict, Some("other")),
             Some(Severity::Error)
         );
-    }
-
-    #[test]
-    fn threads_clamps_to_one() {
-        assert_eq!(AnalysisConfig::new().threads(0).threads, 1);
-        assert_eq!(AnalysisConfig::new().threads(4).threads, 4);
     }
 }

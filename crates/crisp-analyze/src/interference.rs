@@ -19,11 +19,9 @@
 //!   footprint is large; stores allocate-on-write and flush the latency-
 //!   sensitive texture working set (the paper's motivating failure mode).
 //!
-//! The accumulator is fed sequentially by the driving thread in
+//! The accumulator is fed in launch order by
 //! [`analyze_bundle`](crate::analyze_bundle) /
-//! [`analyze_source`](crate::analyze_source), so the verdict — like every
-//! other part of the report — is identical at any
-//! [`AnalysisConfig::threads`] count.
+//! [`analyze_source`](crate::analyze_source).
 
 use std::collections::{BTreeMap, HashSet};
 

@@ -71,17 +71,12 @@ pub use diag::{Diagnostic, LintCode, Severity};
 pub use interference::{InterferenceSpec, L2Share};
 pub use report::{sarif_document, AnalysisReport, ClassLines, KernelStats};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use crisp_trace::{
     Command, CommandMeta, DataClass, KernelTrace, StreamId, TraceBundle, TraceSource,
 };
 
 /// Analyze every kernel of `bundle` and return the combined, site-sorted
-/// report. Kernels are analyzed independently (fanned out over
-/// `cfg.threads` workers) and merged in bundle launch order, so the result
-/// is identical at any thread count.
+/// report. Kernels are analyzed one at a time in bundle launch order.
 pub fn analyze_bundle(bundle: &TraceBundle, cfg: &AnalysisConfig) -> AnalysisReport {
     let work: Vec<(Option<StreamId>, &KernelTrace)> = bundle
         .streams
@@ -160,39 +155,9 @@ pub fn analyze_kernel(k: &KernelTrace, cfg: &AnalysisConfig) -> AnalysisReport {
 }
 
 fn analyze_all(work: &[(Option<StreamId>, &KernelTrace)], cfg: &AnalysisConfig) -> AnalysisReport {
-    let threads = cfg.threads.max(1).min(work.len().max(1));
-    let results: Vec<(Vec<Diagnostic>, KernelStats)> = if threads <= 1 {
-        work.iter().map(|&(s, k)| analyze_one(s, k, cfg)).collect()
-    } else {
-        // Self-scheduling fan-out: workers pull the next kernel index from a
-        // shared counter and write into its slot, so the merge below is in
-        // bundle order no matter which worker analyzed what.
-        type Slot = Option<(Vec<Diagnostic>, KernelStats)>;
-        let slots: Mutex<Vec<Slot>> = Mutex::new((0..work.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= work.len() {
-                        break;
-                    }
-                    let (s, k) = work[i];
-                    let r = analyze_one(s, k, cfg);
-                    slots.lock().unwrap()[i] = Some(r);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|r| r.expect("every kernel slot filled"))
-            .collect()
-    };
-
     let mut out = AnalysisReport::default();
-    for (diags, stats) in results {
+    for &(s, k) in work {
+        let (diags, stats) = analyze_one(s, k, cfg);
         out.diagnostics.extend(diags);
         out.stats.push(stats);
     }
@@ -305,24 +270,6 @@ mod tests {
         assert!(r.has_errors());
         assert_eq!(r.diagnostics[0].site.stream, Some(StreamId(0)));
         assert_eq!(r.stats[0].stream, Some(0));
-    }
-
-    #[test]
-    fn reports_identical_across_thread_counts() {
-        let b = bundle(vec![
-            racy_kernel("a"),
-            clean_kernel("b"),
-            racy_kernel("c"),
-            clean_kernel("d"),
-            racy_kernel("e"),
-        ]);
-        let base = analyze_bundle(&b, &AnalysisConfig::new().threads(1));
-        for t in [2, 4] {
-            let r = analyze_bundle(&b, &AnalysisConfig::new().threads(t));
-            assert_eq!(base, r, "thread count {t} changed the report");
-            assert_eq!(base.text(), r.text());
-            assert_eq!(base.to_json(), r.to_json());
-        }
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub struct KernelStats {
 ///
 /// The report is deterministic: analyzing the same bundle with the same
 /// configuration yields an identical value — and byte-identical
-/// [`text`](Self::text) / [`to_json`](Self::to_json) renderings —
-/// regardless of `AnalysisConfig::threads`.
+/// [`text`](Self::text) / [`to_json`](Self::to_json) renderings.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisReport {
     /// All findings, most significant location first.

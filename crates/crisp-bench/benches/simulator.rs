@@ -197,7 +197,9 @@ fn bench_checkpoint() {
             .telemetry(Telemetry::FULL)
             .counter_interval(500)
             .trace(crisp_core::concurrent_bundle(f.trace, compute))
-            .build()
+            .preflight(false)
+            .try_build()
+            .unwrap()
     };
 
     let mut sim = build();
@@ -238,7 +240,9 @@ fn bench_checkpoint() {
             .gpu(gpu.clone())
             .partition(spec.clone())
             .trace(crisp_core::concurrent_bundle(g, compute))
-            .build();
+            .preflight(false)
+            .try_build()
+            .unwrap();
         sim.fast_forward_to_marker("roi")
     });
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! lint --corpus [--deny errors|warnings] [--allow CODE[@KERNEL]]
-//!      [--threads N] [--out DIR] [--format sarif]
+//!      [--out DIR] [--format sarif]
 //! lint PATH.crsp [PATH.crsp ...]
 //! ```
 //!
@@ -38,7 +38,6 @@ struct Args {
     paths: Vec<String>,
     deny: Option<String>,
     allows: Vec<(LintCode, Option<String>)>,
-    threads: usize,
     out: PathBuf,
     sarif: bool,
 }
@@ -46,7 +45,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: lint (--corpus | PATH.crsp ...) [--deny errors|warnings] \
-         [--allow CODE[@KERNEL]] [--threads N] [--out DIR] [--format sarif]"
+         [--allow CODE[@KERNEL]] [--out DIR] [--format sarif]"
     );
     std::process::exit(2);
 }
@@ -57,7 +56,6 @@ fn parse_args() -> Args {
         paths: Vec::new(),
         deny: None,
         allows: Vec::new(),
-        threads: 1,
         out: PathBuf::from("target/experiments/lint"),
         sarif: false,
     };
@@ -83,10 +81,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => args.threads = n,
-                _ => usage(),
-            },
             "--out" => match it.next() {
                 Some(dir) => args.out = PathBuf::from(dir),
                 None => usage(),
@@ -155,7 +149,6 @@ fn main() -> ExitCode {
         }
         (v, AnalysisConfig::new())
     };
-    cfg = cfg.threads(args.threads);
     for (code, scope) in args.allows {
         cfg = match scope {
             Some(k) => cfg.allow_in(code, k),

@@ -129,7 +129,8 @@ fn main() {
             .partition(spec.clone())
             .telemetry(Telemetry::TIMELINE)
             .trace(trace)
-            .build()
+            .try_build()
+            .expect("valid sampled workload")
     };
 
     // 1. Reference: simulate the skipped region in detail up to the marker

@@ -6,7 +6,7 @@ use crisp_gfx::batch::vs_invocation_count;
 use crisp_mem::Replacement;
 use crisp_scenes::silicon::mape;
 use crisp_scenes::{all_scenes, holo, Scene, SceneId};
-use crisp_sim::{GpuConfig, PartitionSpec, SchedulerPolicy, Simulation, Telemetry};
+use crisp_sim::{GpuConfig, PartitionSpec, SchedulerPolicy, SimResult, Simulation, Telemetry};
 use crisp_trace::TraceBundle;
 
 use crate::report::{f3, pct, table};
@@ -103,7 +103,8 @@ impl HwSweep {
     }
 }
 
-fn sim_frame(gpu: &GpuConfig, scene: &Scene, scale: ExpScale) -> u64 {
+/// Render one frame of `scene` and simulate it alone on `gpu`.
+fn sim_frame(gpu: &GpuConfig, scene: &Scene, scale: ExpScale) -> SimResult {
     let (w, h) = scale.res.dims();
     let f = scene.render(w, h, false, GRAPHICS_STREAM);
     Simulation::builder()
@@ -112,7 +113,6 @@ fn sim_frame(gpu: &GpuConfig, scene: &Scene, scale: ExpScale) -> u64 {
         .telemetry(Telemetry::NONE)
         .trace(TraceBundle::from_streams(vec![f.trace]))
         .run_or_panic()
-        .cycles
 }
 
 /// Sweep the L1 data-port width (sectors/cycle) on the texture-heavy SPH
@@ -124,7 +124,7 @@ pub fn ablation_l1_ports(scale: ExpScale) -> HwSweep {
         .map(|&p| {
             let mut gpu = GpuConfig::rtx3070();
             gpu.sm.l1_ports = p;
-            (p as u64, sim_frame(&gpu, &scene, scale))
+            (p as u64, sim_frame(&gpu, &scene, scale).cycles)
         })
         .collect();
     HwSweep {
@@ -141,7 +141,7 @@ pub fn ablation_mshr(scale: ExpScale) -> HwSweep {
         .map(|&e| {
             let mut gpu = GpuConfig::rtx3070();
             gpu.l1_mshr_entries = e;
-            (e as u64, sim_frame(&gpu, &scene, scale))
+            (e as u64, sim_frame(&gpu, &scene, scale).cycles)
         })
         .collect();
     HwSweep {
@@ -158,7 +158,7 @@ pub fn ablation_scheduler(scale: ExpScale) -> Vec<(&'static str, u64)> {
         .map(|&(name, pol)| {
             let mut gpu = GpuConfig::rtx3070();
             gpu.sm.scheduler = pol;
-            (name, sim_frame(&gpu, &scene, scale))
+            (name, sim_frame(&gpu, &scene, scale).cycles)
         })
         .collect()
 }
@@ -176,14 +176,7 @@ pub fn ablation_replacement(scale: ExpScale) -> Vec<(&'static str, u64, f64)> {
             let mut gpu = GpuConfig::rtx3070();
             gpu.l2_bytes = 512 << 10;
             gpu.l2_replacement = pol;
-            let (w, h) = scale.res.dims();
-            let f = scene.render(w, h, false, GRAPHICS_STREAM);
-            let r = Simulation::builder()
-                .gpu(gpu)
-                .partition(PartitionSpec::greedy())
-                .telemetry(Telemetry::NONE)
-                .trace(TraceBundle::from_streams(vec![f.trace]))
-                .run_or_panic();
+            let r = sim_frame(&gpu, &scene, scale);
             (name, r.cycles, r.l2_stats.total().hit_rate())
         })
         .collect()
@@ -203,17 +196,13 @@ pub fn ablation_mig_banks(scale: ExpScale) -> Vec<(u32, f64)> {
             let run = |spec: PartitionSpec| {
                 let f = scene.render(w, h, false, GRAPHICS_STREAM);
                 let c = holo(COMPUTE_STREAM, scale.compute);
-                let r = Simulation::builder()
+                Simulation::builder()
                     .gpu(gpu.clone())
                     .partition(spec)
                     .telemetry(Telemetry::NONE)
                     .trace(TraceBundle::from_streams(vec![f.trace, c]))
-                    .run_or_panic();
-                r.per_stream
-                    .values()
-                    .map(|s| s.stats.finish_cycle)
-                    .max()
-                    .expect("streams ran")
+                    .run_or_panic()
+                    .makespan()
             };
             let mps = run(PartitionSpec::mps_even(
                 &gpu,

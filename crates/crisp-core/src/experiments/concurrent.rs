@@ -71,15 +71,6 @@ fn run_pair(
         .run_or_panic()
 }
 
-/// Makespan metric: cycles until both streams completed.
-fn makespan(r: &SimResult) -> u64 {
-    r.per_stream
-        .values()
-        .map(|s| s.stats.finish_cycle)
-        .max()
-        .unwrap_or(r.cycles)
-}
-
 /// One workload pair's normalized results.
 #[derive(Debug, Clone)]
 pub struct PairRow {
@@ -101,36 +92,50 @@ pub struct Fig12Result {
 impl Fig12Result {
     /// Text-table rendering.
     pub fn to_table(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut v = vec![format!("{}+{}", r.scene, r.compute)];
-                v.extend(r.speedups.iter().map(|(_, s)| f3(*s)));
-                v
-            })
-            .collect();
         format!(
             "{}\n(speedups normalized to MPS; paper: EVEN fastest overall, NN shows the highest concurrency speedup)\n",
-            table(&["pair", "MPS", "EVEN", "Dynamic"], &rows)
+            speedup_table(&["pair", "MPS", "EVEN", "Dynamic"], &self.rows)
         )
     }
 
     /// Geometric-mean speedup of one policy column.
     pub fn geomean(&self, policy: &str) -> f64 {
-        let vals: Vec<f64> = self
-            .rows
-            .iter()
-            .filter_map(|r| {
-                r.speedups
-                    .iter()
-                    .find(|(p, _)| *p == policy)
-                    .map(|(_, s)| *s)
-            })
-            .collect();
-        assert!(!vals.is_empty(), "unknown policy {policy}");
+        let vals = policy_column(&self.rows, policy);
         (vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp()
     }
+}
+
+/// Render pair rows as a table under `headers` (pair, then one column per
+/// policy).
+fn speedup_table(headers: &[&str], rows: &[PairRow]) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let mut v = vec![format!("{}+{}", r.scene, r.compute)];
+            v.extend(r.speedups.iter().map(|(_, s)| f3(*s)));
+            v
+        })
+        .collect();
+    table(headers, &cells)
+}
+
+/// Every row's speedup under `policy`.
+///
+/// # Panics
+///
+/// Panics if no row carries `policy`.
+fn policy_column(rows: &[PairRow], policy: &str) -> Vec<f64> {
+    let vals: Vec<f64> = rows
+        .iter()
+        .filter_map(|r| {
+            r.speedups
+                .iter()
+                .find(|(p, _)| *p == policy)
+                .map(|(_, s)| *s)
+        })
+        .collect();
+    assert!(!vals.is_empty(), "unknown policy {policy}");
+    vals
 }
 
 /// Scene list used for the pairing studies.
@@ -146,50 +151,58 @@ fn pair_scenes(scale: ExpScale) -> Vec<SceneId> {
     }
 }
 
-/// Run Figure 12 on the Jetson Orin model: MPS-even vs intra-SM EVEN vs
-/// warped-slicer Dynamic, all pairs, normalized to MPS.
-pub fn fig12_warped_slicer(scale: ExpScale) -> Fig12Result {
-    let gpu = GpuConfig::jetson_orin();
+/// The scene × compute × policy grid behind Figures 12 and 14: every pair
+/// runs under each policy, and a row holds the makespan speedups over the
+/// first policy (whose own speedup is therefore 1).
+fn pair_grid(
+    gpu: &GpuConfig,
+    scale: ExpScale,
+    policies: &[(&'static str, PartitionSpec)],
+) -> Vec<PairRow> {
     let mut rows = Vec::new();
     for scene_id in pair_scenes(scale) {
         let scene = Scene::build(scene_id, scale.detail);
         for compute in ComputeKind::ALL {
-            let mps = makespan(&run_pair(
-                &gpu,
-                PartitionSpec::mps_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
-                &scene,
-                compute,
-                scale,
-                0,
-            ));
-            let even = makespan(&run_pair(
-                &gpu,
-                PartitionSpec::fg_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
-                &scene,
-                compute,
-                scale,
-                0,
-            ));
-            let dynamic = makespan(&run_pair(
-                &gpu,
-                PartitionSpec::fg_dynamic(SlicerConfig::default()),
-                &scene,
-                compute,
-                scale,
-                0,
-            ));
+            let makespans: Vec<u64> = policies
+                .iter()
+                .map(|(_, spec)| run_pair(gpu, spec.clone(), &scene, compute, scale, 0).makespan())
+                .collect();
+            let speedups = policies
+                .iter()
+                .zip(&makespans)
+                .map(|((label, _), &m)| (*label, makespans[0] as f64 / m as f64))
+                .collect();
             rows.push(PairRow {
                 scene: scene_id,
                 compute,
-                speedups: vec![
-                    ("MPS", 1.0),
-                    ("EVEN", mps as f64 / even as f64),
-                    ("Dynamic", mps as f64 / dynamic as f64),
-                ],
+                speedups,
             });
         }
     }
-    Fig12Result { rows }
+    rows
+}
+
+/// Run Figure 12 on the Jetson Orin model: MPS-even vs intra-SM EVEN vs
+/// warped-slicer Dynamic, all pairs, normalized to MPS.
+pub fn fig12_warped_slicer(scale: ExpScale) -> Fig12Result {
+    let gpu = GpuConfig::jetson_orin();
+    let policies = [
+        (
+            "MPS",
+            PartitionSpec::mps_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
+        ),
+        (
+            "EVEN",
+            PartitionSpec::fg_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
+        ),
+        (
+            "Dynamic",
+            PartitionSpec::fg_dynamic(SlicerConfig::default()),
+        ),
+    ];
+    Fig12Result {
+        rows: pair_grid(&gpu, scale, &policies),
+    }
 }
 
 /// Figure 13: the occupancy timeline of the dynamic partition (PT + VIO).
@@ -260,34 +273,15 @@ pub struct Fig14Result {
 impl Fig14Result {
     /// Text-table rendering.
     pub fn to_table(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut v = vec![format!("{}+{}", r.scene, r.compute)];
-                v.extend(r.speedups.iter().map(|(_, s)| f3(*s)));
-                v
-            })
-            .collect();
         format!(
             "{}\n(paper: TAP outperforms MiG and matches MPS — the pairs are bandwidth-bound, not capacity-bound)\n",
-            table(&["pair", "MPS", "MiG", "TAP"], &rows)
+            speedup_table(&["pair", "MPS", "MiG", "TAP"], &self.rows)
         )
     }
 
     /// Mean speedup of a policy column.
     pub fn mean(&self, policy: &str) -> f64 {
-        let vals: Vec<f64> = self
-            .rows
-            .iter()
-            .filter_map(|r| {
-                r.speedups
-                    .iter()
-                    .find(|(p, _)| *p == policy)
-                    .map(|(_, s)| *s)
-            })
-            .collect();
-        assert!(!vals.is_empty(), "unknown policy {policy}");
+        let vals = policy_column(&self.rows, policy);
         vals.iter().sum::<f64>() / vals.len() as f64
     }
 }
@@ -303,46 +297,23 @@ pub fn fig14_tap(scale: ExpScale) -> Fig14Result {
         sample_every: 4,
         min_sets: 1,
     };
-    let mut rows = Vec::new();
-    for scene_id in pair_scenes(scale) {
-        let scene = Scene::build(scene_id, scale.detail);
-        for compute in ComputeKind::ALL {
-            let mps = makespan(&run_pair(
-                &gpu,
-                PartitionSpec::mps_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
-                &scene,
-                compute,
-                scale,
-                0,
-            ));
-            let mig = makespan(&run_pair(
-                &gpu,
-                PartitionSpec::mig_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
-                &scene,
-                compute,
-                scale,
-                0,
-            ));
-            let tap = makespan(&run_pair(
-                &gpu,
-                PartitionSpec::tap_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM, tap_cfg),
-                &scene,
-                compute,
-                scale,
-                0,
-            ));
-            rows.push(PairRow {
-                scene: scene_id,
-                compute,
-                speedups: vec![
-                    ("MPS", 1.0),
-                    ("MiG", mps as f64 / mig as f64),
-                    ("TAP", mps as f64 / tap as f64),
-                ],
-            });
-        }
+    let policies = [
+        (
+            "MPS",
+            PartitionSpec::mps_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
+        ),
+        (
+            "MiG",
+            PartitionSpec::mig_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
+        ),
+        (
+            "TAP",
+            PartitionSpec::tap_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM, tap_cfg),
+        ),
+    ];
+    Fig14Result {
+        rows: pair_grid(&gpu, scale, &policies),
     }
-    Fig14Result { rows }
 }
 
 /// Figure 15: the L2 composition under TAP for SPH + HOLO.

@@ -1,7 +1,4 @@
-//! Plain-text tables and CSV output for the experiment runners.
-
-use std::io::Write;
-use std::path::Path;
+//! Plain-text tables and number formatting for the experiment runners.
 
 /// Render an aligned text table.
 ///
@@ -38,34 +35,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Write rows as CSV.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_csv(
-    path: impl AsRef<Path>,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{}", headers.join(","))?;
-    for r in rows {
-        let escaped: Vec<String> = r
-            .iter()
-            .map(|c| {
-                if c.contains(',') || c.contains('"') {
-                    format!("\"{}\"", c.replace('"', "\"\""))
-                } else {
-                    c.clone()
-                }
-            })
-            .collect();
-        writeln!(f, "{}", escaped.join(","))?;
-    }
-    f.flush()
-}
-
 /// Format a float with 3 significant decimals.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
@@ -99,15 +68,6 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn table_rejects_ragged_rows() {
         let _ = table(&["a", "b"], &[vec!["x".into()]]);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let p = std::env::temp_dir().join("crisp_report_test.csv");
-        write_csv(&p, &["a", "b"], &[vec!["x,y".into(), "2".into()]]).unwrap();
-        let body = std::fs::read_to_string(&p).unwrap();
-        assert!(body.contains("\"x,y\",2"));
-        let _ = std::fs::remove_file(p);
     }
 
     #[test]

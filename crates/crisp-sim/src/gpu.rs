@@ -125,11 +125,11 @@ pub const CLEAR_STATS_MARKER: &str = "crisp:clear-stats";
 /// an instruction before the run fails with [`SimError::Deadlock`]).
 pub const DEFAULT_WATCHDOG: u64 = 10_000_000;
 
-/// Default cancellation-poll cadence ([`GpuSim::interrupt_interval`]): the
-/// cycle loop observes a bumped [`Interrupt`] generation within this many
-/// simulated cycles. Small enough that cancellation lands well inside any
-/// practical checkpoint interval, large enough that the atomic load stays
-/// off the per-cycle hot path.
+/// Cancellation-poll cadence: the cycle loop observes a bumped
+/// [`Interrupt`] generation within this many simulated cycles. Small
+/// enough that cancellation lands well inside any practical checkpoint
+/// interval, large enough that the atomic load stays off the per-cycle
+/// hot path.
 pub const DEFAULT_INTERRUPT_INTERVAL: u64 = 1_024;
 
 /// Why the cycle loop gave up. Internal: converted into a full
@@ -380,7 +380,7 @@ pub struct GpuSim {
     /// Export `trace/*` residency gauges into the metric registry. Off by
     /// default so exports stay byte-identical between streaming and
     /// materialized inputs (paging statistics necessarily differ).
-    pub residency_telemetry: bool,
+    pub(crate) residency_telemetry: bool,
     slicer: Option<WarpedSlicer>,
     now: u64,
     stats: BTreeMap<StreamId, PerStreamStats>,
@@ -388,11 +388,11 @@ pub struct GpuSim {
     ipc_timeline: Vec<(u64, BTreeMap<StreamId, u64>)>,
     last_issued_snapshot: BTreeMap<StreamId, u64>,
     /// Cycles between occupancy samples.
-    pub occupancy_interval: u64,
+    pub(crate) occupancy_interval: u64,
     /// Cycles between L2 composition snapshots (0 = final only).
-    pub composition_interval: u64,
+    pub(crate) composition_interval: u64,
     /// Cycles between counter samples in the trace (0 = off).
-    pub counter_interval: u64,
+    pub(crate) counter_interval: u64,
     composition_timeline: Vec<(u64, CompositionSnapshot)>,
     /// Span/counter recorder; `None` (the default) keeps the hot path free
     /// of any recording work.
@@ -407,39 +407,33 @@ pub struct GpuSim {
     cta_seq: u64,
     last_progress: u64,
     rr_offset: usize,
-    /// Cached per-stream SM allowlists (index = SM id), built at load().
+    /// Cached per-stream SM allowlists (index = SM id), built at attach().
     allowed_sms: BTreeMap<StreamId, Vec<bool>>,
     kernel_log: Vec<KernelRecord>,
     /// Write a checkpoint every this many cycles during [`GpuSim::run`]
     /// (0 = never). Not itself part of the checkpointed state: a resumed
-    /// simulator starts with checkpointing off unless re-enabled.
-    pub checkpoint_every: u64,
+    /// simulator starts with checkpointing off.
+    pub(crate) checkpoint_every: u64,
     /// Directory periodic checkpoints are written into as
     /// `ckpt-<cycle>.ckpt`; `None` means the current directory.
-    pub checkpoint_dir: Option<PathBuf>,
+    pub(crate) checkpoint_dir: Option<PathBuf>,
     /// Forward-progress watchdog window: if no SM issues an instruction
     /// for this many consecutive cycles while work remains, the run fails
     /// with [`SimError::Deadlock`] carrying a full diagnostic report.
     /// `0` disables the watchdog. Like `checkpoint_every`, transient
     /// driver config — never serialized into checkpoints.
-    pub watchdog: u64,
+    pub(crate) watchdog: u64,
     /// While set, streams park in front of a marker with this label instead
     /// of popping it — the cross-stream barrier behind
     /// [`run_to_marker`](Self::run_to_marker). Transient; never serialized.
     hold_at_marker: Option<String>,
     /// Cooperative cancellation: the shared generation counter plus the
     /// generation this run was installed against. Polled by the cycle loop
-    /// every [`interrupt_interval`](Self::interrupt_interval) cycles; a
-    /// mismatch ends the run as [`SimError::Cancelled`]. Transient driver
-    /// state like the watchdog — never serialized; a restored simulator
-    /// starts uninterruptible until a handle is installed again.
+    /// every [`DEFAULT_INTERRUPT_INTERVAL`] cycles; a mismatch ends the run
+    /// as [`SimError::Cancelled`]. Transient driver state like the
+    /// watchdog — never serialized; a restored simulator starts
+    /// uninterruptible until a handle is installed again.
     interrupt: Option<(Interrupt, u64)>,
-    /// Cycles between cancellation-counter polls (the "checkpoint
-    /// boundary" of the lock-free interrupt idiom). A pending cancellation
-    /// is observed within one interval; [`DEFAULT_INTERRUPT_INTERVAL`] by
-    /// default, 0 disables polling entirely (cancellation then only beats
-    /// out a watchdog or budget violation, never a healthy run).
-    pub interrupt_interval: u64,
     /// Host-clock self-profiler; `None` (the default) keeps every
     /// wall-clock read off the hot path. Transient driver state like the
     /// watchdog — never serialized; a restored simulator starts unprofiled.
@@ -532,7 +526,6 @@ impl GpuSim {
             watchdog: DEFAULT_WATCHDOG,
             hold_at_marker: None,
             interrupt: None,
-            interrupt_interval: DEFAULT_INTERRUPT_INTERVAL,
             host: None,
             scratch_completions: Vec::new(),
             scratch_outs: Vec::new(),
@@ -545,30 +538,17 @@ impl GpuSim {
         &self.cfg
     }
 
-    /// Load a fully-materialized bundle of streams. Equivalent to
-    /// [`attach`](Self::attach) with [`TraceSource::from_bundle`]; prefer
-    /// `attach` with a streaming source to keep only in-flight CTAs in RAM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice, or if a two-stream policy is given a bundle
-    /// without exactly two streams.
-    pub fn load(&mut self, bundle: TraceBundle) {
-        self.attach(TraceSource::from_bundle(bundle));
-    }
-
     /// Attach a [`TraceSource`] and configure stream-dependent partitioning
     /// (MiG bank masks, TAP controller, warped-slicer). CTA instruction
     /// payloads are demand-paged through the source at dispatch and dropped
     /// at commit, so a streaming source keeps only the in-flight window
-    /// resident.
+    /// resident. Called once, by the builder.
     ///
     /// # Panics
     ///
-    /// Panics if called twice, or if a two-stream policy is given a source
-    /// without exactly two streams.
-    pub fn attach(&mut self, source: TraceSource) {
-        assert!(self.streams.is_empty(), "load() may only be called once");
+    /// Panics if a two-stream policy is given a source without exactly two
+    /// streams (pre-flight rejects such a source first).
+    pub(crate) fn attach(&mut self, source: TraceSource) {
         let metas: Vec<crisp_trace::StreamMeta> = source.streams().to_vec();
         let mut ids: Vec<StreamId> = metas.iter().map(|s| s.id).collect();
         ids.sort_unstable();
@@ -629,19 +609,6 @@ impl GpuSim {
         self.source = Some(source);
     }
 
-    /// The attached trace source, if any (post-run residency inspection).
-    pub fn source(&self) -> Option<&TraceSource> {
-        self.source.as_ref()
-    }
-
-    /// Turn on host-clock self-profiling with a heartbeat every
-    /// `heartbeat_interval` simulated cycles (0 = no heartbeats). The
-    /// builder's `.host_profile(true)` does this for you; profiling is
-    /// purely observational and never changes simulated results.
-    pub fn enable_host_profile(&mut self, heartbeat_interval: u64) {
-        self.host = Some(Box::new(HostProfiler::new(heartbeat_interval)));
-    }
-
     /// Adopt an already-running profiler — the builder starts one early so
     /// pre-flight validation, static analysis, and fast-forward are timed
     /// too, then hands it over here.
@@ -656,19 +623,13 @@ impl GpuSim {
     /// [`Interrupt::generation`] read *when the job was created*, so a
     /// cancellation that raced ahead of the run starting is still
     /// observed. The cycle loop polls the counter every
-    /// [`interrupt_interval`](Self::interrupt_interval) cycles; on a
-    /// mismatch the run ends as [`SimError::Cancelled`] with the usual
-    /// hang context (partial result, diagnostic report, emergency
-    /// checkpoint when a checkpoint directory is configured). A pending
-    /// cancellation always takes precedence over a watchdog or
-    /// cycle-budget violation that fires in the same window.
+    /// [`DEFAULT_INTERRUPT_INTERVAL`] cycles; on a mismatch the run ends as
+    /// [`SimError::Cancelled`] with the usual hang context (partial result,
+    /// diagnostic report, emergency checkpoint when a checkpoint directory
+    /// is configured). A pending cancellation always takes precedence over
+    /// a watchdog or cycle-budget violation that fires in the same window.
     pub fn set_interrupt(&mut self, handle: Interrupt, expected: u64) {
         self.interrupt = Some((handle, expected));
-    }
-
-    /// Remove an installed cancellation handle.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
     }
 
     /// Whether the installed [`Interrupt`] (if any) has moved past this
@@ -680,9 +641,8 @@ impl GpuSim {
     }
 
     /// Install (or drop) the span/counter recorder. The builder calls this
-    /// from its `telemetry` flags; directly-constructed `GpuSim`s keep
-    /// recording off.
-    pub fn set_telemetry(&mut self, spans: bool, counters: bool) {
+    /// from its `telemetry` flags.
+    pub(crate) fn set_telemetry(&mut self, spans: bool, counters: bool) {
         self.recorder = if spans || counters {
             Some(TraceRecorder::new(self.sms.len(), spans, counters))
         } else {
@@ -692,15 +652,18 @@ impl GpuSim {
 
     /// Run to completion.
     ///
-    /// When [`checkpoint_every`](Self::checkpoint_every) is non-zero, a
-    /// checkpoint is written into [`checkpoint_dir`](Self::checkpoint_dir)
+    /// When the builder's
+    /// [`checkpoint_every`](crate::SimulationBuilder::checkpoint_every) is
+    /// non-zero, a checkpoint is written into its
+    /// [`checkpoint_to`](crate::SimulationBuilder::checkpoint_to) directory
     /// at every multiple of that cycle count.
     ///
     /// # Errors
     ///
     /// [`SimError::CycleBudgetExceeded`] past `cfg.max_cycles`,
     /// [`SimError::Deadlock`] when no SM issues an instruction for
-    /// [`watchdog`](Self::watchdog) cycles with work remaining,
+    /// [`watchdog`](crate::SimulationBuilder::watchdog) cycles with work
+    /// remaining,
     /// [`SimError::WorkerPanic`] when an SM panics during its cycle, and
     /// [`SimError::CheckpointIo`] when a periodic checkpoint cannot be
     /// written. The hang-shaped errors carry a [`DeadlockReport`], the
@@ -830,11 +793,11 @@ impl GpuSim {
 
     fn budget_violation(&self) -> Option<Violation> {
         // Cancellation is polled only at interval boundaries (one atomic
-        // load every `interrupt_interval` cycles), but a stalled or
+        // load every `DEFAULT_INTERRUPT_INTERVAL` cycles), but a stalled or
         // budget-blown run re-checks it before reporting: a job cancelled
         // while wedged must come back as `Cancelled`, never be
         // misattributed to the watchdog that happened to fire first.
-        if self.interrupt_interval > 0 && self.now.is_multiple_of(self.interrupt_interval) {
+        if self.now.is_multiple_of(DEFAULT_INTERRUPT_INTERVAL) {
             if let Some(observed) = self.interrupt_observed() {
                 return Some(Violation::Cancelled(observed));
             }
@@ -873,7 +836,7 @@ impl GpuSim {
     /// The full diagnostic snapshot attached to hang-shaped [`SimError`]s:
     /// per-stream frontier plus per-SM scheduling state, built from
     /// architectural state only.
-    pub fn deadlock_report(&self) -> DeadlockReport {
+    pub(crate) fn deadlock_report(&self) -> DeadlockReport {
         DeadlockReport {
             cycle: self.now,
             last_progress: self.last_progress,
@@ -1579,11 +1542,6 @@ impl GpuSim {
         reg.snapshot()
     }
 
-    /// Direct access to the memory system (post-run inspection).
-    pub fn mem(&self) -> &MemSystem {
-        &self.mem
-    }
-
     /// Current simulation cycle.
     pub fn now(&self) -> u64 {
         self.now
@@ -1719,7 +1677,7 @@ impl GpuSim {
     /// # Errors
     ///
     /// Propagates filesystem and serialization errors.
-    pub fn save_checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
+    pub(crate) fn save_checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -2071,7 +2029,6 @@ impl GpuSim {
             watchdog: DEFAULT_WATCHDOG,
             hold_at_marker: None,
             interrupt: None,
-            interrupt_interval: DEFAULT_INTERRUPT_INTERVAL,
             host: None,
             scratch_completions: Vec::new(),
             scratch_outs: Vec::new(),
@@ -2241,6 +2198,7 @@ fn restore_recorder<R: io::Read>(
 mod tests {
     use super::*;
     use crate::slicer::SlicerConfig;
+    use crate::{Simulation, SimulationBuilder, Telemetry};
     use crisp_trace::{
         CtaTrace, DataClass, Instr, KernelTrace, MemAccess, Op, Reg, Space, Stream, WarpTrace,
     };
@@ -2280,6 +2238,15 @@ mod tests {
         KernelTrace::new(name, 32, 16, 0, ctav)
     }
 
+    fn builder(cfg: GpuConfig, spec: PartitionSpec) -> SimulationBuilder {
+        Simulation::builder().gpu(cfg).partition(spec)
+    }
+
+    /// A pre-flight-checked simulator of `bundle`.
+    fn sim(cfg: GpuConfig, spec: PartitionSpec, bundle: TraceBundle) -> GpuSim {
+        builder(cfg, spec).trace(bundle).try_build().unwrap()
+    }
+
     fn bundle_two(g_kernel: KernelTrace, c_kernel: KernelTrace) -> TraceBundle {
         let mut gs = Stream::new(G, StreamKind::Graphics);
         gs.marker("draw0");
@@ -2291,11 +2258,14 @@ mod tests {
 
     #[test]
     fn single_stream_completes_and_reports() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("a", 20, 2, 4, 16));
         s.launch(alu_kernel("b", 20, 2, 4, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let r = gpu.run_or_panic();
         let st = &r.per_stream[&C].stats;
         assert_eq!(st.kernels, 2);
@@ -2309,17 +2279,23 @@ mod tests {
     fn kernels_in_a_stream_are_serialised() {
         // Kernel b must not start before kernel a fully commits: with one
         // large kernel a and tiny b, total cycles >= a's cycles + b's.
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("a", 200, 4, 2, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let solo_a = gpu.run_or_panic().cycles;
 
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("a", 200, 4, 2, 16));
         s.launch(alu_kernel("b", 200, 4, 2, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let both = gpu.run_or_panic().cycles;
         assert!(
             both as f64 > solo_a as f64 * 1.5,
@@ -2334,16 +2310,22 @@ mod tests {
         let b = alu_kernel("c", 300, 2, 6, 16);
 
         // Serial baseline: one stream after the other (same stream).
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(a.clone());
         s.launch(b.clone());
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            cfg.clone(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let serial = gpu.run_or_panic().cycles;
 
         // Concurrent under even intra-SM partition.
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C));
-        gpu.load(bundle_two(a, b));
+        let mut gpu = sim(
+            cfg.clone(),
+            PartitionSpec::fg_even(&cfg, G, C),
+            bundle_two(a, b),
+        );
         let conc = gpu.run_or_panic().cycles;
         assert!(
             (conc as f64) < serial as f64 * 0.95,
@@ -2354,11 +2336,11 @@ mod tests {
     #[test]
     fn mps_partitions_sms() {
         let cfg = GpuConfig::test_tiny(); // 2 SMs → 1 each
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::mps_even(&cfg, G, C));
-        gpu.load(bundle_two(
-            alu_kernel("g", 50, 2, 4, 16),
-            alu_kernel("c", 50, 2, 4, 16),
-        ));
+        let mut gpu = sim(
+            cfg.clone(),
+            PartitionSpec::mps_even(&cfg, G, C),
+            bundle_two(alu_kernel("g", 50, 2, 4, 16), alu_kernel("c", 50, 2, 4, 16)),
+        );
         let r = gpu.run_or_panic();
         assert_eq!(r.per_stream[&G].stats.ctas, 4);
         assert_eq!(r.per_stream[&C].stats.ctas, 4);
@@ -2366,10 +2348,13 @@ mod tests {
 
     #[test]
     fn stalls_aggregate_over_sms() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("a", 50, 2, 4, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let r = gpu.run_or_panic();
         let stalls = r.stalls();
         assert_eq!(stalls.issued, r.per_stream[&C].stats.instructions);
@@ -2379,11 +2364,11 @@ mod tests {
     #[test]
     fn per_sm_instructions_respect_inter_sm_partitions() {
         let cfg = GpuConfig::test_tiny(); // 2 SMs
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::mps_even(&cfg, G, C));
-        gpu.load(bundle_two(
-            alu_kernel("g", 50, 2, 4, 16),
-            alu_kernel("c", 50, 2, 4, 16),
-        ));
+        let mut gpu = sim(
+            cfg.clone(),
+            PartitionSpec::mps_even(&cfg, G, C),
+            bundle_two(alu_kernel("g", 50, 2, 4, 16), alu_kernel("c", 50, 2, 4, 16)),
+        );
         let r = gpu.run_or_panic();
         assert_eq!(r.per_sm_instructions.len(), 2);
         // SM 0 belongs to the graphics stream, SM 1 to compute: no leakage.
@@ -2397,12 +2382,15 @@ mod tests {
     #[test]
     fn mig_isolates_dram_partitions() {
         let cfg = GpuConfig::test_tiny();
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::mig_even(&cfg, G, C));
         let mut gs = Stream::new(G, StreamKind::Graphics);
         gs.launch(mem_kernel("gmem", 4, 3));
         let mut cs = Stream::new(C, StreamKind::Compute);
         cs.launch(mem_kernel("cmem", 4, 5));
-        gpu.load(TraceBundle::from_streams(vec![gs, cs]));
+        let mut gpu = sim(
+            cfg.clone(),
+            PartitionSpec::mig_even(&cfg, G, C),
+            TraceBundle::from_streams(vec![gs, cs]),
+        );
         let r = gpu.run_or_panic();
         assert!(r.per_stream[&G].dram_bytes > 0);
         assert!(r.per_stream[&C].dram_bytes > 0);
@@ -2415,11 +2403,14 @@ mod tests {
             sample_cycles: 200,
             ratios: vec![(2, 8), (4, 8), (6, 8)],
         };
-        let mut gpu = GpuSim::with_spec(cfg, PartitionSpec::fg_dynamic(slicer));
-        gpu.load(bundle_two(
-            alu_kernel("g", 2000, 2, 12, 16),
-            alu_kernel("c", 2000, 2, 12, 16),
-        ));
+        let mut gpu = sim(
+            cfg,
+            PartitionSpec::fg_dynamic(slicer),
+            bundle_two(
+                alu_kernel("g", 2000, 2, 12, 16),
+                alu_kernel("c", 2000, 2, 12, 16),
+            ),
+        );
         let r = gpu.run_or_panic();
         assert!(
             !r.slicer_history.is_empty(),
@@ -2444,11 +2435,11 @@ mod tests {
             // for its 4-warp CTA, on every SM, in every state.
             ratios: vec![(1, 8)],
         };
-        let mut gpu = GpuSim::with_spec(cfg, PartitionSpec::fg_dynamic(slicer));
-        gpu.load(bundle_two(
-            alu_kernel("g", 50, 4, 1, 16),
-            alu_kernel("c", 50, 1, 1, 16),
-        ));
+        let mut gpu = sim(
+            cfg,
+            PartitionSpec::fg_dynamic(slicer),
+            bundle_two(alu_kernel("g", 50, 4, 1, 16), alu_kernel("c", 50, 1, 1, 16)),
+        );
         let r = gpu.run_or_panic();
         assert_eq!(r.kernel_log.len(), 2, "both kernels must complete");
     }
@@ -2461,12 +2452,15 @@ mod tests {
             sample_every: 1,
             min_sets: 1,
         };
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::tap_even(&cfg, G, C, tap));
         let mut gs = Stream::new(G, StreamKind::Graphics);
         gs.launch(mem_kernel("gmem", 6, 1));
         let mut cs = Stream::new(C, StreamKind::Compute);
         cs.launch(alu_kernel("calu", 100, 2, 6, 16));
-        gpu.load(TraceBundle::from_streams(vec![gs, cs]));
+        let mut gpu = sim(
+            cfg.clone(),
+            PartitionSpec::tap_even(&cfg, G, C, tap),
+            TraceBundle::from_streams(vec![gs, cs]),
+        );
         let r = gpu.run_or_panic();
         let alloc = r.tap_allocation.expect("TAP ran");
         let total: u64 = alloc.iter().map(|(_, n)| n).sum();
@@ -2477,12 +2471,14 @@ mod tests {
     #[test]
     fn occupancy_timeline_is_sampled() {
         let cfg = GpuConfig::test_tiny();
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C));
-        gpu.occupancy_interval = 50;
-        gpu.load(bundle_two(
-            alu_kernel("g", 500, 2, 8, 16),
-            alu_kernel("c", 500, 2, 8, 16),
-        ));
+        let mut gpu = builder(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C))
+            .occupancy_interval(50)
+            .trace(bundle_two(
+                alu_kernel("g", 500, 2, 8, 16),
+                alu_kernel("c", 500, 2, 8, 16),
+            ))
+            .try_build()
+            .unwrap();
         let r = gpu.run_or_panic();
         assert!(r.occupancy.len() >= 2);
         let mid = &r.occupancy[r.occupancy.len() / 2];
@@ -2492,11 +2488,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the SM")]
     fn unplaceable_kernel_fails_fast() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
-        // 512 regs/thread × 256 threads = 131072 regs > 65536.
+        // 512 regs/thread × 256 threads = 131072 regs > 65536. Pre-flight
+        // would reject it; the cycle loop must fail fast too.
         s.launch(alu_kernel("hog", 4, 8, 1, 512));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = builder(GpuConfig::test_tiny(), PartitionSpec::greedy())
+            .preflight(false)
+            .trace(TraceBundle::from_streams(vec![s]))
+            .try_build()
+            .unwrap();
         let _ = gpu.run_or_panic();
     }
 
@@ -2504,10 +2504,13 @@ mod tests {
     fn max_cycles_budget_is_enforced() {
         let mut cfg = GpuConfig::test_tiny();
         cfg.max_cycles = 10;
-        let mut gpu = GpuSim::with_spec(cfg, PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("long", 1000, 2, 4, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            cfg,
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let err = gpu.run().expect_err("budget of 10 cycles must trip");
         match &err {
             SimError::CycleBudgetExceeded { max_cycles, ctx } => {
@@ -2527,10 +2530,13 @@ mod tests {
 
     #[test]
     fn summary_mentions_every_stream() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("a", 10, 1, 1, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let r = gpu.run_or_panic();
         let text = r.summary();
         assert!(text.contains("stream1"));
@@ -2540,11 +2546,14 @@ mod tests {
 
     #[test]
     fn kernel_log_records_the_timeline() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(alu_kernel("first", 20, 2, 2, 16));
         s.launch(alu_kernel("second", 20, 2, 2, 16));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let r = gpu.run_or_panic();
         assert_eq!(r.kernel_log.len(), 2);
         assert_eq!(r.kernel_log[0].name, "first");
@@ -2560,12 +2569,14 @@ mod tests {
     #[test]
     fn ipc_timeline_sums_to_total_instructions() {
         let cfg = GpuConfig::test_tiny();
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C));
-        gpu.occupancy_interval = 50;
-        gpu.load(bundle_two(
-            alu_kernel("g", 500, 2, 8, 16),
-            alu_kernel("c", 500, 2, 8, 16),
-        ));
+        let mut gpu = builder(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C))
+            .occupancy_interval(50)
+            .trace(bundle_two(
+                alu_kernel("g", 500, 2, 8, 16),
+                alu_kernel("c", 500, 2, 8, 16),
+            ))
+            .try_build()
+            .unwrap();
         let r = gpu.run_or_panic();
         assert!(!r.ipc_timeline.is_empty());
         let g_sum: u64 = r.ipc_timeline.iter().filter_map(|(_, m)| m.get(&G)).sum();
@@ -2577,41 +2588,33 @@ mod tests {
 
     #[test]
     fn empty_kernel_completes_instantly() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(KernelTrace::new("empty", 32, 8, 0, vec![]));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            GpuConfig::test_tiny(),
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let r = gpu.run_or_panic();
         assert_eq!(r.per_stream[&C].stats.kernels, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "load() may only be called once")]
-    fn double_load_panics() {
-        let mut gpu = GpuSim::with_spec(GpuConfig::test_tiny(), PartitionSpec::greedy());
-        gpu.load(TraceBundle::from_streams(vec![Stream::new(
-            C,
-            StreamKind::Compute,
-        )]));
-        gpu.load(TraceBundle::from_streams(vec![Stream::new(
-            G,
-            StreamKind::Graphics,
-        )]));
-    }
-
     /// A telemetry-heavy two-stream workload for checkpoint tests.
     fn ckpt_sim() -> GpuSim {
+        ckpt_builder().try_build().unwrap()
+    }
+
+    fn ckpt_builder() -> SimulationBuilder {
         let cfg = GpuConfig::test_tiny();
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C));
-        gpu.set_telemetry(true, true);
-        gpu.occupancy_interval = 50;
-        gpu.composition_interval = 60;
-        gpu.counter_interval = 40;
-        gpu.load(bundle_two(
-            alu_kernel("g", 300, 2, 6, 16),
-            mem_kernel("cmem", 6, 3),
-        ));
-        gpu
+        builder(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C))
+            .telemetry(Telemetry::TIMELINE)
+            .occupancy_interval(50)
+            .composition_interval(60)
+            .counter_interval(40)
+            .trace(bundle_two(
+                alu_kernel("g", 300, 2, 6, 16),
+                mem_kernel("cmem", 6, 3),
+            ))
     }
 
     #[test]
@@ -2684,9 +2687,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let r_base = ckpt_sim().run_or_panic();
 
-        let mut gpu = ckpt_sim();
-        gpu.checkpoint_every = 100;
-        gpu.checkpoint_dir = Some(dir.clone());
+        let mut gpu = ckpt_builder()
+            .checkpoint_every(100)
+            .checkpoint_to(&dir)
+            .try_build()
+            .unwrap();
         let r_full = gpu.run_or_panic();
         assert_eq!(r_full.cycles, r_base.cycles);
 
@@ -2714,8 +2719,6 @@ mod tests {
     #[test]
     fn run_to_marker_parks_all_streams_at_the_barrier() {
         let cfg = GpuConfig::test_tiny();
-        let mut gpu = GpuSim::with_spec(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C));
-        gpu.set_telemetry(true, false);
         let mut sg = Stream::new(G, StreamKind::Graphics);
         sg.launch(alu_kernel("g0", 300, 2, 6, 16));
         sg.marker("roi");
@@ -2724,7 +2727,11 @@ mod tests {
         sc.launch(mem_kernel("c0", 6, 3));
         sc.marker("roi");
         sc.launch(mem_kernel("c1", 6, 3));
-        gpu.load(TraceBundle::from_streams(vec![sg, sc]));
+        let mut gpu = builder(cfg.clone(), PartitionSpec::fg_even(&cfg, G, C))
+            .telemetry(Telemetry::TIMELINE)
+            .trace(TraceBundle::from_streams(vec![sg, sc]))
+            .try_build()
+            .unwrap();
 
         let barrier = gpu.run_to_marker("roi").unwrap();
         assert!(barrier > 0, "the pre-barrier kernels take time");
@@ -2747,10 +2754,13 @@ mod tests {
     #[test]
     fn l2_composition_reflects_data_classes() {
         let cfg = GpuConfig::test_tiny();
-        let mut gpu = GpuSim::with_spec(cfg, PartitionSpec::greedy());
         let mut s = Stream::new(C, StreamKind::Compute);
         s.launch(mem_kernel("m", 4, 1));
-        gpu.load(TraceBundle::from_streams(vec![s]));
+        let mut gpu = sim(
+            cfg,
+            PartitionSpec::greedy(),
+            TraceBundle::from_streams(vec![s]),
+        );
         let r = gpu.run_or_panic();
         assert!(r.l2_composition.class_lines(DataClass::Compute) > 0);
         assert!(r.l2_stats.total().accesses > 0);

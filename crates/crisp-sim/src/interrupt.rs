@@ -5,7 +5,7 @@
 //! together with the generation it observed at install time
 //! ([`GpuSim::set_interrupt`]); anyone holding a clone may later
 //! [`bump`](Interrupt::bump) the counter. The cycle loop polls the counter
-//! at checkpoint-sized boundaries ([`GpuSim::interrupt_interval`]) and —
+//! every [`DEFAULT_INTERRUPT_INTERVAL`] cycles and —
 //! on observing a generation other than the installed one — winds the run
 //! down as [`SimError::Cancelled`], carrying the usual hang context
 //! (partial result, diagnostic report, emergency checkpoint when a
@@ -19,7 +19,7 @@
 //!
 //! [`GpuSim`]: crate::GpuSim
 //! [`GpuSim::set_interrupt`]: crate::GpuSim::set_interrupt
-//! [`GpuSim::interrupt_interval`]: crate::GpuSim::interrupt_interval
+//! [`DEFAULT_INTERRUPT_INTERVAL`]: crate::DEFAULT_INTERRUPT_INTERVAL
 //! [`SimError::Cancelled`]: crate::SimError::Cancelled
 
 use std::sync::atomic::{AtomicU64, Ordering};

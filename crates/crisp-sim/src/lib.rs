@@ -24,7 +24,10 @@
 //!   snapshots (Figs 11, 15).
 //!
 //! The front door is [`Simulation::builder`]: pick a [`GpuConfig`], a
-//! [`PartitionSpec`] and a [`Telemetry`] set, hand it a trace, and `run()`. `.trace(..)` accepts
+//! [`PartitionSpec`] and a [`Telemetry`] set, hand it a trace, and `run()`.
+//! It is the only door: [`SimulationBuilder::try_build`] hands back a
+//! [`GpuSim`] for incremental driving, and `GpuSim` has no configuration
+//! of its own. `.trace(..)` accepts
 //! anything convertible to a [`TraceInput`] — an in-memory bundle, a path
 //! to a CRSP container, or a seekable reader. Container inputs **stream**:
 //! each CTA's instructions are demand-paged through a [`TraceSource`] on

@@ -108,8 +108,8 @@ impl Simulation {
     }
 
     /// Restore a simulator from a checkpoint file written via
-    /// [`SimulationBuilder::checkpoint_every`] or
-    /// [`GpuSim::save_checkpoint`]. The resumed run is **bit-identical** to
+    /// [`SimulationBuilder::checkpoint_every`] (or an emergency checkpoint
+    /// named by a [`SimError`]). The resumed run is **bit-identical** to
     /// the uninterrupted one — same [`SimResult`], metrics, and exported
     /// timeline.
     ///
@@ -206,7 +206,7 @@ impl SimulationBuilder {
     /// Perfetto), `counters.csv`, `metrics.csv`, and `profile.txt` (the
     /// human-readable report). Equivalent to calling
     /// [`SimResult::write_profile`] yourself; only applies to `run()`, not
-    /// [`build`](Self::build).
+    /// [`try_build`](Self::try_build).
     pub fn profile_to(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.profile_to = Some(dir.into());
         self
@@ -375,7 +375,7 @@ impl SimulationBuilder {
     }
 
     /// Configuration for the [`analyze`](Self::analyze) pass (thresholds,
-    /// allow/deny lists, analysis threads). Setting a config does not by
+    /// allow/deny lists). Setting a config does not by
     /// itself enable analysis — the level stays [`LintLevel::Off`] until
     /// `analyze(..)` is called.
     pub fn analyze_config(mut self, cfg: AnalysisConfig) -> Self {
@@ -604,26 +604,50 @@ impl SimulationBuilder {
         Ok(())
     }
 
-    /// Open the builder's trace input (if any) into a [`TraceSource`].
-    fn open_input(trace: Option<TraceInput>) -> Result<Option<TraceSource>, SimError> {
-        match trace {
-            None => Ok(None),
-            Some(input) => input.open().map(Some).map_err(|e| SimError::TraceIo {
+    /// Open the trace input, pre-flight-validate it together with the
+    /// configuration, then construct the [`GpuSim`] without running it —
+    /// the only constructor besides [`Simulation::resume`].
+    /// [`run`](Self::run) goes through here; incremental drivers call
+    /// [`GpuSim::run_until`] or [`GpuSim::step`] themselves. The source is
+    /// opened **once** and shared by validation, analysis, fast-forward,
+    /// and the simulation itself, so a streaming input is read in a single
+    /// pass with bounded memory. Inputs that pre-flight would reject reach
+    /// the cycle loop only with [`preflight(false)`](Self::preflight).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TraceIo`] when the input cannot be opened (missing
+    /// file, malformed container, corrupt CTA index),
+    /// [`SimError::InvalidTrace`] when the trace fails structural
+    /// validation, [`SimError::InvalidConfig`] when the configuration is
+    /// inconsistent with itself or the trace.
+    pub fn try_build(mut self) -> Result<GpuSim, SimError> {
+        // Started before pre-flight so validation, analysis, and
+        // fast-forward land on its clock.
+        let mut host = self.host_profile.then(|| {
+            Box::new(HostProfiler::new(
+                self.heartbeat_interval
+                    .unwrap_or(HostProfiler::DEFAULT_HEARTBEAT),
+            ))
+        });
+        let mut source = self
+            .trace
+            .take()
+            .map(TraceInput::open)
+            .transpose()
+            .map_err(|e| SimError::TraceIo {
                 cycle: 0,
                 message: e.to_string(),
-            }),
+            })?;
+        if !self.skip_preflight {
+            self.preflight_check(source.as_mut(), host.as_deref_mut())?;
+            // Validation and analysis page CTAs through the source; zero the
+            // accounting so the run's counters start at cycle 0 and results
+            // are identical whether or not the pre-flight pass ran.
+            if let Some(src) = source.as_mut() {
+                src.set_stats(crisp_trace::TraceStats::default());
+            }
         }
-    }
-
-    /// The unchecked constructor behind [`build`](Self::build) and
-    /// [`try_build`](Self::try_build); `source` is the already-opened
-    /// trace and `host` the (possibly already-ticking) self-profiler,
-    /// which times fast-forward here and is then handed to the sim.
-    fn construct(
-        self,
-        source: Option<TraceSource>,
-        mut host: Option<Box<HostProfiler>>,
-    ) -> Result<GpuSim, SimError> {
         let cfg = self.gpu.unwrap_or_else(GpuConfig::jetson_orin);
         let mut spec = self.partition.unwrap_or_else(PartitionSpec::greedy);
         if let Some(l2) = self.l2 {
@@ -674,63 +698,6 @@ impl SimulationBuilder {
         }
         sim.install_host_profiler(host);
         Ok(sim)
-    }
-
-    /// Construct the configured [`GpuSim`] without running it (incremental
-    /// drivers call [`GpuSim::step`] themselves). Skips pre-flight
-    /// validation — see [`try_build`](Self::try_build) for the checked
-    /// variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace input cannot be opened, a fast-forward read
-    /// fails, or the trace violates the partition policy's expectations
-    /// (see [`GpuSim::attach`]).
-    pub fn build(mut self) -> GpuSim {
-        let source = Self::open_input(self.trace.take()).unwrap_or_else(|e| panic!("{e}"));
-        let host = self.make_profiler();
-        self.construct(source, host)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The profiler the builder starts when `.host_profile(true)` is set —
-    /// created before pre-flight so validation, analysis, and fast-forward
-    /// land on its clock.
-    fn make_profiler(&self) -> Option<Box<HostProfiler>> {
-        self.host_profile.then(|| {
-            Box::new(HostProfiler::new(
-                self.heartbeat_interval
-                    .unwrap_or(HostProfiler::DEFAULT_HEARTBEAT),
-            ))
-        })
-    }
-
-    /// Open the trace input, pre-flight-validate it together with the
-    /// configuration, then construct the [`GpuSim`]. This is what
-    /// [`run`](Self::run) uses. The source is opened **once** and shared by
-    /// validation, analysis, fast-forward, and the simulation itself, so a
-    /// streaming input is read in a single pass with bounded memory.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TraceIo`] when the input cannot be opened (missing
-    /// file, malformed container, corrupt CTA index),
-    /// [`SimError::InvalidTrace`] when the trace fails structural
-    /// validation, [`SimError::InvalidConfig`] when the configuration is
-    /// inconsistent with itself or the trace.
-    pub fn try_build(mut self) -> Result<GpuSim, SimError> {
-        let mut host = self.make_profiler();
-        let mut source = Self::open_input(self.trace.take())?;
-        if !self.skip_preflight {
-            self.preflight_check(source.as_mut(), host.as_deref_mut())?;
-            // Validation and analysis page CTAs through the source; zero the
-            // accounting so the run's counters start at cycle 0 and results
-            // are identical whether or not the pre-flight pass ran.
-            if let Some(src) = source.as_mut() {
-                src.set_stats(crisp_trace::TraceStats::default());
-            }
-        }
-        self.construct(source, host)
     }
 
     /// Build and run to completion.
@@ -790,7 +757,7 @@ mod tests {
 
     #[test]
     fn defaults_match_historical_behavior() {
-        let sim = Simulation::builder().build();
+        let sim = Simulation::builder().try_build().unwrap();
         assert_eq!(sim.config().name, "Jetson Orin");
         assert_eq!(sim.occupancy_interval, 2_000);
         assert_eq!(sim.composition_interval, 0);
@@ -822,9 +789,13 @@ mod tests {
         let sim = Simulation::builder()
             .gpu(GpuConfig::test_tiny())
             .telemetry(Telemetry::FULL)
-            .build();
+            .try_build()
+            .unwrap();
         assert!(sim.residency_telemetry);
-        let sim = Simulation::builder().gpu(GpuConfig::test_tiny()).build();
+        let sim = Simulation::builder()
+            .gpu(GpuConfig::test_tiny())
+            .try_build()
+            .unwrap();
         assert!(!sim.residency_telemetry, "not part of the default set");
     }
 
@@ -892,7 +863,8 @@ mod tests {
             .gpu(GpuConfig::test_tiny())
             .telemetry(Telemetry::NONE)
             .occupancy_interval(50)
-            .build();
+            .try_build()
+            .unwrap();
         assert_eq!(sim.occupancy_interval, 50);
     }
 
@@ -926,13 +898,16 @@ mod tests {
             sm: SmPartition::Greedy,
             l2: L2Policy::BankSplit,
         };
-        let sim = Simulation::builder()
-            .gpu(GpuConfig::test_tiny())
-            .partition(spec)
-            .l2(L2Policy::Shared)
-            .trace(bundle())
-            .build();
-        assert!(sim.source().is_some());
+        let b = || {
+            Simulation::builder()
+                .gpu(GpuConfig::test_tiny())
+                .partition(spec.clone())
+                .trace(bundle())
+        };
+        let err = b().try_build().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        let mut sim = b().l2(L2Policy::Shared).try_build().unwrap();
+        assert!(sim.run_or_panic().cycles > 0);
     }
 
     #[test]
@@ -941,17 +916,21 @@ mod tests {
             .gpu(GpuConfig::test_tiny())
             .partition(PartitionSpec::greedy())
             .trace(bundle())
-            .build();
+            .try_build()
+            .unwrap();
         assert!(gpu.run_or_panic().cycles > 0);
     }
 
     #[test]
     fn checkpoint_knobs_reach_the_sim() {
+        // Pre-flight off: it would probe the directory by writing to it.
         let sim = Simulation::builder()
             .gpu(GpuConfig::test_tiny())
             .checkpoint_every(5_000)
             .checkpoint_to("/tmp/ckpts")
-            .build();
+            .preflight(false)
+            .try_build()
+            .unwrap();
         assert_eq!(sim.checkpoint_every, 5_000);
         assert_eq!(
             sim.checkpoint_dir.as_deref(),

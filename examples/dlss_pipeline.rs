@@ -45,12 +45,7 @@ fn main() {
         PartitionSpec::fg_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM),
         concurrent_bundle(low.trace, up),
     );
-    let pipelined = r
-        .per_stream
-        .values()
-        .map(|s| s.stats.finish_cycle)
-        .max()
-        .unwrap();
+    let pipelined = r.makespan();
     // Two frames completed in `pipelined` cycles → per-frame cost:
     let per_frame = pipelined / 2;
 

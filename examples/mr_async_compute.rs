@@ -51,12 +51,7 @@ fn main() {
         // Async compute: fine-grained intra-SM sharing.
         let spec = PartitionSpec::fg_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM);
         let conc = simulate(gpu.clone(), spec, concurrent_bundle(frame.trace, stream));
-        let conc_cycles = conc
-            .per_stream
-            .values()
-            .map(|r| r.stats.finish_cycle)
-            .max()
-            .unwrap_or(conc.cycles);
+        let conc_cycles = conc.makespan();
 
         println!(
             "{:<8} {:>12} {:>12} {:>9.2}x",

@@ -49,12 +49,7 @@ fn main() {
         let frame = scene.render(w, h, false, GRAPHICS_STREAM);
         let compute = nn(COMPUTE_STREAM, scale);
         let r = simulate(gpu.clone(), spec, concurrent_bundle(frame.trace, compute));
-        let makespan = r
-            .per_stream
-            .values()
-            .map(|s| s.stats.finish_cycle)
-            .max()
-            .unwrap_or(r.cycles);
+        let makespan = r.makespan();
         let base = *baseline.get_or_insert(makespan);
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>9.1}%  ({:.2}x vs Greedy)",

@@ -60,12 +60,7 @@ fn main() {
             s.dram_bytes / 1024
         );
     }
-    let makespan = r
-        .per_stream
-        .values()
-        .map(|s| s.stats.finish_cycle)
-        .max()
-        .unwrap();
+    let makespan = r.makespan();
     println!(
         "\nframe + services makespan: {} cycles ({:.3} ms) — MTP budget is 15-20 ms",
         makespan,

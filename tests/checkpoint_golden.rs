@@ -152,7 +152,7 @@ fn build(spec: PartitionSpec, l2: Option<L2Policy>) -> GpuSim {
     if let Some(l2) = l2 {
         b = b.l2(l2);
     }
-    b.build()
+    b.try_build().unwrap()
 }
 
 /// Run a fresh simulation of `case` to [`CKPT_CYCLE`] and serialize it.

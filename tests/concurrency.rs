@@ -12,14 +12,6 @@ fn frame() -> Stream {
         .trace
 }
 
-fn makespan(r: &SimResult) -> u64 {
-    r.per_stream
-        .values()
-        .map(|s| s.stats.finish_cycle)
-        .max()
-        .unwrap()
-}
-
 #[test]
 fn async_compute_beats_serial_execution() {
     let gpu = GpuConfig::jetson_orin();
@@ -41,9 +33,9 @@ fn async_compute_beats_serial_execution() {
         concurrent_bundle(frame(), holo(COMPUTE_STREAM, ComputeScale::tiny())),
     );
     assert!(
-        makespan(&conc) < serial_cycles,
+        conc.makespan() < serial_cycles,
         "concurrent must beat serial: {} vs {serial_cycles}",
-        makespan(&conc)
+        conc.makespan()
     );
 }
 

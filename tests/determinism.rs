@@ -161,8 +161,8 @@ fn bank_split_l2_is_thread_count_invariant() {
     );
 }
 
-/// Build (don't run) the same simulation `run()` uses.
-fn build_sim(spec: PartitionSpec, l2: Option<L2Policy>, threads: usize) -> GpuSim {
+/// Configure (don't run) the same simulation `run()` uses.
+fn builder(spec: PartitionSpec, l2: Option<L2Policy>, threads: usize) -> SimulationBuilder {
     let mut b = Simulation::builder()
         .gpu(gpu())
         .partition(spec)
@@ -175,14 +175,14 @@ fn build_sim(spec: PartitionSpec, l2: Option<L2Policy>, threads: usize) -> GpuSi
     if let Some(l2) = l2 {
         b = b.l2(l2);
     }
-    b.build()
+    b
 }
 
 /// Resume determinism: a run checkpointed mid-flight and restored must
 /// finish with byte-identical results and exports.
 fn check_resume(name: &str, spec: PartitionSpec, l2: Option<L2Policy>, ckpt_threads: usize) {
     let full = run(spec.clone(), l2.clone(), 1);
-    let mut sim = build_sim(spec, l2, ckpt_threads);
+    let mut sim = builder(spec, l2, ckpt_threads).try_build().unwrap();
     let done = sim.run_until(full.cycles / 2).unwrap();
     assert!(!done, "{name}: workload must outlast the checkpoint cycle");
     let mut bytes = Vec::new();
@@ -227,10 +227,10 @@ fn periodic_checkpoint_files_resume_bit_identically() {
     let full = run(PartitionSpec::greedy(), None, 1);
 
     let every = (full.cycles / 3).max(1);
-    let mut sim = build_sim(PartitionSpec::greedy(), None, 1);
-    sim.checkpoint_every = every;
-    sim.checkpoint_dir = Some(dir.clone());
-    let direct = sim.run_or_panic();
+    let direct = builder(PartitionSpec::greedy(), None, 1)
+        .checkpoint_every(every)
+        .checkpoint_to(&dir)
+        .run_or_panic();
     assert_identical(&full, &direct, "greedy with periodic checkpointing");
 
     let path = dir.join(format!("ckpt-{every}.ckpt"));

@@ -42,7 +42,8 @@ fn steady_state_hot_path_is_allocation_free() {
         .gpu(gpu)
         .telemetry(Telemetry::NONE)
         .trace(bundle)
-        .build();
+        .try_build()
+        .unwrap();
 
     let finished = sim.run_until(WARMUP_CYCLES).expect("warm-up run");
     assert!(

@@ -662,7 +662,8 @@ fn corrupt_checkpoints_are_rejected_not_fatal() {
         .composition_interval(30)
         .counter_interval(25)
         .trace(TraceBundle::from_streams(vec![stream]))
-        .build();
+        .try_build()
+        .unwrap();
     sim.run_until(60).unwrap();
     let mut bytes = Vec::new();
     sim.write_checkpoint(&mut bytes).expect("serialize");
@@ -727,7 +728,7 @@ fn checkpoints_roundtrip_and_resume_under_every_policy() {
             if let Some(l2) = l2.clone() {
                 builder = builder.l2(l2);
             }
-            builder.build()
+            builder.try_build().unwrap()
         };
         let full = build().run_or_panic();
         let want = fingerprint(&full);
