@@ -16,7 +16,9 @@
 //!   processes).
 //!
 //! The run fails (exit 1) when the phase attribution covers less than 90%
-//! of measured wall-clock — the self-profiler's own accuracy contract.
+//! of measured wall-clock — the self-profiler's own accuracy contract — or
+//! when fewer than 30% of busy SM-cycles were slept, which means the SM
+//! sleep path stopped firing.
 //!
 //! `--quick` (or `CRISP_SCALE=quick`) shrinks the workload for smoke
 //! runs.
@@ -92,7 +94,8 @@ fn main() {
          \"cycles_per_sec\": {cps:.1},\n\"instrs_per_sec\": {ips:.1},\n\
          \"coverage\": {cov:.4},\n\"allocs_per_cycle\": {apc:.4},\n\
          \"alloc_total\": {alloc_count},\n\"alloc_bytes\": {alloc_bytes},\n\
-         \"heartbeats\": {hb},\n\"driver_phase_ns\": {{{phases}}}\n}}\n",
+         \"sm_sleep_frac\": {sleep:.4},\n\"heartbeats\": {hb},\n\
+         \"driver_phase_ns\": {{{phases}}}\n}}\n",
         cycles = prof.cycles,
         instrs = prof.instrs,
         wall = prof.wall_secs(),
@@ -100,6 +103,7 @@ fn main() {
         ips = prof.instrs_per_sec(),
         cov = prof.coverage(),
         apc = prof.allocs_per_cycle(),
+        sleep = prof.sm_sleep_frac(),
         hb = prof.heartbeats.len(),
     );
     crisp_obs::json::validate(&json).expect("BENCH_host.json is valid JSON");
@@ -118,4 +122,22 @@ fn main() {
         std::process::exit(1);
     }
     println!("phase attribution covers {:.1}% of wall-clock", cov * 100.0);
+
+    // Sleep contract: busy SMs on this workload sit idle for a third or
+    // more of their cycles (0.43 of SM-cycles slept at quick scale, 0.33 at
+    // paper scale). The count is deterministic, so a fraction below the
+    // floor means SMs stopped sleeping through cycles that do nothing.
+    let sleep = prof.sm_sleep_frac();
+    if sleep < MIN_SLEEP_FRAC {
+        eprintln!(
+            "hostprof: FAIL — only {:.1}% of busy SM-cycles slept (need ≥{:.0}%)",
+            sleep * 100.0,
+            MIN_SLEEP_FRAC * 100.0
+        );
+        std::process::exit(1);
+    }
+    println!("{:.1}% of busy SM-cycles slept", sleep * 100.0);
 }
+
+/// The smallest `sm_sleep_frac` the profiled workload may report.
+const MIN_SLEEP_FRAC: f64 = 0.30;

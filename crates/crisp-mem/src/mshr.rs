@@ -37,6 +37,9 @@ pub struct Mshr {
     entries: HashMap<u64, Entry>,
     max_entries: usize,
     max_merges: usize,
+    /// Cleared waiter lists handed back through [`Mshr::recycle`], reused
+    /// by the next allocation so the steady state allocates nothing.
+    spare: Vec<Vec<ReqToken>>,
 }
 
 impl Mshr {
@@ -48,6 +51,7 @@ impl Mshr {
             entries: HashMap::new(),
             max_entries,
             max_merges,
+            spare: Vec::new(),
         }
     }
 
@@ -63,12 +67,12 @@ impl Mshr {
         if self.entries.len() >= self.max_entries {
             return MshrOutcome::Full;
         }
-        self.entries.insert(
-            sector_addr,
-            Entry {
-                waiters: vec![token],
-            },
-        );
+        let mut waiters = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.max_merges));
+        waiters.push(token);
+        self.entries.insert(sector_addr, Entry { waiters });
         MshrOutcome::Allocated
     }
 
@@ -78,6 +82,14 @@ impl Mshr {
             .remove(&sector_addr)
             .map(|e| e.waiters)
             .unwrap_or_default()
+    }
+
+    /// Hand a waiter list from [`Mshr::on_fill`] back for reuse.
+    pub(crate) fn recycle(&mut self, mut waiters: Vec<ReqToken>) {
+        if self.spare.len() < self.max_entries {
+            waiters.clear();
+            self.spare.push(waiters);
+        }
     }
 
     /// Whether a fetch for `sector_addr` is already in flight.
@@ -129,6 +141,11 @@ impl CheckpointState for Mshr {
         }
         let mut map = HashMap::with_capacity(entries.len());
         for (sector, entry) in entries {
+            // A live entry always holds the miss that allocated it; an empty
+            // one would fill without waking anyone, stranding a sleeping SM.
+            if entry.waiters.is_empty() {
+                return Err(bad("mshr entry has no waiters"));
+            }
             if entry.waiters.len() > max_merges {
                 return Err(bad(format!(
                     "{} mshr waiters exceed {max_merges}",
@@ -146,6 +163,7 @@ impl CheckpointState for Mshr {
             entries: map,
             max_entries,
             max_merges,
+            spare: Vec::new(),
         })
     }
 }
@@ -171,6 +189,20 @@ mod tests {
     }
 
     #[test]
+    fn recycled_waiter_lists_are_reused() {
+        let mut m = Mshr::new(4, 4);
+        let _ = m.on_miss(0x100, tok(1));
+        let _ = m.on_miss(0x100, tok(2));
+        let waiters = m.on_fill(0x100);
+        let ptr = waiters.as_ptr();
+        m.recycle(waiters);
+        assert_eq!(m.on_miss(0x200, tok(3)), MshrOutcome::Allocated);
+        let again = m.on_fill(0x200);
+        assert_eq!(again, vec![tok(3)], "a recycled list starts empty");
+        assert_eq!(again.as_ptr(), ptr, "and reuses the returned buffer");
+    }
+
+    #[test]
     fn entry_capacity_limits_distinct_sectors() {
         let mut m = Mshr::new(2, 8);
         assert_eq!(m.on_miss(0x000, tok(1)), MshrOutcome::Allocated);
@@ -186,6 +218,23 @@ mod tests {
         assert_eq!(m.on_miss(0x0, tok(1)), MshrOutcome::Allocated);
         assert_eq!(m.on_miss(0x0, tok(2)), MshrOutcome::Merged);
         assert_eq!(m.on_miss(0x0, tok(3)), MshrOutcome::Full);
+    }
+
+    #[test]
+    fn restore_rejects_an_entry_without_waiters() {
+        let mut buf = Vec::new();
+        Writer::new(&mut buf)
+            .put(&vec![(0x100u64, Entry::default())])
+            .unwrap();
+        let err = Mshr::restore(&mut Reader::new(buf.as_slice()), (4, 4, 1)).unwrap_err();
+        assert!(err.to_string().contains("no waiters"), "{err}");
+
+        let mut m = Mshr::new(4, 4);
+        let _ = m.on_miss(0x100, tok(1));
+        let mut buf = Vec::new();
+        m.save(&mut Writer::new(&mut buf)).unwrap();
+        let back = Mshr::restore(&mut Reader::new(buf.as_slice()), (4, 4, 1)).unwrap();
+        assert!(back.is_pending(0x100), "a live entry round-trips");
     }
 
     #[test]

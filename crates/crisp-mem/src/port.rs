@@ -64,7 +64,7 @@ impl SmMemPort {
     /// Present a sector-granular load at cycle `now`.
     pub fn read(&mut self, req: MemReq, now: u64) -> L1AccessResult {
         debug_assert_eq!(req.token.sm, self.sm, "token must carry the owning SM");
-        if !self.mshr.can_accept(req.addr) {
+        if !self.can_accept(req.addr) {
             return L1AccessResult::Stall;
         }
         if self.mshr.is_pending(req.addr) {
@@ -100,6 +100,12 @@ impl SmMemPort {
         }
     }
 
+    /// Whether a load of sector `addr` would be tracked right now:
+    /// [`SmMemPort::read`] stalls exactly when this is false.
+    pub fn can_accept(&self, addr: u64) -> bool {
+        self.mshr.can_accept(addr)
+    }
+
     /// Present a sector-granular store. The L1 is write-through/no-allocate;
     /// the write is queued toward the L2 (write-validate) and completes
     /// immediately from the warp's perspective.
@@ -124,6 +130,13 @@ impl SmMemPort {
         // writeback is always empty.
         let _ = self.l1.fill(line, sub, stream, class, false, window);
         self.mshr.on_fill(sector)
+    }
+
+    /// Hand a waiter list from [`SmMemPort::on_response`] back for reuse.
+    /// The L1 MSHR is worked inside the SM's cycle, so recycling keeps that
+    /// phase allocation-free.
+    pub(crate) fn recycle_waiters(&mut self, waiters: Vec<ReqToken>) {
+        self.mshr.recycle(waiters);
     }
 
     /// Whether nothing is pending in this port (no MSHR entries, no queued

@@ -303,7 +303,8 @@ impl MemSystem {
                 self.dram_ret[bank_idx].pop();
                 let sets = self.banks[bank_idx].cache().num_sets();
                 let window = self.partition.window(r.stream, sets);
-                let (waiters, wb) = self.banks[bank_idx].fill(r.sector, r.stream, r.class, window);
+                let (mut waiters, wb) =
+                    self.banks[bank_idx].fill(r.sector, r.stream, r.class, window);
                 if let Some(wb) = wb {
                     for s in 0..wb.dirty_sectors as u64 {
                         let a = self
@@ -312,14 +313,14 @@ impl MemSystem {
                         let _ = self.dram[bank_idx].request_at(now, a, wb.stream, true);
                     }
                 }
-                // One response per waiting SM (the L1 MSHR fans out further).
-                let mut sms: Vec<u16> = waiters.iter().map(|t| t.sm).collect();
-                sms.sort_unstable();
-                sms.dedup();
-                for sm in sms {
+                // One response per waiting SM (the L1 MSHR fans out further),
+                // in ascending SM order.
+                waiters.sort_unstable_by_key(|t| t.sm);
+                waiters.dedup_by_key(|t| t.sm);
+                for t in &waiters {
                     self.responses.push(Reverse(Response {
                         ready_at: now + self.cfg.l2_latency + self.cfg.xbar_latency,
-                        sm,
+                        sm: t.sm,
                         sector: r.sector,
                         stream: r.stream,
                         class: r.class,
@@ -336,13 +337,13 @@ impl MemSystem {
             }
             self.responses.pop();
             let port = ports[r.sm as usize].as_mut();
-            for token in port.on_response(r.sector, r.stream, r.class) {
-                done.push(Completion {
-                    token,
-                    addr: r.sector,
-                    ready_at: now,
-                });
-            }
+            let woken = port.on_response(r.sector, r.stream, r.class);
+            done.extend(woken.iter().map(|&token| Completion {
+                token,
+                addr: r.sector,
+                ready_at: now,
+            }));
+            port.recycle_waiters(woken);
         }
         if let Some(tt) = times {
             tt.mem_ns +=

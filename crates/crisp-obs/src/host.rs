@@ -202,6 +202,8 @@ pub struct HostProfiler {
     heartbeats: Vec<Heartbeat>,
     registry: MetricRegistry,
     last_hb: Option<(MetricsSnapshot, u64)>,
+    sm_ticked: u64,
+    sm_slept: u64,
 }
 
 impl HostProfiler {
@@ -219,6 +221,8 @@ impl HostProfiler {
             heartbeats: Vec::new(),
             registry: MetricRegistry::new(),
             last_hb: None,
+            sm_ticked: 0,
+            sm_slept: 0,
         }
     }
 
@@ -238,6 +242,14 @@ impl HostProfiler {
     #[inline]
     pub fn add(&mut self, phase: HostPhase, ns: u64) {
         self.driver.add(phase, ns);
+    }
+
+    /// Count SM-cycles of busy SMs: `ticked` ran in full, `slept` only
+    /// re-counted their last stall classification.
+    #[inline]
+    pub fn add_sm_cycles(&mut self, ticked: u64, slept: u64) {
+        self.sm_ticked += ticked;
+        self.sm_slept += slept;
     }
 
     /// Close a top-level span opened at `start_ns` (from [`elapsed_ns`]):
@@ -313,6 +325,8 @@ impl HostProfiler {
             spans: self.spans,
             heartbeats: self.heartbeats,
             alloc,
+            sm_ticked: self.sm_ticked,
+            sm_slept: self.sm_slept,
         }
     }
 }
@@ -338,6 +352,11 @@ pub struct HostProfile {
     /// Per-phase allocation accounting (`alloc-profile` feature + counting
     /// enabled at runtime), else `None`.
     pub alloc: Option<AllocReport>,
+    /// SM-cycles of busy SMs that ran in full.
+    pub sm_ticked: u64,
+    /// SM-cycles of busy SMs slept through: nothing could change, so only
+    /// the last stall classification was re-counted.
+    pub sm_slept: u64,
 }
 
 impl HostProfile {
@@ -361,6 +380,16 @@ impl HostProfile {
         match (&self.alloc, self.cycles) {
             (Some(a), c) if c > 0 => a.total_count as f64 / c as f64,
             _ => 0.0,
+        }
+    }
+
+    /// Fraction of busy SM-cycles slept through (0 when none ran).
+    pub fn sm_sleep_frac(&self) -> f64 {
+        let total = self.sm_ticked + self.sm_slept;
+        if total == 0 {
+            0.0
+        } else {
+            self.sm_slept as f64 / total as f64
         }
     }
 
@@ -406,6 +435,13 @@ impl HostProfile {
             "attributed",
             fmt_ns(total),
             100.0 * self.coverage(),
+        );
+        let _ = writeln!(
+            out,
+            "sm-cycles: {} ticked, {} slept (sm_sleep_frac {:.4})",
+            self.sm_ticked,
+            self.sm_slept,
+            self.sm_sleep_frac(),
         );
 
         if let Some(hb) = self.heartbeats.last() {
@@ -577,6 +613,20 @@ mod tests {
         let r = prof.report();
         assert!(r.contains("driver phases"));
         assert!(r.contains("not counted"));
+    }
+
+    #[test]
+    fn sm_cycle_counts_give_the_sleep_fraction() {
+        let mut p = HostProfiler::new(0);
+        p.add_sm_cycles(30, 10);
+        p.add_sm_cycles(0, 10);
+        let prof = p.finish(1, 0, None);
+        assert_eq!((prof.sm_ticked, prof.sm_slept), (30, 20));
+        assert!((prof.sm_sleep_frac() - 0.4).abs() < 1e-12);
+        assert!(prof
+            .report()
+            .contains("30 ticked, 20 slept (sm_sleep_frac 0.4000)"));
+        assert_eq!(HostProfiler::new(0).finish(1, 0, None).sm_sleep_frac(), 0.0);
     }
 
     #[test]

@@ -935,18 +935,29 @@ impl GpuSim {
             return Err(Violation::TraceIo(e.to_string()));
         }
         clock.switch(&mut self.host, HostPhase::Execute);
-        // Buffer the outputs and absorb them after the loop in ascending SM
-        // id; the buffer is reused so the steady state stays
-        // allocation-free. One catch around the whole loop turns an SM
-        // panic (a corrupt trace run without pre-flight) into a typed error.
+        // Buffer the outputs that issued something (no other output carries
+        // news) and absorb them after the loop in ascending SM id; the
+        // buffer is reused so the steady state stays allocation-free. One
+        // catch around the whole loop turns an SM panic (a corrupt trace
+        // run without pre-flight) into a typed error.
         let mut outs = std::mem::take(&mut self.scratch_outs);
+        let (mut ticked, mut slept) = (0, 0);
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for sm in sms.iter_mut() {
-                if sm.busy() {
-                    outs.push(sm.cycle(now));
+            for sm in sms.iter_mut().filter(|sm| sm.busy()) {
+                if sm.asleep(now) {
+                    slept += 1;
+                } else {
+                    ticked += 1;
+                }
+                let out = sm.cycle(now);
+                if out.issued > 0 {
+                    outs.push(out);
                 }
             }
         }));
+        if let Some(h) = self.host.as_mut() {
+            h.add_sm_cycles(ticked, slept);
+        }
         clock.switch(&mut self.host, HostPhase::Dispatch);
         if let Err(payload) = ran {
             outs.clear();
@@ -1303,14 +1314,9 @@ impl GpuSim {
         for sm_id in 0..sms.len() {
             for k in 0..n_streams {
                 let si = (start + k) % n_streams;
-                let (id, pending) = {
-                    let st = &self.streams[si];
-                    let p = st.current.as_ref().and_then(|r| {
-                        (r.next_cta < r.info.grid).then(|| (r.kernel, r.info.clone(), r.next_cta))
-                    });
-                    (st.id, p)
-                };
-                let Some((kernel, info, cta_index)) = pending else {
+                let st = &self.streams[si];
+                let id = st.id;
+                let Some(r) = st.current.as_ref().filter(|r| r.next_cta < r.info.grid) else {
                     continue;
                 };
                 // Inter-SM partitions restrict which SMs a stream may use.
@@ -1318,10 +1324,11 @@ impl GpuSim {
                     continue;
                 }
                 let quota = self.quota_for(sm_id, id);
-                let res = CtaResources::of_info(&info);
-                if !sms[sm_id].fits(id, res, quota) {
+                if !sms[sm_id].fits(id, CtaResources::of_info(&r.info), quota) {
                     continue;
                 }
+                // Only a launch takes its own handle on the kernel info.
+                let (kernel, info, cta_index) = (r.kernel, r.info.clone(), r.next_cta);
                 let cta = self
                     .source
                     .as_mut()

@@ -7,12 +7,13 @@
 //! several cycles — this is the "L1 data port pressure" the paper's LoD
 //! case study shows is exaggerated 6× when mipmapping is not modelled.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_mem::{L1AccessResult, MemReq, ReqToken, SmMemPort};
-use crisp_trace::{DataClass, Space, StreamId};
+use crisp_trace::{DataClass, Space, StreamId, WARP_SIZE};
 
 use crate::config::SmConfig;
 
@@ -31,23 +32,15 @@ pub(crate) struct LsuEntry {
     pub inflight_id: u64,
 }
 
-/// Something the LSU resolved this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LsuEvent {
-    /// A sector was satisfied locally (L1 hit or shared memory); its data is
-    /// valid at `ready_at`.
-    Ready { inflight_id: u64, ready_at: u64 },
-    /// A sector went down the hierarchy; a completion with the same token id
-    /// will arrive later.
-    Sent { inflight_id: u64 },
-}
-
 /// The per-SM load-store unit.
 #[derive(Debug)]
 pub struct Lsu {
     queue: VecDeque<LsuEntry>,
     depth: usize,
     sectors_issued: u64,
+    /// Cleared sector lists of retired entries, handed back out by
+    /// [`Lsu::sector_buf`] so the steady state allocates nothing.
+    spare: Vec<Vec<u64>>,
 }
 
 impl Lsu {
@@ -57,6 +50,7 @@ impl Lsu {
             queue: VecDeque::new(),
             depth: cfg.lsu_queue_depth,
             sectors_issued: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -86,16 +80,50 @@ impl Lsu {
         self.queue.push_back(e);
     }
 
+    /// An empty sector list for the next entry, recycled from a retired
+    /// one when possible. A fresh one has room for two sectors per lane, so
+    /// it rarely grows.
+    pub(crate) fn sector_buf(&mut self) -> Vec<u64> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(2 * WARP_SIZE))
+    }
+
+    fn retire_head(&mut self) {
+        if let Some(mut e) = self.queue.pop_front() {
+            e.sectors.clear();
+            self.spare.push(e.sectors);
+        }
+    }
+
+    /// Whether [`Lsu::process`] would move nothing: the queue is empty, or
+    /// its head is a load whose next sector the port would stall on.
+    #[cfg(debug_assertions)]
+    pub(crate) fn stuck(&self, port: &SmMemPort) -> bool {
+        self.queue.front().is_none_or(|h| {
+            h.is_load
+                && h.space != Space::Shared
+                && h.sectors.get(h.next).is_some_and(|&a| !port.can_accept(a))
+        })
+    }
+
     /// Work the head of the queue, presenting up to `cfg.l1_ports` sectors
-    /// to the SM's private memory port.
+    /// to the SM's private memory port. A sector satisfied locally (L1 hit
+    /// or shared memory) goes onto `mem_ready` as `(ready_at, inflight_id)`;
+    /// one sent down the hierarchy completes later through the port.
+    ///
+    /// Returns whether anything moved — a sector presented or an entry
+    /// retired. An idle LSU stays idle until an MSHR frees, which only a
+    /// memory completion does.
     pub(crate) fn process(
         &mut self,
         sm_id: usize,
         now: u64,
         cfg: &SmConfig,
         port: &mut SmMemPort,
-    ) -> Vec<LsuEvent> {
-        let mut events = Vec::new();
+        mem_ready: &mut BinaryHeap<Reverse<(u64, u64)>>,
+    ) -> bool {
+        let mut active = false;
         let mut budget = cfg.l1_ports;
         while budget > 0 {
             let Some(head) = self.queue.front_mut() else {
@@ -103,19 +131,18 @@ impl Lsu {
             };
             // Shared-memory instructions: one conflict-free port slot.
             if head.space == Space::Shared {
+                if head.is_load {
+                    mem_ready.push(Reverse((now + cfg.smem_latency, head.inflight_id)));
+                }
                 budget -= 1;
                 self.sectors_issued += 1;
-                if head.is_load {
-                    events.push(LsuEvent::Ready {
-                        inflight_id: head.inflight_id,
-                        ready_at: now + cfg.smem_latency,
-                    });
-                }
-                self.queue.pop_front();
+                self.retire_head();
+                active = true;
                 continue;
             }
             if head.next >= head.sectors.len() {
-                self.queue.pop_front();
+                self.retire_head();
+                active = true;
                 continue;
             }
             let addr = head.sectors[head.next];
@@ -127,16 +154,9 @@ impl Lsu {
                 let req = MemReq::read(addr, head.stream, head.class, token);
                 match port.read(req, now) {
                     L1AccessResult::Hit { ready_at } => {
-                        events.push(LsuEvent::Ready {
-                            inflight_id: head.inflight_id,
-                            ready_at,
-                        });
+                        mem_ready.push(Reverse((ready_at, head.inflight_id)));
                     }
-                    L1AccessResult::Pending => {
-                        events.push(LsuEvent::Sent {
-                            inflight_id: head.inflight_id,
-                        });
-                    }
+                    L1AccessResult::Pending => {}
                     L1AccessResult::Stall => break, // retry same sector next cycle
                 }
             } else {
@@ -146,11 +166,12 @@ impl Lsu {
             head.next += 1;
             budget -= 1;
             self.sectors_issued += 1;
+            active = true;
             if head.next >= head.sectors.len() {
-                self.queue.pop_front();
+                self.retire_head();
             }
         }
-        events
+        active
     }
 }
 
@@ -195,6 +216,7 @@ impl CheckpointState for Lsu {
             queue,
             depth: cfg.lsu_queue_depth,
             sectors_issued: r.get()?,
+            spare: Vec::new(),
         })
     }
 }
@@ -244,19 +266,43 @@ mod tests {
         }
     }
 
+    type Ready = BinaryHeap<Reverse<(u64, u64)>>;
+
     #[test]
     fn port_budget_limits_sectors_per_cycle() {
         let cfg = SmConfig::default(); // 4 ports
         let mut lsu = Lsu::new(&cfg);
         let mut p = port();
+        let mut ready = Ready::new();
         lsu.push(load_entry(1, (0..8).map(|i| i * 32).collect()));
-        let ev = lsu.process(0, 0, &cfg, &mut p);
-        assert_eq!(ev.len(), 4, "only 4 sectors in cycle 0");
+        assert!(lsu.process(0, 0, &cfg, &mut p, &mut ready));
+        assert_eq!(lsu.sectors_issued(), 4, "only 4 sectors in cycle 0");
         assert!(!lsu.is_empty());
-        let ev = lsu.process(0, 1, &cfg, &mut p);
-        assert_eq!(ev.len(), 4);
+        assert!(lsu.process(0, 1, &cfg, &mut p, &mut ready));
         assert!(lsu.is_empty());
         assert_eq!(lsu.sectors_issued(), 8);
+        assert!(ready.is_empty(), "cold misses complete through the port");
+        assert_eq!(p.in_flight(), 8, "one MSHR entry per missed sector");
+    }
+
+    #[test]
+    fn l1_hits_land_on_the_ready_heap() {
+        let cfg = SmConfig::default();
+        let mut lsu = Lsu::new(&cfg);
+        let mut p = port();
+        let mut ready = Ready::new();
+        p.warm(&MemReq::read(
+            0x40,
+            StreamId(0),
+            DataClass::Compute,
+            ReqToken { sm: 0, id: 0 },
+        ));
+        lsu.push(load_entry(5, vec![0x40]));
+        assert!(lsu.process(0, 3, &cfg, &mut p, &mut ready));
+        assert_eq!(
+            ready.into_sorted_vec(),
+            vec![Reverse((3 + mem_cfg().l1_latency, 5))]
+        );
     }
 
     #[test]
@@ -264,17 +310,16 @@ mod tests {
         let cfg = SmConfig::default();
         let mut lsu = Lsu::new(&cfg);
         let mut p = port();
+        let mut ready = Ready::new();
         let mut e = load_entry(7, vec![]);
         e.space = Space::Shared;
         lsu.push(e);
-        let ev = lsu.process(0, 10, &cfg, &mut p);
+        assert!(lsu.process(0, 10, &cfg, &mut p, &mut ready));
         assert_eq!(
-            ev,
-            vec![LsuEvent::Ready {
-                inflight_id: 7,
-                ready_at: 10 + cfg.smem_latency
-            }]
+            ready.into_sorted_vec(),
+            vec![Reverse((10 + cfg.smem_latency, 7))]
         );
+        assert!(lsu.is_empty());
     }
 
     #[test]
@@ -282,11 +327,12 @@ mod tests {
         let cfg = SmConfig::default();
         let mut lsu = Lsu::new(&cfg);
         let mut p = port();
+        let mut ready = Ready::new();
         let mut e = load_entry(3, vec![0, 32]);
         e.is_load = false;
         lsu.push(e);
-        let ev = lsu.process(0, 0, &cfg, &mut p);
-        assert!(ev.is_empty());
+        assert!(lsu.process(0, 0, &cfg, &mut p, &mut ready));
+        assert!(ready.is_empty());
         assert_eq!(lsu.sectors_issued(), 2);
         assert!(lsu.is_empty());
     }
@@ -316,10 +362,30 @@ mod tests {
             },
         );
         let mut lsu = Lsu::new(&cfg);
+        let mut ready = Ready::new();
         // Two sectors in different lines: second allocation must stall.
         lsu.push(load_entry(1, vec![0x0000, 0x4000]));
-        let ev = lsu.process(0, 0, &cfg, &mut p);
-        assert_eq!(ev.len(), 1, "second sector stalled on MSHR");
+        assert!(lsu.process(0, 0, &cfg, &mut p, &mut ready));
+        assert_eq!(lsu.sectors_issued(), 1, "second sector stalled on MSHR");
         assert!(!lsu.is_empty());
+        assert!(
+            !lsu.process(0, 1, &cfg, &mut p, &mut ready),
+            "a stalled LSU reports no progress"
+        );
+        assert_eq!(lsu.sectors_issued(), 1);
+        assert!(ready.is_empty());
+    }
+
+    #[test]
+    fn retired_sector_lists_are_recycled() {
+        let cfg = SmConfig::default();
+        let mut lsu = Lsu::new(&cfg);
+        let mut p = port();
+        let mut ready = Ready::new();
+        lsu.push(load_entry(1, vec![0, 32, 64]));
+        lsu.process(0, 0, &cfg, &mut p, &mut ready);
+        assert!(lsu.is_empty());
+        let buf = lsu.sector_buf();
+        assert!(buf.is_empty() && buf.capacity() >= 3);
     }
 }

@@ -1,10 +1,10 @@
 //! The SM core: warp slots, GTO schedulers, CTA lifecycle, writeback.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io;
 
-use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
+use crisp_ckpt::{bad, CheckpointState, Reader, Wire, Writer};
 use crisp_mem::{MemConfig, SmMemPort};
 use crisp_trace::{
     DataClass, KernelId, Op, Reg, Space, StreamId, TraceSource, NUM_BARRIERS, SECTOR_BYTES,
@@ -12,7 +12,7 @@ use crisp_trace::{
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::cta::{CtaResources, CtaWork, ResourceQuota, SmResources};
-use crate::lsu::{Lsu, LsuEntry, LsuEvent};
+use crate::lsu::{Lsu, LsuEntry};
 use crate::units::ExecUnits;
 use crate::warp::{WarpState, WarpStatus};
 
@@ -92,6 +92,23 @@ impl StallBreakdown {
         self.pipe_busy += other.pipe_busy;
         self.barrier += other.barrier;
     }
+
+    /// Count one scheduler slot that did not issue: blocked on `cause`, or
+    /// empty when there is none.
+    fn record(&mut self, cause: Option<StallCause>) {
+        let Some(cause) = cause else {
+            self.empty += 1;
+            return;
+        };
+        self.blocked += 1;
+        match cause {
+            StallCause::Barrier => self.barrier += 1,
+            StallCause::PipeBusy => self.pipe_busy += 1,
+            StallCause::Scoreboard => self.scoreboard += 1,
+            StallCause::MshrFull => self.mshr_full += 1,
+            StallCause::MemPending => self.mem_pending += 1,
+        }
+    }
 }
 
 /// Highest-priority reason a blocked scheduler slot could not issue.
@@ -135,6 +152,58 @@ struct Inflight {
     remaining: usize,
 }
 
+/// Outstanding loads, ascending by inflight id. Ids are handed out in
+/// increasing order, so tracking a load is a push, and loads (which retire
+/// roughly in issue order) leave near the front: no hashing, and no
+/// allocation once the deque has grown to the most loads ever in flight.
+#[derive(Debug, Default)]
+struct InflightTable(VecDeque<(u64, Inflight)>);
+
+impl InflightTable {
+    /// Track load `id`, which must be past every id already tracked.
+    fn insert(&mut self, id: u64, f: Inflight) {
+        debug_assert!(
+            self.0.back().is_none_or(|&(last, _)| last < id),
+            "inflight ids increase"
+        );
+        self.0.push_back((id, f));
+    }
+
+    fn position(&self, id: u64) -> Option<usize> {
+        self.0.binary_search_by_key(&id, |&(k, _)| k).ok()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Inflight> {
+        let i = self.position(id)?;
+        Some(&mut self.0[i].1)
+    }
+
+    fn remove(&mut self, id: u64) -> Option<Inflight> {
+        let i = self.position(id)?;
+        self.0.remove(i).map(|(_, f)| f)
+    }
+}
+
+/// Encoded like the `HashMap<u64, Inflight>` it replaced: entries in
+/// ascending id order. Decoding rejects duplicated or unordered ids.
+impl Wire for InflightTable {
+    fn put<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.0)
+    }
+
+    fn get<R: io::Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        let entries: VecDeque<(u64, Inflight)> = r.get()?;
+        if entries
+            .iter()
+            .zip(entries.iter().skip(1))
+            .any(|(a, b)| a.0 >= b.0)
+        {
+            return Err(bad("duplicate or unordered inflight id"));
+        }
+        Ok(InflightTable(entries))
+    }
+}
+
 /// One streaming multiprocessor.
 ///
 /// An `Sm` owns its [`SmMemPort`] (private L1 + MSHRs), so a whole cycle —
@@ -153,15 +222,22 @@ pub struct Sm {
     writebacks: BinaryHeap<Reverse<(u64, usize, u16)>>,
     /// Locally-satisfied memory sectors: (ready_at, inflight_id).
     mem_ready: BinaryHeap<Reverse<(u64, u64)>>,
-    inflight: HashMap<u64, Inflight>,
+    inflight: InflightTable,
     next_inflight: u64,
     launch_seq: u64,
     /// Greedy pointer per scheduler (GTO's "greedy" half).
     last_issued: Vec<Option<usize>>,
-    issued_by_stream: HashMap<StreamId, u64>,
-    window_issued: HashMap<StreamId, u64>,
+    issued_by_stream: BTreeMap<StreamId, u64>,
+    window_issued: BTreeMap<StreamId, u64>,
     n_resident_warps: usize,
     stalls: StallBreakdown,
+    /// First cycle this SM must tick again; earlier cycles are slept (see
+    /// [`Sm::cycle`]). Host-side only: not checkpointed, so a restored SM
+    /// ticks its first cycle in full.
+    wake_at: u64,
+    /// Scheduler-slot classification of the last ticked cycle, re-counted
+    /// for every slept one.
+    idle_stalls: StallBreakdown,
 }
 
 // Lend the private port, so `MemSystem::tick_into` can drain/fill SMs
@@ -196,14 +272,16 @@ impl Sm {
             port,
             writebacks: BinaryHeap::new(),
             mem_ready: BinaryHeap::new(),
-            inflight: HashMap::new(),
+            inflight: InflightTable::default(),
             next_inflight: 0,
             launch_seq: 0,
             last_issued: vec![None; cfg.schedulers as usize],
-            issued_by_stream: HashMap::new(),
-            window_issued: HashMap::new(),
+            issued_by_stream: BTreeMap::new(),
+            window_issued: BTreeMap::new(),
             n_resident_warps: 0,
             stalls: StallBreakdown::default(),
+            wake_at: 0,
+            idle_stalls: StallBreakdown::default(),
         }
     }
 
@@ -291,20 +369,20 @@ impl Sm {
             live_warps: n_warps,
             arrivals: [0; NUM_BARRIERS],
         });
+        self.wake_at = 0;
     }
 
     /// Route a memory completion (from the shared hierarchy's tick) back to
-    /// its load instruction.
+    /// its load instruction. Wakes the SM: a completion may clear a hazard
+    /// or free the MSHR the LSU is stalled on.
     pub fn on_mem_completion(&mut self, inflight_id: u64) {
-        let done = match self.inflight.get_mut(&inflight_id) {
-            Some(f) => {
-                f.remaining -= 1;
-                f.remaining == 0
-            }
-            None => return,
+        self.wake_at = 0;
+        let Some(f) = self.inflight.get_mut(inflight_id) else {
+            return;
         };
-        if done {
-            let f = self.inflight.remove(&inflight_id).expect("checked above");
+        f.remaining -= 1;
+        if f.remaining == 0 {
+            let f = self.inflight.remove(inflight_id).expect("checked above");
             if let (Some(reg), Some(w)) = (f.reg, self.warps[f.warp_slot].as_mut()) {
                 w.clear_pending(reg);
             }
@@ -326,7 +404,7 @@ impl Sm {
     pub fn busy(&self) -> bool {
         self.n_resident_warps > 0
             || !self.lsu.is_empty()
-            || !self.inflight.is_empty()
+            || !self.inflight.0.is_empty()
             || !self.writebacks.is_empty()
             || !self.mem_ready.is_empty()
             || !self.port.quiescent()
@@ -342,7 +420,6 @@ impl Sm {
         self.ctas.iter().flatten().map(|c| (c.stream, c.kernel))
     }
 
-    /// Scheduler-slot accounting since construction.
     /// Point-in-time snapshot of the SM's scheduling and memory-side state,
     /// for deadlock reports. Read-only and deterministic: depends only on
     /// architectural state.
@@ -355,15 +432,10 @@ impl Sm {
             let stall = match w.status {
                 WarpStatus::Exited => WarpStall::Exited,
                 WarpStatus::AtBarrier(_) => WarpStall::Barrier,
-                WarpStatus::Ready => match w.next_instr() {
+                WarpStatus::Ready => match w.next_op() {
                     None => WarpStall::TraceExhausted,
-                    Some(instr) if w.scoreboard_blocks(instr) => {
-                        if w.blocked_on_mem(instr) {
-                            WarpStall::MemPending
-                        } else {
-                            WarpStall::Scoreboard
-                        }
-                    }
+                    Some(_) if w.next_blocked_on_mem() => WarpStall::MemPending,
+                    Some(_) if w.next_blocked() => WarpStall::Scoreboard,
                     Some(_) => WarpStall::Issuable,
                 },
             };
@@ -405,14 +477,33 @@ impl Sm {
         }
     }
 
+    /// Scheduler-slot accounting since construction.
     pub fn stalls(&self) -> StallBreakdown {
         self.stalls
     }
 
+    /// Whether [`Sm::cycle`] at `now` would sleep rather than tick.
+    pub fn asleep(&self, now: u64) -> bool {
+        now < self.wake_at
+    }
+
     /// Advance one cycle. Touches only SM-private state (including the
-    /// owned memory port), so distinct SMs may cycle concurrently.
+    /// owned memory port).
+    ///
+    /// A cycle in which nothing issued and the LSU neither presented a
+    /// sector nor retired an entry puts the SM to sleep: until a writeback
+    /// or locally-satisfied sector comes due, or a busy exec pipe frees,
+    /// every cycle would repeat it exactly. A slept cycle only re-counts
+    /// the last ticked cycle's stall classification. A memory completion
+    /// or a CTA launch wakes the SM at once.
     pub fn cycle(&mut self, now: u64) -> CycleOutput {
         let mut out = CycleOutput::default();
+        if self.asleep(now) {
+            #[cfg(debug_assertions)]
+            self.audit_sleep(now);
+            self.stalls.merge(&self.idle_stalls);
+            return out;
+        }
 
         // 1. Retire ALU writebacks due this cycle.
         while let Some(&Reverse((t, slot, reg))) = self.writebacks.peek() {
@@ -435,51 +526,69 @@ impl Sm {
         }
 
         // 3. Work the LSU against the private port.
-        for ev in self.lsu.process(self.id, now, &self.cfg, &mut self.port) {
-            match ev {
-                LsuEvent::Ready {
-                    inflight_id,
-                    ready_at,
-                } => {
-                    self.mem_ready.push(Reverse((ready_at, inflight_id)));
-                }
-                LsuEvent::Sent { .. } => {}
-            }
-        }
+        let lsu_moved =
+            self.lsu
+                .process(self.id, now, &self.cfg, &mut self.port, &mut self.mem_ready);
 
         // 4. Each scheduler issues at most one instruction (GTO).
-        let n_sched = self.cfg.schedulers as usize;
-        for s in 0..n_sched {
-            let candidate = self.pick_warp(s, now);
-            if let Some(slot) = candidate {
-                if self.issue_from(slot, now, &mut out) {
+        let mut slots = StallBreakdown::default();
+        for s in 0..self.cfg.schedulers as usize {
+            match self.pick_warp(s, now) {
+                Some(slot) => {
+                    self.issue_from(slot, now, &mut out);
                     self.last_issued[s] = Some(slot);
-                    self.stalls.issued += 1;
-                } else {
-                    self.last_issued[s] = None;
+                    slots.issued += 1;
                 }
-            } else if let Some(cause) = self.classify_stall(s) {
-                self.stalls.blocked += 1;
-                match cause {
-                    StallCause::Barrier => self.stalls.barrier += 1,
-                    StallCause::PipeBusy => self.stalls.pipe_busy += 1,
-                    StallCause::Scoreboard => self.stalls.scoreboard += 1,
-                    StallCause::MshrFull => self.stalls.mshr_full += 1,
-                    StallCause::MemPending => self.stalls.mem_pending += 1,
-                }
-            } else {
-                self.stalls.empty += 1;
+                None => slots.record(self.classify_stall(s)),
             }
         }
+        self.stalls.merge(&slots);
+
+        // 5. Sleep through the cycles that would repeat this one.
+        if out.issued == 0 && !lsu_moved {
+            self.idle_stalls = slots;
+            let due = [
+                self.writebacks.peek().map(|r| r.0 .0),
+                self.mem_ready.peek().map(|r| r.0 .0),
+                self.units.next_free_after(now),
+            ];
+            self.wake_at = due.into_iter().flatten().min().unwrap_or(u64::MAX);
+        }
         out
+    }
+
+    /// Re-derive a slept cycle the long way and check that sleeping was
+    /// exact: nothing comes due, the LSU is still stuck, no warp can issue,
+    /// and the stall classification matches the one being re-counted.
+    #[cfg(debug_assertions)]
+    fn audit_sleep(&self, now: u64) {
+        let id = self.id;
+        assert!(
+            self.writebacks.peek().is_none_or(|r| r.0 .0 > now)
+                && self.mem_ready.peek().is_none_or(|r| r.0 .0 > now),
+            "SM {id} slept through a retirement due at cycle {now}"
+        );
+        assert!(
+            self.lsu.stuck(&self.port),
+            "SM {id} slept through cycle {now} with an LSU that could move"
+        );
+        let mut slots = StallBreakdown::default();
+        for s in 0..self.cfg.schedulers as usize {
+            assert!(
+                self.pick_warp(s, now).is_none(),
+                "SM {id} slept through cycle {now} with an issuable warp on scheduler {s}"
+            );
+            slots.record(self.classify_stall(s));
+        }
+        assert_eq!(
+            slots, self.idle_stalls,
+            "SM {id}: stall classification changed during sleep at cycle {now}"
+        );
     }
 
     /// Attribute scheduler `s`'s failure to issue: the highest-priority
     /// cause over its live resident warps, or `None` when the scheduler has
     /// no live warps at all (an `empty` slot).
-    ///
-    /// Runs only on blocked slots, where the old accounting already scanned
-    /// the scheduler's warps — the cause lookup rides on that same scan.
     fn classify_stall(&self, s: usize) -> Option<StallCause> {
         let n_sched = self.cfg.schedulers as usize;
         let mut cause: Option<StallCause> = None;
@@ -490,26 +599,16 @@ impl Sm {
             let c = match w.status {
                 WarpStatus::Exited => continue,
                 WarpStatus::AtBarrier(_) => StallCause::Barrier,
-                WarpStatus::Ready => {
-                    let Some(instr) = w.next_instr() else {
-                        continue;
-                    };
-                    if w.scoreboard_blocks(instr) {
-                        if w.blocked_on_mem(instr) {
-                            StallCause::MemPending
-                        } else {
-                            StallCause::Scoreboard
-                        }
-                    } else {
-                        // The warp was ready yet not picked: its structural
-                        // resource is exhausted. (Bar/Exit always issue, so
-                        // they cannot reach this arm.)
-                        match instr.op {
-                            Op::Ld(_) | Op::St(_) => StallCause::MshrFull,
-                            _ => StallCause::PipeBusy,
-                        }
-                    }
-                }
+                WarpStatus::Ready => match w.next_op() {
+                    None => continue,
+                    Some(_) if w.next_blocked_on_mem() => StallCause::MemPending,
+                    Some(_) if w.next_blocked() => StallCause::Scoreboard,
+                    // The warp was ready yet not picked: its structural
+                    // resource is exhausted. (Bar/Exit always issue, so they
+                    // cannot reach these arms.)
+                    Some(Op::Ld(_) | Op::St(_)) => StallCause::MshrFull,
+                    Some(_) => StallCause::PipeBusy,
+                },
             };
             cause = Some(cause.map_or(c, |prev| prev.max(c)));
         }
@@ -517,7 +616,7 @@ impl Sm {
     }
 
     /// Warp selection for scheduler `s`, per the configured policy.
-    fn pick_warp(&mut self, s: usize, now: u64) -> Option<usize> {
+    fn pick_warp(&self, s: usize, now: u64) -> Option<usize> {
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => self.pick_warp_gto(s, now),
             SchedulerPolicy::Lrr => self.pick_warp_lrr(s, now),
@@ -526,7 +625,7 @@ impl Sm {
 
     /// GTO: the greedily-held warp first, else the oldest ready warp owned
     /// by this scheduler.
-    fn pick_warp_gto(&mut self, s: usize, now: u64) -> Option<usize> {
+    fn pick_warp_gto(&self, s: usize, now: u64) -> Option<usize> {
         let n_sched = self.cfg.schedulers as usize;
         if let Some(slot) = self.last_issued[s] {
             if self.warp_can_issue(slot, now) {
@@ -551,7 +650,7 @@ impl Sm {
     /// Scheduler `s` owns slots `s, s + n_sched, s + 2*n_sched, …`; the
     /// k-th owned slot is computed arithmetically so the per-cycle hot path
     /// stays allocation-free.
-    fn pick_warp_lrr(&mut self, s: usize, now: u64) -> Option<usize> {
+    fn pick_warp_lrr(&self, s: usize, now: u64) -> Option<usize> {
         let n_sched = self.cfg.schedulers as usize;
         if s >= self.warps.len() {
             return None;
@@ -571,113 +670,102 @@ impl Sm {
         None
     }
 
-    fn warp_can_issue(&mut self, slot: usize, now: u64) -> bool {
+    /// Whether the warp in `slot` can issue its next instruction at `now`,
+    /// from its cached opcode and hazard mask alone.
+    fn warp_can_issue(&self, slot: usize, now: u64) -> bool {
         let Some(w) = self.warps[slot].as_ref() else {
             return false;
         };
-        if w.status != WarpStatus::Ready {
+        if w.status != WarpStatus::Ready || w.next_blocked() {
             return false;
         }
-        let Some(instr) = w.next_instr() else {
-            return false;
-        };
-        if w.scoreboard_blocks(instr) {
-            return false;
-        }
-        match instr.op {
-            Op::Ld(_) | Op::St(_) => self.lsu.has_room(),
+        match w.next_op() {
+            None => false,
+            Some(Op::Ld(_) | Op::St(_)) => self.lsu.has_room(),
+            Some(Op::Bar(_) | Op::Exit) => true,
             // Unit availability is only *checked* here; reservation happens
             // at issue. busy_count == units means nothing free.
-            op => {
-                (self.units.busy_count(op, now) as u32) < self.cfg.units_for(op)
-                    || matches!(op, Op::Bar(_) | Op::Exit)
-            }
+            Some(op) => (self.units.busy_count(op, now) as u32) < self.cfg.units_for(op),
         }
     }
 
-    /// Issue the next instruction of the warp in `slot`. Returns whether an
-    /// instruction was actually issued.
-    fn issue_from(&mut self, slot: usize, now: u64, out: &mut CycleOutput) -> bool {
-        let (op, dst, mem_access, stream) = {
-            let w = self.warps[slot].as_ref().expect("picked warp exists");
-            let i = w.next_instr().expect("picked warp has an instruction");
-            (i.op, i.dst, i.mem.clone(), w.stream)
-        };
+    /// Issue the next instruction of the warp in `slot`.
+    fn issue_from(&mut self, slot: usize, now: u64, out: &mut CycleOutput) {
+        let w = self.warps[slot].as_ref().expect("picked warp exists");
+        w.assert_registers();
+        let op = w.next_op().expect("picked warp has an instruction");
+        let stream = w.stream;
         match op {
-            Op::Bar(id) => {
-                self.issue_barrier(slot, id);
-            }
-            Op::Exit => {
-                self.issue_exit(slot, out);
-            }
-            Op::Ld(space) | Op::St(space) => {
-                let is_load = matches!(op, Op::Ld(_));
-                let access = mem_access.expect("memory op carries an access");
-                let sectors: Vec<u64> = if space == Space::Shared {
-                    Vec::new()
-                } else {
-                    access
-                        .distinct_chunks(SECTOR_BYTES)
-                        .into_iter()
-                        .map(|c| c * SECTOR_BYTES)
-                        .collect()
-                };
-                let id = self.next_inflight;
-                self.next_inflight += 1;
-                if is_load {
-                    let remaining = if space == Space::Shared {
-                        1
-                    } else {
-                        sectors.len()
-                    };
-                    self.inflight.insert(
-                        id,
-                        Inflight {
-                            warp_slot: slot,
-                            reg: dst,
-                            remaining,
-                        },
-                    );
-                    if let (Some(d), Some(w)) = (dst, self.warps[slot].as_mut()) {
-                        w.set_pending_mem(d);
-                    }
-                }
-                let class = if space == Space::Tex {
-                    DataClass::Texture
-                } else {
-                    access.class
-                };
-                self.lsu.push(LsuEntry {
-                    stream,
-                    class,
-                    space,
-                    is_load,
-                    sectors,
-                    next: 0,
-                    inflight_id: id,
-                });
-                if let Some(w) = self.warps[slot].as_mut() {
-                    w.advance();
-                }
-            }
+            Op::Bar(id) => self.issue_barrier(slot, id),
+            Op::Exit => self.issue_exit(slot, out),
+            Op::Ld(space) | Op::St(space) => self.issue_mem(slot, space, matches!(op, Op::Ld(_))),
             op => {
                 // ALU / SFU / tensor / branch: reserve the pipe.
                 let ok = self.units.try_issue(op, now, &self.cfg);
                 debug_assert!(ok, "warp_can_issue checked unit availability");
                 let (lat, _ii) = self.cfg.timing(op);
-                if let Some(w) = self.warps[slot].as_mut() {
-                    if let Some(d) = dst {
-                        w.set_pending(d);
-                        self.writebacks.push(Reverse((now + lat, slot, d.0)));
-                    }
-                    w.advance();
+                let w = self.warps[slot].as_mut().expect("picked warp exists");
+                if let Some(d) = w.next_instr().and_then(|i| i.dst) {
+                    w.set_pending(d);
+                    self.writebacks.push(Reverse((now + lat, slot, d.0)));
                 }
+                w.advance();
             }
         }
         out.issued += 1;
         *self.issued_by_stream.entry(stream).or_insert(0) += 1;
         *self.window_issued.entry(stream).or_insert(0) += 1;
-        true
+    }
+
+    /// Coalesce a load or store into sectors and queue it on the LSU. The
+    /// access is read in place from the trace and the sector list reuses a
+    /// retired entry's, so this allocates nothing in the steady state.
+    fn issue_mem(&mut self, slot: usize, space: Space, is_load: bool) {
+        let id = self.next_inflight;
+        self.next_inflight += 1;
+        let mut sectors = self.lsu.sector_buf();
+        let w = self.warps[slot].as_ref().expect("picked warp exists");
+        let instr = w.next_instr().expect("picked warp has an instruction");
+        let access = instr.mem.as_ref().expect("memory op carries an access");
+        if space != Space::Shared {
+            access.distinct_chunks_into(SECTOR_BYTES, &mut sectors);
+            sectors.iter_mut().for_each(|c| *c *= SECTOR_BYTES);
+        }
+        let class = if space == Space::Tex {
+            DataClass::Texture
+        } else {
+            access.class
+        };
+        let (dst, stream) = (instr.dst, w.stream);
+        if is_load {
+            let remaining = if space == Space::Shared {
+                1
+            } else {
+                sectors.len()
+            };
+            self.inflight.insert(
+                id,
+                Inflight {
+                    warp_slot: slot,
+                    reg: dst,
+                    remaining,
+                },
+            );
+        }
+        self.lsu.push(LsuEntry {
+            stream,
+            class,
+            space,
+            is_load,
+            sectors,
+            next: 0,
+            inflight_id: id,
+        });
+        let w = self.warps[slot].as_mut().expect("picked warp exists");
+        if let (true, Some(d)) = (is_load, dst) {
+            w.set_pending_mem(d);
+        }
+        w.advance();
     }
 
     fn issue_barrier(&mut self, slot: usize, id: u8) {
@@ -701,21 +789,15 @@ impl Sm {
     /// parked at *other* slots stay parked — that isolation is what makes
     /// divergent-slot traces wedge (and what the static prover catches).
     fn release_barrier(&mut self, cta_slot: usize, id: u8) {
-        let slots = self.ctas[cta_slot]
-            .as_ref()
-            .expect("cta exists")
-            .warp_slots
-            .clone();
-        for s in slots {
+        let cta = self.ctas[cta_slot].as_mut().expect("cta exists");
+        for &s in &cta.warp_slots {
             if let Some(w) = self.warps[s].as_mut() {
                 if w.status == WarpStatus::AtBarrier(id) {
                     w.status = WarpStatus::Ready;
                 }
             }
         }
-        if let Some(cta) = self.ctas[cta_slot].as_mut() {
-            cta.arrivals[id as usize] = 0;
-        }
+        cta.arrivals[id as usize] = 0;
     }
 
     fn issue_exit(&mut self, slot: usize, out: &mut CycleOutput) {
@@ -805,8 +887,8 @@ impl CheckpointState for Sm {
         w.put(&self.units)?;
         self.lsu.save(w)?;
         self.port.save(w)?;
-        // Heaps are written sorted and hash maps by key, for a
-        // deterministic byte stream; a sorted push-rebuild pops identically.
+        // Heaps are written sorted and maps by key, for a deterministic byte
+        // stream; a sorted push-rebuild pops identically.
         w.put(&self.writebacks)?;
         w.put(&self.mem_ready)?;
         w.put(&self.inflight)?;
@@ -834,9 +916,8 @@ impl CheckpointState for Sm {
         let port = SmMemPort::restore(r, (id as u16, mem_cfg))?;
         let writebacks: BinaryHeap<Reverse<(u64, usize, u16)>> = r.get()?;
         let mem_ready = r.get()?;
-        // Read as a list, not a map, so a duplicated id is caught.
-        let inflight: Vec<(u64, Inflight)> = r.get()?;
-        let next_inflight = r.get()?;
+        let inflight: InflightTable = r.get()?;
+        let next_inflight: u64 = r.get()?;
         let launch_seq = r.get()?;
         let last_issued: Vec<Option<usize>> = r.get()?;
         let issued_by_stream = r.get()?;
@@ -921,8 +1002,7 @@ impl CheckpointState for Sm {
                 return Err(bad(format!("writeback register {reg} out of range")));
             }
         }
-        let mut inflight_map = HashMap::with_capacity(inflight.len());
-        for (fid, f) in inflight {
+        for (_, f) in &inflight.0 {
             if f.warp_slot >= max_warps {
                 return Err(bad(format!(
                     "inflight warp slot {} out of range",
@@ -935,9 +1015,15 @@ impl CheckpointState for Sm {
             if f.remaining == 0 {
                 return Err(bad("inflight load with no sectors outstanding"));
             }
-            if inflight_map.insert(fid, f).is_some() {
-                return Err(bad("duplicate inflight id"));
-            }
+        }
+        // New loads are tracked under `next_inflight` and up, after every
+        // restored id.
+        if inflight
+            .0
+            .back()
+            .is_some_and(|&(id, _)| id >= next_inflight)
+        {
+            return Err(bad("inflight id at or past the next inflight id"));
         }
         if last_issued.len() != n_sched {
             return Err(bad(format!(
@@ -960,13 +1046,15 @@ impl CheckpointState for Sm {
             port,
             writebacks,
             mem_ready,
-            inflight: inflight_map,
+            inflight,
             next_inflight,
             launch_seq,
             last_issued,
             issued_by_stream,
             window_issued,
             stalls,
+            wake_at: 0,
+            idle_stalls: StallBreakdown::default(),
         })
     }
 }
@@ -1426,6 +1514,159 @@ mod tests {
         assert_eq!(commits.len(), 1);
         // 5 lanes over 2 distinct sectors: exactly 2 L1 accesses.
         assert_eq!(sm.port().stats().total().accesses, 2);
+    }
+
+    /// Drive `sm` as the GPU loop does — its cycle, then the memory tick
+    /// and the completions it delivers — over `cycles`. Returns the cycles
+    /// that issued, the cycles whose tick delivered a completion, and how
+    /// many cycles the SM slept through.
+    fn drive(
+        sm: &mut Sm,
+        mem: &mut MemSystem,
+        cycles: std::ops::Range<u64>,
+    ) -> (Vec<u64>, Vec<u64>, u64) {
+        let (mut issued, mut completed, mut slept) = (Vec::new(), Vec::new(), 0);
+        for now in cycles {
+            slept += u64::from(sm.asleep(now));
+            if sm.cycle(now).issued > 0 {
+                issued.push(now);
+            }
+            let done = mem.tick(now, &mut [sm.port_mut()]);
+            if !done.is_empty() {
+                completed.push(now);
+            }
+            for c in done {
+                sm.on_mem_completion(c.token.id);
+            }
+        }
+        (issued, completed, slept)
+    }
+
+    fn one_cta(name: &str, warps: Vec<WarpTrace>) -> Arc<KernelTrace> {
+        let threads = 32 * warps.len() as u32;
+        Arc::new(KernelTrace::new(
+            name,
+            threads,
+            16,
+            0,
+            vec![CtaTrace::new(warps)],
+        ))
+    }
+
+    /// `ld r1 ← [0x1000]; fma r2 ← r1`: a warp that waits a DRAM round trip.
+    fn load_use_warp() -> WarpTrace {
+        let mut w = WarpTrace::new();
+        w.push(Instr::load(
+            Reg(1),
+            MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 0x1000, 32),
+        ));
+        w.push(Instr::alu(Op::FpFma, Reg(2), &[Reg(1)]));
+        w.seal();
+        w
+    }
+
+    #[test]
+    fn completion_wakes_a_sleeping_sm_for_the_next_cycle() {
+        let mut sm = new_sm(SmConfig::default());
+        let mut m = mem();
+        launch(&mut sm, &one_cta("ld", vec![load_use_warp()]), 0, 0);
+        let (issued, completed, slept) = drive(&mut sm, &mut m, 0..1000);
+        let t = *completed.last().expect("the load completes");
+        assert_eq!(issued, vec![0, t + 1, t + 2], "ld, then fma and exit");
+        assert!(slept > 100, "the DRAM wait is slept through: {slept}");
+        let st = sm.stalls();
+        assert_eq!(st.issued + st.blocked + st.empty, 1000 * 4);
+        assert_eq!(st.mem_pending, t, "slept cycles re-count the wait: {st:?}");
+    }
+
+    #[test]
+    fn cta_launch_wakes_a_sleeping_sm_at_once() {
+        let mut sm = new_sm(SmConfig::default());
+        let mut m = mem();
+        launch(&mut sm, &one_cta("ld", vec![load_use_warp()]), 0, 0);
+        let (issued, _, _) = drive(&mut sm, &mut m, 0..20);
+        assert_eq!(issued, vec![0]);
+        assert!(sm.asleep(20), "waiting on DRAM");
+        launch(&mut sm, &alu_kernel(1, 1, 1), 0, 1);
+        assert!(!sm.asleep(20));
+        let (issued, _, _) = drive(&mut sm, &mut m, 20..22);
+        assert_eq!(issued, vec![20, 21], "fma, then exit");
+    }
+
+    #[test]
+    fn due_writeback_wakes_a_sleeping_sm() {
+        let mut w = WarpTrace::new();
+        w.push(Instr::alu(Op::FpFma, Reg(1), &[]));
+        w.push(Instr::alu(Op::FpFma, Reg(1), &[Reg(1)]));
+        w.seal();
+        let mut sm = new_sm(SmConfig::default());
+        let mut m = mem();
+        launch(&mut sm, &one_cta("dep", vec![w]), 0, 0);
+        let (lat, _) = SmConfig::default().timing(Op::FpFma);
+        let (issued, _, slept) = drive(&mut sm, &mut m, 0..lat + 2);
+        assert_eq!(issued, vec![0, lat, lat + 1], "fma, dependent fma, exit");
+        assert_eq!(slept, lat - 2, "cycle 1 ticks and finds nothing to do");
+    }
+
+    #[test]
+    fn pipe_free_wakes_a_scheduler_classified_mem_pending() {
+        // One scheduler and one SFU pipe. Warp 0 waits on a load; warp 1's
+        // second SFU op waits on the pipe. The slot reads as a memory stall,
+        // yet the SM must wake the cycle the pipe frees.
+        let cfg = SmConfig {
+            schedulers: 1,
+            sfu_units: 1,
+            ..SmConfig::default()
+        };
+        let mut sfu = WarpTrace::new();
+        sfu.push(Instr::alu(Op::Sfu, Reg(3), &[]));
+        sfu.push(Instr::alu(Op::Sfu, Reg(4), &[]));
+        sfu.seal();
+        let mut sm = new_sm(cfg);
+        let mut m = mem();
+        launch(&mut sm, &one_cta("mix", vec![load_use_warp(), sfu]), 0, 0);
+        let (issued, _, slept) = drive(&mut sm, &mut m, 0..6);
+        let (_, ii) = cfg.timing(Op::Sfu);
+        assert_eq!(
+            issued,
+            vec![0, 1, 1 + ii],
+            "ld, sfu, sfu once the pipe frees"
+        );
+        assert_eq!(slept, ii - 2, "cycle 2 ticks, the rest sleep");
+        let st = sm.stalls();
+        assert_eq!((st.issued, st.blocked), (3, ii - 1));
+        assert_eq!(st.mem_pending, ii - 1, "memory outranks the busy pipe");
+    }
+
+    #[test]
+    fn inflight_table_encodes_like_the_hash_map_it_replaced() {
+        let f = |slot: usize| Inflight {
+            warp_slot: slot,
+            reg: Some(Reg(slot as u16)),
+            remaining: 2,
+        };
+        let mut table = InflightTable::default();
+        let mut map = std::collections::HashMap::new();
+        for id in [3u64, 7, 8, 20] {
+            table.insert(id, f(id as usize));
+            map.insert(id, f(id as usize));
+        }
+        assert_eq!(table.remove(7).map(|f| f.warp_slot), Some(7));
+        map.remove(&7);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        Writer::new(&mut a).put(&table).unwrap();
+        Writer::new(&mut b).put(&map).unwrap();
+        assert_eq!(a, b);
+        let back: InflightTable = Reader::new(a.as_slice()).get().unwrap();
+        let ids: Vec<u64> = back.0.iter().map(|e| e.0).collect();
+        assert_eq!(ids, vec![3, 8, 20]);
+        let mut unordered = Vec::new();
+        Writer::new(&mut unordered)
+            .put(&vec![(8u64, f(0)), (3u64, f(0))])
+            .unwrap();
+        assert!(Reader::new(unordered.as_slice())
+            .get::<InflightTable>()
+            .is_err());
     }
 
     #[test]

@@ -72,6 +72,17 @@ impl ExecUnits {
         };
         group.iter().filter(|&&t| t > now).count()
     }
+
+    /// The earliest cycle after `now` at which a busy pipeline of any class
+    /// frees, or `None` when every pipeline is idle.
+    pub(crate) fn next_free_after(&self, now: u64) -> Option<u64> {
+        [&self.fp, &self.int, &self.sfu, &self.tensor]
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|&t| t > now)
+            .min()
+    }
 }
 
 crisp_ckpt::wire_struct!(ExecUnits {
@@ -165,5 +176,17 @@ mod tests {
         let _ = u.try_issue(Op::Sfu, 10, &cfg);
         assert_eq!(u.busy_count(Op::Sfu, 10), 2);
         assert_eq!(u.busy_count(Op::Sfu, 14), 0);
+    }
+
+    #[test]
+    fn next_free_after_finds_the_earliest_busy_pipe() {
+        let cfg = SmConfig::default();
+        let mut u = ExecUnits::new(&cfg);
+        assert_eq!(u.next_free_after(0), None, "all idle");
+        let _ = u.try_issue(Op::Sfu, 10, &cfg); // II 4 → frees at 14
+        let _ = u.try_issue(Op::FpFma, 11, &cfg); // II 1 → frees at 12
+        assert_eq!(u.next_free_after(11), Some(12));
+        assert_eq!(u.next_free_after(12), Some(14), "a freed pipe is not busy");
+        assert_eq!(u.next_free_after(14), None);
     }
 }

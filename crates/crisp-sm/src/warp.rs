@@ -4,7 +4,7 @@ use std::io;
 use std::sync::Arc;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Wire, Writer};
-use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Reg, StreamId, TraceSource};
+use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Op, Reg, StreamId, TraceSource};
 
 /// Why a warp cannot issue right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +34,19 @@ fn reg_bit(r: Reg) -> u128 {
     );
     1u128 << r.0
 }
+
+/// The registers `instr` reads or writes (its RAW/WAW hazard mask), or
+/// `None` when one of them is past the scoreboard.
+fn hazard_mask(instr: &Instr) -> Option<u128> {
+    instr.src_regs().chain(instr.dst).try_fold(0u128, |m, r| {
+        (r.0 < crisp_trace::SCOREBOARD_REGS).then(|| m | 1u128 << r.0)
+    })
+}
+
+/// The cached mask of an instruction with an out-of-range register: every
+/// register reads as a hazard, and issuing it panics (see
+/// [`WarpState::assert_registers`]). No valid instruction names all 128.
+const POISONED: u128 = u128::MAX;
 
 /// One resident warp.
 #[derive(Debug, Clone)]
@@ -65,6 +78,12 @@ pub struct WarpState {
     pub status: WarpStatus,
     /// Issue order tiebreaker: launch sequence (lower = older).
     pub age: u64,
+    /// Opcode of the instruction at `pc`; `None` once the trace is
+    /// exhausted. Cached with `need` so the issue checks never touch the
+    /// trace.
+    next_op: Option<Op>,
+    /// Hazard mask of the instruction at `pc` (0 when exhausted).
+    need: u128,
 }
 
 impl WarpState {
@@ -80,7 +99,7 @@ impl WarpState {
         stream: StreamId,
         age: u64,
     ) -> Self {
-        WarpState {
+        let mut w = WarpState {
             info,
             cta,
             kernel,
@@ -93,7 +112,22 @@ impl WarpState {
             pending_mem: 0,
             status: WarpStatus::Ready,
             age,
-        }
+            next_op: None,
+            need: 0,
+        };
+        w.refresh_next();
+        w
+    }
+
+    /// Re-derive the cached opcode and hazard mask of the instruction at
+    /// `pc`. Never panics: a register past the scoreboard poisons the mask
+    /// instead, because warps are also built outside the cycle loop's panic
+    /// boundary (CTA launch, checkpoint restore).
+    fn refresh_next(&mut self) {
+        (self.next_op, self.need) = match self.next_instr() {
+            Some(i) => (Some(i.op), hazard_mask(i).unwrap_or(POISONED)),
+            None => (None, 0),
+        };
     }
 
     /// The next instruction to issue, if the trace has one.
@@ -101,18 +135,34 @@ impl WarpState {
         self.cta.warps[self.warp_index].get(self.pc)
     }
 
-    /// Whether the scoreboard blocks `instr` (RAW on sources, WAW on the
-    /// destination).
-    pub fn scoreboard_blocks(&self, instr: &Instr) -> bool {
-        if self.pending_writes == 0 {
-            return false;
+    /// Opcode of the next instruction, if the trace has one.
+    pub(crate) fn next_op(&self) -> Option<Op> {
+        self.next_op
+    }
+
+    /// Whether the scoreboard blocks the next instruction (RAW on its
+    /// sources, WAW on its destination).
+    pub(crate) fn next_blocked(&self) -> bool {
+        self.pending_writes & self.need != 0
+    }
+
+    /// Whether the next instruction's hazard involves a register whose
+    /// producer is an outstanding memory load. Only meaningful when
+    /// [`next_blocked`](Self::next_blocked) is true.
+    pub(crate) fn next_blocked_on_mem(&self) -> bool {
+        self.pending_mem & self.need != 0
+    }
+
+    /// Panic unless every register of the next instruction fits the
+    /// scoreboard. Called on issue, inside the cycle loop's panic boundary,
+    /// so an invalid trace run without pre-flight ends in a typed error.
+    pub(crate) fn assert_registers(&self) {
+        if self.need == POISONED {
+            let i = self.next_instr().expect("only an instruction is poisoned");
+            for r in i.src_regs().chain(i.dst) {
+                let _ = reg_bit(r);
+            }
         }
-        instr
-            .src_regs()
-            .any(|r| self.pending_writes & reg_bit(r) != 0)
-            || instr
-                .dst
-                .is_some_and(|d| self.pending_writes & reg_bit(d) != 0)
     }
 
     /// Mark `reg` as having a write in flight.
@@ -140,22 +190,10 @@ impl WarpState {
         self.pending_mem &= !bit;
     }
 
-    /// Whether the scoreboard hazard on `instr` involves a register whose
-    /// producer is an outstanding memory load. Only meaningful when
-    /// [`scoreboard_blocks`](Self::scoreboard_blocks) is true.
-    pub fn blocked_on_mem(&self, instr: &Instr) -> bool {
-        if self.pending_mem == 0 {
-            return false;
-        }
-        instr.src_regs().any(|r| self.pending_mem & reg_bit(r) != 0)
-            || instr
-                .dst
-                .is_some_and(|d| self.pending_mem & reg_bit(d) != 0)
-    }
-
     /// Advance past the just-issued instruction.
     pub fn advance(&mut self) {
         self.pc += 1;
+        self.refresh_next();
     }
 }
 
@@ -218,7 +256,7 @@ impl CheckpointState for WarpState {
         if pending_mem & !pending_writes != 0 {
             return Err(bad("pending_mem must be a subset of pending_writes"));
         }
-        Ok(WarpState {
+        let mut w = WarpState {
             info,
             cta,
             kernel,
@@ -231,7 +269,11 @@ impl CheckpointState for WarpState {
             pending_mem,
             status,
             age,
-        })
+            next_op: None,
+            need: 0,
+        };
+        w.refresh_next();
+        Ok(w)
     }
 }
 
@@ -265,37 +307,49 @@ mod tests {
     #[test]
     fn raw_hazard_blocks() {
         let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(2), &[Reg(1)])]);
-        let i = w.next_instr().unwrap().clone();
-        assert!(!w.scoreboard_blocks(&i));
+        assert!(!w.next_blocked());
         w.set_pending(Reg(1));
-        assert!(w.scoreboard_blocks(&i), "RAW on r1");
+        assert!(w.next_blocked(), "RAW on r1");
         w.clear_pending(Reg(1));
-        assert!(!w.scoreboard_blocks(&i));
+        assert!(!w.next_blocked());
+    }
+
+    #[test]
+    fn advancing_recomputes_the_hazard_mask() {
+        let mut w = warp_with(vec![
+            Instr::alu(Op::FpFma, Reg(2), &[Reg(1)]),
+            Instr::alu(Op::IntAlu, Reg(3), &[Reg(4)]),
+        ]);
+        w.set_pending(Reg(1));
+        assert!(w.next_blocked(), "RAW on r1");
+        w.advance();
+        assert_eq!(w.next_op(), Some(Op::IntAlu));
+        assert!(!w.next_blocked(), "the next instruction does not read r1");
+        w.set_pending_mem(Reg(4));
+        assert!(w.next_blocked_on_mem());
     }
 
     #[test]
     fn waw_hazard_blocks() {
         let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(2), &[])]);
-        let i = w.next_instr().unwrap().clone();
         w.set_pending(Reg(2));
-        assert!(w.scoreboard_blocks(&i), "WAW on r2");
+        assert!(w.next_blocked(), "WAW on r2");
     }
 
     #[test]
     fn mem_pending_mask_tracks_load_producers() {
         let mut w = warp_with(vec![Instr::alu(Op::FpFma, Reg(3), &[Reg(1), Reg(2)])]);
-        let i = w.next_instr().unwrap().clone();
         w.set_pending(Reg(1)); // ALU producer
-        assert!(w.scoreboard_blocks(&i));
+        assert!(w.next_blocked());
         assert!(
-            !w.blocked_on_mem(&i),
+            !w.next_blocked_on_mem(),
             "ALU dependency is not a memory stall"
         );
         w.set_pending_mem(Reg(2)); // load producer
-        assert!(w.blocked_on_mem(&i), "load dependency is a memory stall");
+        assert!(w.next_blocked_on_mem(), "load dependency is a memory stall");
         w.clear_pending(Reg(2));
-        assert!(!w.blocked_on_mem(&i));
-        assert!(w.scoreboard_blocks(&i), "r1 still pending");
+        assert!(!w.next_blocked_on_mem());
+        assert!(w.next_blocked(), "r1 still pending");
         assert_eq!(w.pending_mem, 0, "clear_pending clears the mem bit too");
     }
 
@@ -305,8 +359,7 @@ mod tests {
             Reg(3),
             MemAccess::coalesced(Space::Global, crisp_trace::DataClass::Compute, 4, 0, 32),
         )]);
-        let i = w.next_instr().unwrap().clone();
         w.set_pending(Reg(3));
-        assert!(w.scoreboard_blocks(&i));
+        assert!(w.next_blocked());
     }
 }
