@@ -16,6 +16,8 @@
 //! * [`wire_struct!`]: declares a struct's checkpointed fields *once* and
 //!   generates both directions from that single list, with an optional
 //!   validation function run after the read.
+//! * [`wire_tags!`]: the one-byte tag encoding of a fieldless enum, with
+//!   unknown tags rejected.
 //! * [`CheckpointState`]: the trait for the few components whose restore
 //!   needs outside context — configuration that the checkpoint stores once
 //!   at the top level, or the run's trace source for paging resident CTAs
@@ -27,6 +29,9 @@
 //! run's trace source, and the checkpoint carries the source's *provenance*
 //! (a path, or the raw CRSP container bytes) so restore re-opens the source
 //! and demand-pages the resident CTAs back in.
+//!
+//! The same layer also encodes `crisp-serve`'s wire protocol and spool
+//! manifest, so checkpoints and daemon messages share one codec.
 //!
 //! The determinism contract is that encoding walks every collection in a
 //! deterministic order: hash maps are written with sorted keys and heaps as
@@ -466,20 +471,38 @@ macro_rules! wire_newtype {
 }
 wire_newtype!(StreamId, KernelId, Reg);
 
-/// Fieldless enums as one tag byte; any other byte is corruption.
+/// Implement [`Wire`] for fieldless enums as one tag byte each; any other
+/// byte decodes to `InvalidData`.
+///
+/// ```
+/// # use crisp_ckpt::{wire_tags, Reader, Writer};
+/// #[derive(Debug, PartialEq)]
+/// enum Mode { Fast, Exact }
+/// wire_tags! { Mode { Fast = 0u8, Exact = 1u8 } }
+///
+/// let mut buf = Vec::new();
+/// Writer::new(&mut buf).put(&Mode::Exact).unwrap();
+/// assert_eq!(buf, [1]);
+/// assert_eq!(Reader::new(buf.as_slice()).get::<Mode>().unwrap(), Mode::Exact);
+/// assert!(Reader::new([2u8].as_slice()).get::<Mode>().is_err());
+/// ```
+#[macro_export]
 macro_rules! wire_tags {
     ($($ty:ident { $($variant:ident = $tag:literal),+ })+) => {$(
-        impl Wire for $ty {
-            fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        impl $crate::Wire for $ty {
+            fn put<W: ::std::io::Write>(
+                &self,
+                w: &mut $crate::Writer<W>,
+            ) -> ::std::io::Result<()> {
                 w.put(&match self {
                     $($ty::$variant => $tag,)+
                 })
             }
 
-            fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+            fn get<R: ::std::io::Read>(r: &mut $crate::Reader<R>) -> ::std::io::Result<Self> {
                 match r.get::<u8>()? {
                     $($tag => Ok($ty::$variant),)+
-                    t => Err(bad(format!(concat!("bad ", stringify!($ty), " tag {}"), t))),
+                    t => Err($crate::bad(format!(concat!("bad ", stringify!($ty), " tag {}"), t))),
                 }
             }
         }

@@ -9,12 +9,17 @@
 //! ```
 //!
 //! `len` counts the type byte plus the payload, must be at least 1, and
-//! must not exceed [`MAX_FRAME`]. Payloads are flat little-endian
-//! encodings (u32/u64 LE, strings and byte blobs as u32 length + data) —
-//! no self-description, no external dependencies. Decoding is defensive
-//! throughout: a malformed frame is a [`ProtoError`], never a panic, and
-//! the daemon answers it with a structured [`Response::Error`] frame
-//! rather than dying.
+//! must not exceed [`MAX_FRAME`]. Payloads are [`crisp_ckpt::Wire`]
+//! encodings — the codec checkpoints use: LEB128 `u64`s and lengths,
+//! fixed-width `u8`/`u32`, strict bool bytes, one tag byte per enum, and
+//! strings and byte blobs as a length plus the bytes. Decoding is
+//! defensive throughout: a malformed frame is a [`ProtoError`], never a
+//! panic, and the daemon answers it with a structured [`Response::Error`]
+//! frame rather than dying. A payload is malformed when it is truncated,
+//! has trailing bytes, carries an unknown tag or a bool byte other than
+//! 0/1, has a tenant, job name, scene kind or error message over 64 KiB,
+//! an empty tenant, or a job list over 2^20 entries. Trace containers and
+//! outcome texts are bounded only by the frame.
 //!
 //! One request frame yields exactly one response frame on the same
 //! connection; connections are long-lived and carry any number of
@@ -23,6 +28,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use crisp_ckpt::{bad, wire_struct, wire_tags, Reader, Wire, Writer};
+
 /// Hard ceiling on one frame (type byte + payload). Large enough for a
 /// paper-scale CRSP container in a submit, small enough that a hostile
 /// length prefix cannot make the daemon allocate unbounded memory.
@@ -30,6 +37,9 @@ pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Ceiling on any single string inside a payload.
 const MAX_STR: usize = 1 << 16;
+
+/// Ceiling on the entries of a job list.
+const MAX_JOBS: usize = 1 << 20;
 
 /// How a frame or payload failed to parse.
 #[derive(Debug)]
@@ -118,144 +128,48 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), ProtoError> {
     Ok((kind[0], payload))
 }
 
-/// Flat little-endian payload encoder.
-#[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
+/// Encode a message body with `f`, which returns the frame type byte.
+fn encode_body(f: impl FnOnce(&mut Writer<&mut Vec<u8>>) -> io::Result<u8>) -> (u8, Vec<u8>) {
+    let mut buf = Vec::new();
+    let kind = f(&mut Writer::new(&mut buf)).expect("encoding into memory cannot fail");
+    (kind, buf)
 }
 
-impl Enc {
-    /// An empty payload.
-    #[must_use]
-    pub fn new() -> Self {
-        Enc::default()
+/// Decode a whole message body with `f`. Every decode error and any
+/// trailing byte is [`ProtoError::Malformed`], so a bad payload fails only
+/// its own request.
+fn decode_body<T>(
+    payload: &[u8],
+    f: impl FnOnce(&mut Reader<&mut &[u8]>) -> io::Result<T>,
+) -> Result<T, ProtoError> {
+    let mut rest = payload;
+    let v = f(&mut Reader::new(&mut rest)).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => malformed("payload truncated"),
+        _ => malformed(e.to_string()),
+    })?;
+    if !rest.is_empty() {
+        return Err(malformed(format!(
+            "{} trailing bytes after payload",
+            rest.len()
+        )));
     }
-
-    /// The encoded bytes.
-    #[must_use]
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Append a byte.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
-        self
-    }
-
-    /// Append a bool as one byte.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.u8(u8::from(v))
-    }
-
-    /// Append a u32, little-endian.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Append a u64, little-endian.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Append a string as u32 length + UTF-8 bytes.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-        self
-    }
-
-    /// Append a byte blob as u32 length + bytes.
-    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-        self
-    }
+    Ok(v)
 }
 
-/// Bounds-checked payload decoder over a received frame.
-#[derive(Debug)]
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Reject a string over [`MAX_STR`] bytes.
+fn check_len(what: &str, s: &str) -> io::Result<()> {
+    if s.len() > MAX_STR {
+        return Err(bad(format!(
+            "{what} of {} bytes exceeds {MAX_STR}",
+            s.len()
+        )));
+    }
+    Ok(())
 }
 
-impl<'a> Dec<'a> {
-    /// Decode from `buf`.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| malformed(format!("payload truncated at offset {}", self.pos)))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a bool byte (must be 0 or 1).
-    pub fn bool(&mut self) -> Result<bool, ProtoError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(malformed(format!("bool byte {b}"))),
-        }
-    }
-
-    /// Read a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Read a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read a length-prefixed UTF-8 string (capped at 64 KiB).
-    pub fn str(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()? as usize;
-        if n > MAX_STR {
-            return Err(malformed(format!("string of {n} bytes exceeds {MAX_STR}")));
-        }
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| malformed("string is not UTF-8"))
-    }
-
-    /// Read a length-prefixed byte blob (capped at the frame limit, which
-    /// the enclosing frame already enforced).
-    pub fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Assert the payload was fully consumed.
-    pub fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
+/// Read a UTF-8 blob written with [`Writer::bytes`], bounded by the frame.
+fn blob<R: Read>(r: &mut Reader<R>) -> io::Result<String> {
+    String::from_utf8(r.bytes(MAX_FRAME as usize)?).map_err(|_| bad("text blob is not UTF-8"))
 }
 
 // ---------------------------------------------------------------- messages
@@ -272,21 +186,6 @@ pub enum GpuPreset {
 }
 
 impl GpuPreset {
-    fn tag(self) -> u8 {
-        match self {
-            GpuPreset::TestTiny => 0,
-            GpuPreset::JetsonOrin => 1,
-        }
-    }
-
-    fn from_tag(t: u8) -> Result<Self, ProtoError> {
-        match t {
-            0 => Ok(GpuPreset::TestTiny),
-            1 => Ok(GpuPreset::JetsonOrin),
-            t => Err(malformed(format!("gpu preset tag {t}"))),
-        }
-    }
-
     /// The parse of [`label`](Self::label).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
@@ -350,66 +249,6 @@ pub struct JobSpec {
     pub deadline_ms: u64,
 }
 
-impl JobSpec {
-    /// Encode into a payload buffer.
-    pub fn encode(&self, e: &mut Enc) {
-        e.str(&self.tenant);
-        e.str(&self.name);
-        e.u8(self.priority);
-        match &self.payload {
-            Payload::Trace(bytes) => {
-                e.u8(0);
-                e.bytes(bytes);
-            }
-            Payload::Scene { kind, factor_milli } => {
-                e.u8(1);
-                e.str(kind);
-                e.u32(*factor_milli);
-            }
-        }
-        e.u8(self.gpu.tag());
-        e.u64(self.max_cycles);
-        e.bool(self.telemetry);
-        e.u64(self.deadline_ms);
-    }
-
-    /// Decode from a payload buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on any encoding violation.
-    pub fn decode(d: &mut Dec) -> Result<Self, ProtoError> {
-        let tenant = d.str()?;
-        let name = d.str()?;
-        let priority = d.u8()?;
-        let payload = match d.u8()? {
-            0 => Payload::Trace(d.bytes()?),
-            1 => Payload::Scene {
-                kind: d.str()?,
-                factor_milli: d.u32()?,
-            },
-            t => return Err(malformed(format!("payload tag {t}"))),
-        };
-        let gpu = GpuPreset::from_tag(d.u8()?)?;
-        let max_cycles = d.u64()?;
-        let telemetry = d.bool()?;
-        let deadline_ms = d.u64()?;
-        if tenant.is_empty() {
-            return Err(malformed("empty tenant"));
-        }
-        Ok(JobSpec {
-            tenant,
-            name,
-            priority,
-            payload,
-            gpu,
-            max_cycles,
-            telemetry,
-            deadline_ms,
-        })
-    }
-}
-
 /// Job lifecycle states.
 ///
 /// ```text
@@ -450,31 +289,6 @@ impl JobState {
         )
     }
 
-    fn tag(self) -> u8 {
-        match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Parked => 2,
-            JobState::Completed => 3,
-            JobState::Cancelled => 4,
-            JobState::Failed => 5,
-            JobState::Retrying => 6,
-        }
-    }
-
-    fn from_tag(t: u8) -> Result<Self, ProtoError> {
-        Ok(match t {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Parked,
-            3 => JobState::Completed,
-            4 => JobState::Cancelled,
-            5 => JobState::Failed,
-            6 => JobState::Retrying,
-            t => return Err(malformed(format!("job-state tag {t}"))),
-        })
-    }
-
     /// Stable display name.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -509,13 +323,6 @@ pub enum FailureClass {
 }
 
 impl FailureClass {
-    fn tag(self) -> u8 {
-        match self {
-            FailureClass::Transient => 1,
-            FailureClass::Permanent => 2,
-        }
-    }
-
     /// Stable display name.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -529,20 +336,6 @@ impl FailureClass {
 impl fmt::Display for FailureClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Encode `Option<FailureClass>` as one byte (0 = none).
-fn encode_failure(e: &mut Enc, f: Option<FailureClass>) {
-    e.u8(f.map_or(0, FailureClass::tag));
-}
-
-fn decode_failure(d: &mut Dec) -> Result<Option<FailureClass>, ProtoError> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(FailureClass::Transient)),
-        2 => Ok(Some(FailureClass::Permanent)),
-        t => Err(malformed(format!("failure-class tag {t}"))),
     }
 }
 
@@ -565,32 +358,6 @@ pub struct JobStatus {
     pub preemptions: u32,
     /// How many retry attempts the job has used.
     pub retries: u32,
-}
-
-impl JobStatus {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.job);
-        e.str(&self.tenant);
-        e.str(&self.name);
-        e.u8(self.priority);
-        e.u8(self.state.tag());
-        e.u64(self.cycles);
-        e.u32(self.preemptions);
-        e.u32(self.retries);
-    }
-
-    fn decode(d: &mut Dec) -> Result<Self, ProtoError> {
-        Ok(JobStatus {
-            job: d.u64()?,
-            tenant: d.str()?,
-            name: d.str()?,
-            priority: d.u8()?,
-            state: JobState::from_tag(d.u8()?)?,
-            cycles: d.u64()?,
-            preemptions: d.u32()?,
-            retries: d.u32()?,
-        })
-    }
 }
 
 /// The final product of a terminal job.
@@ -617,37 +384,6 @@ pub struct Outcome {
     /// Failure classification for failed jobs (`None` for completed and
     /// cancelled ones). `Transient` here means the retry budget ran out.
     pub failure: Option<FailureClass>,
-}
-
-impl Outcome {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.job);
-        e.u8(self.state.tag());
-        e.u64(self.cycles);
-        e.u64(self.instructions);
-        e.bytes(self.summary.as_bytes());
-        e.bytes(self.metrics_csv.as_bytes());
-        e.bytes(self.error.as_bytes());
-        e.u32(self.retries);
-        encode_failure(e, self.failure);
-    }
-
-    fn decode(d: &mut Dec) -> Result<Self, ProtoError> {
-        let text = |raw: Vec<u8>| {
-            String::from_utf8(raw).map_err(|_| malformed("outcome text is not UTF-8"))
-        };
-        Ok(Outcome {
-            job: d.u64()?,
-            state: JobState::from_tag(d.u8()?)?,
-            cycles: d.u64()?,
-            instructions: d.u64()?,
-            summary: text(d.bytes()?)?,
-            metrics_csv: text(d.bytes()?)?,
-            error: text(d.bytes()?)?,
-            retries: d.u32()?,
-            failure: decode_failure(d)?,
-        })
-    }
 }
 
 /// Machine-readable error classes in [`Response::Error`].
@@ -680,37 +416,6 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    fn tag(self) -> u8 {
-        match self {
-            ErrorCode::Malformed => 1,
-            ErrorCode::Oversized => 2,
-            ErrorCode::Rejected => 3,
-            ErrorCode::UnknownJob => 4,
-            ErrorCode::AlreadyTerminal => 5,
-            ErrorCode::NotTerminal => 6,
-            ErrorCode::ShuttingDown => 7,
-            ErrorCode::QuotaExceeded => 8,
-            ErrorCode::Internal => 9,
-            ErrorCode::BreakerOpen => 10,
-        }
-    }
-
-    fn from_tag(t: u8) -> Result<Self, ProtoError> {
-        Ok(match t {
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::Oversized,
-            3 => ErrorCode::Rejected,
-            4 => ErrorCode::UnknownJob,
-            5 => ErrorCode::AlreadyTerminal,
-            6 => ErrorCode::NotTerminal,
-            7 => ErrorCode::ShuttingDown,
-            8 => ErrorCode::QuotaExceeded,
-            9 => ErrorCode::Internal,
-            10 => ErrorCode::BreakerOpen,
-            t => return Err(malformed(format!("error-code tag {t}"))),
-        })
-    }
-
     /// Stable display name.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -732,6 +437,120 @@ impl ErrorCode {
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+// --------------------------------------------------------------- encodings
+
+wire_tags! {
+    GpuPreset { TestTiny = 0u8, JetsonOrin = 1u8 }
+    JobState {
+        Queued = 0u8, Running = 1u8, Parked = 2u8, Completed = 3u8,
+        Cancelled = 4u8, Failed = 5u8, Retrying = 6u8
+    }
+    FailureClass { Transient = 1u8, Permanent = 2u8 }
+    ErrorCode {
+        Malformed = 1u8, Oversized = 2u8, Rejected = 3u8, UnknownJob = 4u8,
+        AlreadyTerminal = 5u8, NotTerminal = 6u8, ShuttingDown = 7u8,
+        QuotaExceeded = 8u8, Internal = 9u8, BreakerOpen = 10u8
+    }
+}
+
+/// A tag byte, then the container blob or the scene kind and factor.
+impl Wire for Payload {
+    fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        match self {
+            Payload::Trace(bytes) => {
+                w.put(&0u8)?;
+                w.bytes(bytes)
+            }
+            Payload::Scene { kind, factor_milli } => {
+                w.put(&1u8)?;
+                w.put(kind)?;
+                w.put(factor_milli)
+            }
+        }
+    }
+
+    fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(Payload::Trace(r.bytes(MAX_FRAME as usize)?)),
+            1 => Ok(Payload::Scene {
+                kind: r.get()?,
+                factor_milli: r.get()?,
+            }),
+            t => Err(bad(format!("bad Payload tag {t}"))),
+        }
+    }
+}
+
+/// A spec needs a tenant, and its strings fit [`MAX_STR`].
+fn check_spec(spec: &JobSpec) -> io::Result<()> {
+    if spec.tenant.is_empty() {
+        return Err(bad("empty tenant"));
+    }
+    check_len("tenant", &spec.tenant)?;
+    check_len("job name", &spec.name)?;
+    match &spec.payload {
+        Payload::Scene { kind, .. } => check_len("scene kind", kind),
+        Payload::Trace(_) => Ok(()),
+    }
+}
+
+wire_struct!(JobSpec {
+    tenant,
+    name,
+    priority,
+    payload,
+    gpu,
+    max_cycles,
+    telemetry,
+    deadline_ms
+} check = check_spec);
+
+/// A status's strings fit [`MAX_STR`].
+fn check_status(status: &JobStatus) -> io::Result<()> {
+    check_len("tenant", &status.tenant)?;
+    check_len("job name", &status.name)
+}
+
+wire_struct!(JobStatus {
+    job,
+    tenant,
+    name,
+    priority,
+    state,
+    cycles,
+    preemptions,
+    retries
+} check = check_status);
+
+/// The texts are blobs bounded by the frame, not by the 64 KiB string cap.
+impl Wire for Outcome {
+    fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.job)?;
+        w.put(&self.state)?;
+        w.put(&self.cycles)?;
+        w.put(&self.instructions)?;
+        w.bytes(self.summary.as_bytes())?;
+        w.bytes(self.metrics_csv.as_bytes())?;
+        w.bytes(self.error.as_bytes())?;
+        w.put(&self.retries)?;
+        w.put(&self.failure)
+    }
+
+    fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        Ok(Outcome {
+            job: r.get()?,
+            state: r.get()?,
+            cycles: r.get()?,
+            instructions: r.get()?,
+            summary: blob(r)?,
+            metrics_csv: blob(r)?,
+            error: blob(r)?,
+            retries: r.get()?,
+            failure: r.get()?,
+        })
     }
 }
 
@@ -800,37 +619,37 @@ impl Request {
     /// Encode into a `(type, payload)` frame body.
     #[must_use]
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut e = Enc::new();
-        let kind = match self {
-            Request::Submit(spec) => {
-                spec.encode(&mut e);
-                REQ_SUBMIT
-            }
-            Request::Status { job } => {
-                e.u64(*job);
-                REQ_STATUS
-            }
-            Request::Cancel { job } => {
-                e.u64(*job);
-                REQ_CANCEL
-            }
-            Request::Result { job } => {
-                e.u64(*job);
-                REQ_RESULT
-            }
-            Request::Wait { job, timeout_ms } => {
-                e.u64(*job);
-                e.u64(*timeout_ms);
-                REQ_WAIT
-            }
-            Request::Metrics => REQ_METRICS,
-            Request::Jobs => REQ_JOBS,
-            Request::Shutdown { drain } => {
-                e.bool(*drain);
-                REQ_SHUTDOWN
-            }
-        };
-        (kind, e.finish())
+        encode_body(|w| {
+            Ok(match self {
+                Request::Submit(spec) => {
+                    w.put(spec)?;
+                    REQ_SUBMIT
+                }
+                Request::Status { job } => {
+                    w.put(job)?;
+                    REQ_STATUS
+                }
+                Request::Cancel { job } => {
+                    w.put(job)?;
+                    REQ_CANCEL
+                }
+                Request::Result { job } => {
+                    w.put(job)?;
+                    REQ_RESULT
+                }
+                Request::Wait { job, timeout_ms } => {
+                    w.put(job)?;
+                    w.put(timeout_ms)?;
+                    REQ_WAIT
+                }
+                Request::Metrics => REQ_METRICS,
+                Request::Jobs => REQ_JOBS,
+                Request::Shutdown { drain } => {
+                    w.put(drain)?;
+                    REQ_SHUTDOWN
+                }
+            })
+        })
     }
 
     /// Decode a received `(type, payload)` frame body.
@@ -839,23 +658,22 @@ impl Request {
     ///
     /// [`ProtoError::Malformed`] for unknown types or bad payloads.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut d = Dec::new(payload);
-        let req = match kind {
-            REQ_SUBMIT => Request::Submit(JobSpec::decode(&mut d)?),
-            REQ_STATUS => Request::Status { job: d.u64()? },
-            REQ_CANCEL => Request::Cancel { job: d.u64()? },
-            REQ_RESULT => Request::Result { job: d.u64()? },
-            REQ_WAIT => Request::Wait {
-                job: d.u64()?,
-                timeout_ms: d.u64()?,
-            },
-            REQ_METRICS => Request::Metrics,
-            REQ_JOBS => Request::Jobs,
-            REQ_SHUTDOWN => Request::Shutdown { drain: d.bool()? },
-            t => return Err(malformed(format!("unknown request type {t:#x}"))),
-        };
-        d.finish()?;
-        Ok(req)
+        decode_body(payload, |r| {
+            Ok(match kind {
+                REQ_SUBMIT => Request::Submit(r.get()?),
+                REQ_STATUS => Request::Status { job: r.get()? },
+                REQ_CANCEL => Request::Cancel { job: r.get()? },
+                REQ_RESULT => Request::Result { job: r.get()? },
+                REQ_WAIT => Request::Wait {
+                    job: r.get()?,
+                    timeout_ms: r.get()?,
+                },
+                REQ_METRICS => Request::Metrics,
+                REQ_JOBS => Request::Jobs,
+                REQ_SHUTDOWN => Request::Shutdown { drain: r.get()? },
+                t => return Err(bad(format!("unknown request type {t:#x}"))),
+            })
+        })
     }
 }
 
@@ -893,39 +711,36 @@ impl Response {
     /// Encode into a `(type, payload)` frame body.
     #[must_use]
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut e = Enc::new();
-        let kind = match self {
-            Response::Submitted { job } => {
-                e.u64(*job);
-                RESP_SUBMITTED
-            }
-            Response::Status(s) => {
-                s.encode(&mut e);
-                RESP_STATUS
-            }
-            Response::Result(o) => {
-                o.encode(&mut e);
-                RESP_RESULT
-            }
-            Response::Metrics { json } => {
-                e.bytes(json.as_bytes());
-                RESP_METRICS
-            }
-            Response::Jobs(list) => {
-                e.u32(list.len() as u32);
-                for s in list {
-                    s.encode(&mut e);
+        encode_body(|w| {
+            Ok(match self {
+                Response::Submitted { job } => {
+                    w.put(job)?;
+                    RESP_SUBMITTED
                 }
-                RESP_JOBS
-            }
-            Response::ShuttingDown => RESP_SHUTTING_DOWN,
-            Response::Error { code, message } => {
-                e.u8(code.tag());
-                e.str(message);
-                RESP_ERROR
-            }
-        };
-        (kind, e.finish())
+                Response::Status(s) => {
+                    w.put(s)?;
+                    RESP_STATUS
+                }
+                Response::Result(o) => {
+                    w.put(o)?;
+                    RESP_RESULT
+                }
+                Response::Metrics { json } => {
+                    w.bytes(json.as_bytes())?;
+                    RESP_METRICS
+                }
+                Response::Jobs(list) => {
+                    w.put(list)?;
+                    RESP_JOBS
+                }
+                Response::ShuttingDown => RESP_SHUTTING_DOWN,
+                Response::Error { code, message } => {
+                    w.put(code)?;
+                    w.put(message)?;
+                    RESP_ERROR
+                }
+            })
+        })
     }
 
     /// Decode a received `(type, payload)` frame body.
@@ -934,35 +749,29 @@ impl Response {
     ///
     /// [`ProtoError::Malformed`] for unknown types or bad payloads.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut d = Dec::new(payload);
-        let resp = match kind {
-            RESP_SUBMITTED => Response::Submitted { job: d.u64()? },
-            RESP_STATUS => Response::Status(JobStatus::decode(&mut d)?),
-            RESP_RESULT => Response::Result(Outcome::decode(&mut d)?),
-            RESP_METRICS => Response::Metrics {
-                json: String::from_utf8(d.bytes()?)
-                    .map_err(|_| malformed("metrics JSON is not UTF-8"))?,
-            },
-            RESP_JOBS => {
-                let n = d.u32()? as usize;
-                if n > 1 << 20 {
-                    return Err(malformed(format!("job list of {n} entries")));
+        decode_body(payload, |r| {
+            Ok(match kind {
+                RESP_SUBMITTED => Response::Submitted { job: r.get()? },
+                RESP_STATUS => Response::Status(r.get()?),
+                RESP_RESULT => Response::Result(r.get()?),
+                RESP_METRICS => Response::Metrics { json: blob(r)? },
+                RESP_JOBS => {
+                    let n: usize = r.get()?;
+                    if n > MAX_JOBS {
+                        return Err(bad(format!("job list of {n} entries")));
+                    }
+                    Response::Jobs((0..n).map(|_| r.get()).collect::<io::Result<_>>()?)
                 }
-                let mut list = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    list.push(JobStatus::decode(&mut d)?);
+                RESP_SHUTTING_DOWN => Response::ShuttingDown,
+                RESP_ERROR => {
+                    let code = r.get()?;
+                    let message: String = r.get()?;
+                    check_len("error message", &message)?;
+                    Response::Error { code, message }
                 }
-                Response::Jobs(list)
-            }
-            RESP_SHUTTING_DOWN => Response::ShuttingDown,
-            RESP_ERROR => Response::Error {
-                code: ErrorCode::from_tag(d.u8()?)?,
-                message: d.str()?,
-            },
-            t => return Err(malformed(format!("unknown response type {t:#x}"))),
-        };
-        d.finish()?;
-        Ok(resp)
+                t => return Err(bad(format!("unknown response type {t:#x}"))),
+            })
+        })
     }
 }
 
@@ -1006,12 +815,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let cases = vec![
+    fn status() -> JobStatus {
+        JobStatus {
+            job: 3,
+            tenant: "acme".into(),
+            name: "nightly".into(),
+            priority: 7,
+            state: JobState::Parked,
+            cycles: 42_000,
+            preemptions: 2,
+            retries: 1,
+        }
+    }
+
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Submit(spec()),
             Request::Submit(JobSpec {
                 payload: Payload::Trace(vec![1, 2, 3, 4]),
+                gpu: GpuPreset::JetsonOrin,
                 ..spec()
             }),
             Request::Status { job: 9 },
@@ -1024,31 +846,16 @@ mod tests {
             Request::Metrics,
             Request::Jobs,
             Request::Shutdown { drain: true },
-        ];
-        for req in cases {
-            let (kind, payload) = req.encode();
-            assert_eq!(Request::decode(kind, &payload).unwrap(), req);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let status = JobStatus {
-            job: 3,
-            tenant: "acme".into(),
-            name: "nightly".into(),
-            priority: 7,
-            state: JobState::Parked,
-            cycles: 42_000,
-            preemptions: 2,
-            retries: 1,
-        };
-        let cases = vec![
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Submitted { job: 1 },
-            Response::Status(status.clone()),
+            Response::Status(status()),
             Response::Status(JobStatus {
                 state: JobState::Retrying,
-                ..status.clone()
+                ..status()
             }),
             Response::Result(Outcome {
                 job: 3,
@@ -1075,7 +882,7 @@ mod tests {
             Response::Metrics {
                 json: "{\"version\":1}".into(),
             },
-            Response::Jobs(vec![status]),
+            Response::Jobs(vec![status()]),
             Response::ShuttingDown,
             Response::Error {
                 code: ErrorCode::Rejected,
@@ -1085,8 +892,20 @@ mod tests {
                 code: ErrorCode::BreakerOpen,
                 message: "tenant breaker open".into(),
             },
-        ];
-        for resp in cases {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in requests() {
+            let (kind, payload) = req.encode();
+            assert_eq!(Request::decode(kind, &payload).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in responses() {
             let (kind, payload) = resp.encode();
             assert_eq!(Response::decode(kind, &payload).unwrap(), resp);
         }
@@ -1100,6 +919,43 @@ mod tests {
         let (kind, payload) = read_frame(&mut cur).unwrap();
         assert_eq!(kind, 0x42);
         assert_eq!(payload, b"hello");
+    }
+
+    /// A payload written field by field, to forge what no encoder emits.
+    fn body(f: impl FnOnce(&mut Writer<&mut Vec<u8>>) -> io::Result<()>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        f(&mut Writer::new(&mut buf)).unwrap();
+        buf
+    }
+
+    /// A `JobSpec` payload with the given payload tag and GPU tag bytes.
+    fn spec_body(payload_tag: u8, gpu_tag: u8) -> Vec<u8> {
+        body(|w| {
+            w.put(&"acme".to_string())?;
+            w.put(&"nightly".to_string())?;
+            w.put(&7u8)?;
+            w.put(&payload_tag)?;
+            w.put(&"vio".to_string())?;
+            w.put(&150u32)?;
+            w.put(&gpu_tag)?;
+            w.put(&0u64)?;
+            w.put(&false)?;
+            w.put(&0u64)
+        })
+    }
+
+    fn malformed_request(kind: u8, payload: &[u8]) -> bool {
+        matches!(
+            Request::decode(kind, payload),
+            Err(ProtoError::Malformed(_))
+        )
+    }
+
+    fn malformed_response(kind: u8, payload: &[u8]) -> bool {
+        matches!(
+            Response::decode(kind, payload),
+            Err(ProtoError::Malformed(_))
+        )
     }
 
     #[test]
@@ -1122,15 +978,151 @@ mod tests {
         raw.extend_from_slice(&[1, 2]);
         let mut cur = std::io::Cursor::new(raw);
         assert!(matches!(read_frame(&mut cur), Err(ProtoError::Io(_))));
-        // Unknown request type.
-        assert!(Request::decode(0x77, &[]).is_err());
-        // Trailing garbage.
-        let mut e = Enc::new();
-        e.u64(1).u64(2);
-        assert!(Request::decode(REQ_STATUS, &e.finish()).is_err());
+        // Unknown frame types.
+        assert!(malformed_request(0x77, &[]));
+        assert!(malformed_response(0x77, &[]));
         // Truncated spec.
-        assert!(Request::decode(REQ_SUBMIT, &[1, 0, 0, 0]).is_err());
+        assert!(malformed_request(REQ_SUBMIT, &[1, 0, 0, 0]));
         // Bad bool byte.
-        assert!(Request::decode(REQ_SHUTDOWN, &[7]).is_err());
+        assert!(malformed_request(REQ_SHUTDOWN, &[7]));
+
+        // Every string capped at 64 KiB: tenant, job name, scene kind (in
+        // a submitted spec and in a listed status) and error message.
+        let long = "x".repeat(MAX_STR + 1);
+        let at_cap = "x".repeat(MAX_STR);
+        let submit = |spec: JobSpec| Request::Submit(spec).encode();
+        for spec in [
+            JobSpec {
+                tenant: long.clone(),
+                ..spec()
+            },
+            JobSpec {
+                name: long.clone(),
+                ..spec()
+            },
+            JobSpec {
+                payload: Payload::Scene {
+                    kind: long.clone(),
+                    factor_milli: 1,
+                },
+                ..spec()
+            },
+        ] {
+            let (kind, payload) = submit(spec);
+            assert!(malformed_request(kind, &payload));
+        }
+        let (kind, payload) = submit(JobSpec {
+            tenant: at_cap.clone(),
+            ..spec()
+        });
+        assert!(Request::decode(kind, &payload).is_ok(), "64 KiB is allowed");
+        for resp in [
+            Response::Status(JobStatus {
+                tenant: long.clone(),
+                ..status()
+            }),
+            Response::Jobs(vec![JobStatus {
+                name: long.clone(),
+                ..status()
+            }]),
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: long.clone(),
+            },
+        ] {
+            let (kind, payload) = resp.encode();
+            assert!(malformed_response(kind, &payload));
+        }
+        let (kind, payload) = Response::Error {
+            code: ErrorCode::Internal,
+            message: at_cap,
+        }
+        .encode();
+        assert!(
+            Response::decode(kind, &payload).is_ok(),
+            "64 KiB is allowed"
+        );
+
+        // A job list over 2^20 entries is refused before any entry is read.
+        match Response::decode(RESP_JOBS, &body(|w| w.put(&(MAX_JOBS + 1)))) {
+            Err(ProtoError::Malformed(m)) => assert!(m.contains("job list"), "{m}"),
+            other => panic!("oversized job list decoded to {other:?}"),
+        }
+
+        // An empty tenant.
+        let (kind, payload) = submit(JobSpec {
+            tenant: String::new(),
+            ..spec()
+        });
+        assert!(malformed_request(kind, &payload));
+
+        // Unknown tags: Payload and GpuPreset (in a spec), JobState,
+        // ErrorCode and FailureClass.
+        assert!(Request::decode(REQ_SUBMIT, &spec_body(1, 1)).is_ok());
+        assert!(malformed_request(REQ_SUBMIT, &spec_body(2, 0)));
+        assert!(malformed_request(REQ_SUBMIT, &spec_body(1, 2)));
+        let status_body = |state: u8| {
+            body(|w| {
+                w.put(&3u64)?;
+                w.put(&"acme".to_string())?;
+                w.put(&"nightly".to_string())?;
+                w.put(&7u8)?;
+                w.put(&state)?;
+                w.put(&0u64)?;
+                w.put(&0u32)?;
+                w.put(&0u32)
+            })
+        };
+        assert!(Response::decode(RESP_STATUS, &status_body(6)).is_ok());
+        assert!(malformed_response(RESP_STATUS, &status_body(7)));
+        for code in [0u8, 11] {
+            let payload = body(|w| {
+                w.put(&code)?;
+                w.put(&"boom".to_string())
+            });
+            assert!(malformed_response(RESP_ERROR, &payload));
+        }
+        let (_, good) = responses()
+            .into_iter()
+            .find(|r| matches!(r, Response::Result(o) if o.failure.is_some()))
+            .unwrap()
+            .encode();
+        assert_eq!(good[good.len() - 2..], [1, 2], "Some(Permanent)");
+        for tag in [0u8, 3] {
+            let mut bad_failure = good.clone();
+            *bad_failure.last_mut().unwrap() = tag;
+            assert!(malformed_response(RESP_RESULT, &bad_failure));
+        }
+
+        // Trailing bytes after every message kind.
+        for req in requests() {
+            let (kind, mut payload) = req.encode();
+            payload.push(0);
+            assert!(malformed_request(kind, &payload), "{req:?}");
+        }
+        for resp in responses() {
+            let (kind, mut payload) = resp.encode();
+            payload.push(0);
+            assert!(malformed_response(kind, &payload), "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn every_truncated_payload_is_malformed() {
+        for req in requests() {
+            let (kind, payload) = req.encode();
+            for n in 0..payload.len() {
+                assert!(malformed_request(kind, &payload[..n]), "{req:?} cut at {n}");
+            }
+        }
+        for resp in responses() {
+            let (kind, payload) = resp.encode();
+            for n in 0..payload.len() {
+                assert!(
+                    malformed_response(kind, &payload[..n]),
+                    "{resp:?} cut at {n}"
+                );
+            }
+        }
     }
 }

@@ -58,6 +58,7 @@ use crate::proto::{
 };
 use crate::spool::{self, is_disk_full, SpoolHandle};
 use crate::supervise::{BreakerPolicy, BreakerTable, FaultPlan, RetryPolicy};
+use crisp_ckpt::{wire_struct, Reader, Writer};
 use crisp_obs::{Labels, MetricRegistry};
 use crisp_scenes::{compute, ComputeScale, Scene, SceneId};
 use crisp_sim::{
@@ -1675,45 +1676,69 @@ fn manifest_path(cfg: &ServeConfig) -> PathBuf {
     cfg.spool.join("manifest.bin")
 }
 
+/// One live job in the shutdown manifest. Its container follows it as a
+/// [`Writer::bytes`] blob, read bounded only by the checksummed manifest:
+/// [`Payload`] caps a trace at [`MAX_FRAME`](crate::proto::MAX_FRAME),
+/// but a container generated from a scene payload has no such bound.
+struct ManifestEntry {
+    id: u64,
+    cycles: u64,
+    preemptions: u32,
+    retries: u32,
+    /// The checkpoint a parked job resumes from.
+    checkpoint: Option<String>,
+    /// The spec, with an empty trace payload: the materialized container
+    /// follows the entry, so scene jobs need no regeneration on recovery.
+    spec: JobSpec,
+}
+
+wire_struct!(ManifestEntry {
+    id,
+    cycles,
+    preemptions,
+    retries,
+    checkpoint,
+    spec
+});
+
 /// Persist every non-terminal job so the next daemon over this spool can
-/// resume them. The payload is sealed (magic, version, CRC-32) and
-/// written through the spool's fsync'd atomic-replace path; failures are
-/// surfaced — logged and counted in `serve/spool_errors` — never
-/// swallowed.
+/// resume them. The payload — the next job id, then the entries — is
+/// sealed (magic, version, CRC-32) and written through the spool's
+/// fsync'd atomic-replace path; failures are surfaced — logged and counted
+/// in `serve/spool_errors` — never swallowed.
 fn write_manifest(inner: &Inner, s: &mut Sched) {
-    use crate::proto::Enc;
-    let live: Vec<(u64, &Job)> = s
-        .jobs
-        .iter()
-        .filter(|(_, j)| !j.state.terminal())
-        .map(|(&id, j)| (id, j))
-        .collect();
-    let mut e = Enc::new();
-    e.u64(s.next_id);
-    e.u32(live.len() as u32);
-    for (id, job) in &live {
-        e.u64(*id);
-        e.u64(job.cycles);
-        e.u32(job.preemptions);
-        e.u32(job.retries);
-        match &job.checkpoint {
-            Some(p) => {
-                e.bool(true);
-                e.str(&p.to_string_lossy());
-            }
-            None => {
-                e.bool(false);
-            }
-        }
-        // Persist the materialized container so scene jobs need no
-        // regeneration on recovery.
-        let spec = JobSpec {
-            payload: Payload::Trace((*job.bytes).clone()),
-            ..job.spec.clone()
-        };
-        spec.encode(&mut e);
-    }
-    let out = spool::seal(&e.finish());
+    let live: Vec<(&u64, &Job)> = s.jobs.iter().filter(|(_, j)| !j.state.terminal()).collect();
+    let mut payload = Vec::new();
+    let mut w = Writer::new(&mut payload);
+    w.put(&s.next_id)
+        .and_then(|()| {
+            w.seq(live, |w, (&id, job)| {
+                let spec = &job.spec;
+                w.put(&ManifestEntry {
+                    id,
+                    cycles: job.cycles,
+                    preemptions: job.preemptions,
+                    retries: job.retries,
+                    checkpoint: job
+                        .checkpoint
+                        .as_ref()
+                        .map(|p| p.to_string_lossy().into_owned()),
+                    spec: JobSpec {
+                        tenant: spec.tenant.clone(),
+                        name: spec.name.clone(),
+                        priority: spec.priority,
+                        payload: Payload::Trace(Vec::new()),
+                        gpu: spec.gpu,
+                        max_cycles: spec.max_cycles,
+                        telemetry: spec.telemetry,
+                        deadline_ms: spec.deadline_ms,
+                    },
+                })?;
+                w.bytes(&job.bytes)
+            })
+        })
+        .expect("encoding into memory cannot fail");
+    let out = spool::seal(&payload);
     let path = manifest_path(&inner.cfg);
     if let Err(e) = inner.cfg.spool_io.write_atomic(&path, &out) {
         eprintln!(
@@ -1730,7 +1755,6 @@ fn write_manifest(inner: &Inner, s: &mut Sched) {
 /// starts empty but alive. Orphaned checkpoints no recovered job
 /// references are swept out of the spool.
 fn recover_manifest(cfg: &ServeConfig, s: &mut Sched) {
-    use crate::proto::Dec;
     let path = manifest_path(cfg);
     let raw = match cfg.spool_io.read(&path) {
         Ok(raw) => raw,
@@ -1749,7 +1773,7 @@ fn recover_manifest(cfg: &ServeConfig, s: &mut Sched) {
         }
     };
     let payload = match spool::open(&raw) {
-        Ok(p) => p.to_vec(),
+        Ok(p) => p,
         Err(e) => {
             let dest = spool::quarantine(&*cfg.spool_io, &path);
             eprintln!(
@@ -1767,70 +1791,7 @@ fn recover_manifest(cfg: &ServeConfig, s: &mut Sched) {
         }
     };
     let _ = cfg.spool_io.remove(&path);
-    let mut d = Dec::new(&payload);
-    let parsed: Result<(), ProtoError> = (|| {
-        let next_id = d.u64()?;
-        let count = d.u32()?;
-        s.next_id = s.next_id.max(next_id);
-        for _ in 0..count {
-            let id = d.u64()?;
-            let cycles = d.u64()?;
-            let preemptions = d.u32()?;
-            let retries = d.u32()?;
-            let checkpoint = if d.bool()? {
-                Some(PathBuf::from(d.str()?))
-            } else {
-                None
-            };
-            let spec = JobSpec::decode(&mut d)?;
-            let bytes = match &spec.payload {
-                Payload::Trace(b) => Arc::new(b.clone()),
-                Payload::Scene { .. } => Arc::new(Vec::new()),
-            };
-            let interrupt = Interrupt::new();
-            let gen0 = interrupt.generation();
-            let state = if checkpoint.is_some() {
-                JobState::Parked
-            } else {
-                JobState::Queued
-            };
-            let seq = s.next_seq;
-            s.next_seq += 1;
-            let tenant = spec.tenant.clone();
-            let deadline_at = cfg.deadline_for(&spec).map(|d| Instant::now() + d);
-            s.jobs.insert(
-                id,
-                Job {
-                    spec,
-                    bytes,
-                    state,
-                    interrupt,
-                    gen0,
-                    park: Arc::new(AtomicBool::new(false)),
-                    seq,
-                    cycles,
-                    preemptions,
-                    retries,
-                    not_before: None,
-                    // The deadline clock restarts on recovery: wall time
-                    // spent down is the operator's fault, not the job's.
-                    deadline_at,
-                    checkpoint,
-                    outcome: None,
-                    submitted_at: Instant::now(),
-                    parked_at: if state == JobState::Parked {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    },
-                },
-            );
-            s.metrics
-                .counter_add("serve/recovered", tenant_labels(&tenant), 1);
-        }
-        Ok(())
-    })();
-    if let Err(e) = parsed {
+    if let Err(e) = requeue_manifest(cfg, s, payload) {
         // The checksum passed, so this is an encoding bug rather than
         // disk corruption — keep what parsed, count the anomaly.
         eprintln!("crisp-serve: manifest truncated ({e}); recovered what parsed");
@@ -1838,6 +1799,68 @@ fn recover_manifest(cfg: &ServeConfig, s: &mut Sched) {
             .counter_add("serve/spool_errors", Labels::new(), 1);
     }
     sweep_orphan_checkpoints(cfg, s);
+}
+
+/// Requeue the jobs of an opened manifest payload, in order, up to the
+/// first entry that fails to decode.
+fn requeue_manifest(cfg: &ServeConfig, s: &mut Sched, payload: &[u8]) -> io::Result<()> {
+    let mut r = Reader::new(payload);
+    let next_id: u64 = r.get()?;
+    let count: usize = r.get()?;
+    s.next_id = s.next_id.max(next_id);
+    for _ in 0..count {
+        let ManifestEntry {
+            id,
+            cycles,
+            preemptions,
+            retries,
+            checkpoint,
+            spec,
+        } = r.get()?;
+        let bytes = Arc::new(r.bytes(usize::MAX)?);
+        let checkpoint = checkpoint.map(PathBuf::from);
+        let interrupt = Interrupt::new();
+        let gen0 = interrupt.generation();
+        let state = if checkpoint.is_some() {
+            JobState::Parked
+        } else {
+            JobState::Queued
+        };
+        let seq = s.next_seq;
+        s.next_seq += 1;
+        let tenant = spec.tenant.clone();
+        let deadline_at = cfg.deadline_for(&spec).map(|d| Instant::now() + d);
+        s.jobs.insert(
+            id,
+            Job {
+                spec,
+                bytes,
+                state,
+                interrupt,
+                gen0,
+                park: Arc::new(AtomicBool::new(false)),
+                seq,
+                cycles,
+                preemptions,
+                retries,
+                not_before: None,
+                // The deadline clock restarts on recovery: wall time
+                // spent down is the operator's fault, not the job's.
+                deadline_at,
+                checkpoint,
+                outcome: None,
+                submitted_at: Instant::now(),
+                parked_at: if state == JobState::Parked {
+                    Some(Instant::now())
+                } else {
+                    None
+                },
+            },
+        );
+        s.metrics
+            .counter_add("serve/recovered", tenant_labels(&tenant), 1);
+    }
+    Ok(())
 }
 
 /// Delete `job-*.ckpt` spool files no recovered job references — debris
@@ -1858,5 +1881,78 @@ fn sweep_orphan_checkpoints(cfg: &ServeConfig, s: &Sched) {
         if name.starts_with("job-") && name.ends_with(".ckpt") && !referenced.contains(&path) {
             let _ = cfg.spool_io.remove(&path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::MAX_FRAME;
+
+    fn entry(id: u64, checkpoint: Option<&PathBuf>) -> ManifestEntry {
+        ManifestEntry {
+            id,
+            cycles: 10 * id,
+            preemptions: 1,
+            retries: 0,
+            checkpoint: checkpoint.map(|p| p.to_string_lossy().into_owned()),
+            spec: JobSpec {
+                tenant: "t".into(),
+                name: format!("job{id}"),
+                priority: 1,
+                payload: Payload::Trace(Vec::new()),
+                gpu: GpuPreset::TestTiny,
+                max_cycles: 0,
+                telemetry: false,
+                deadline_ms: 0,
+            },
+        }
+    }
+
+    #[test]
+    fn a_container_over_the_frame_cap_is_recovered_with_the_jobs_after_it() {
+        let spool =
+            std::env::temp_dir().join(format!("crisp-serve-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        std::fs::create_dir_all(&spool).expect("create spool");
+        let ckpt = spool.join("job-2.ckpt");
+        std::fs::write(&ckpt, b"checkpoint").expect("plant checkpoint");
+        let cfg = ServeConfig {
+            spool: spool.clone(),
+            ..ServeConfig::default()
+        };
+
+        // A scene job's generated container may outgrow a frame; a
+        // parked job follows it in id order.
+        let big = MAX_FRAME as usize + 1;
+        let mut payload = Vec::new();
+        let mut w = Writer::new(&mut payload);
+        w.put(&3u64)
+            .and_then(|()| w.put(&2usize))
+            .and_then(|()| w.put(&entry(1, None)))
+            .and_then(|()| w.bytes(&vec![7; big]))
+            .and_then(|()| w.put(&entry(2, Some(&ckpt))))
+            .and_then(|()| w.bytes(b"trace"))
+            .expect("encode manifest");
+
+        let mut s = Sched {
+            jobs: BTreeMap::new(),
+            next_id: 1,
+            next_seq: 0,
+            busy: 0,
+            high_water: BTreeMap::new(),
+            breakers: BreakerTable::default(),
+            metrics: MetricRegistry::new(),
+        };
+        requeue_manifest(&cfg, &mut s, &payload).expect("every entry decodes");
+        sweep_orphan_checkpoints(&cfg, &s);
+
+        assert_eq!(s.next_id, 3);
+        assert_eq!(s.jobs[&1].bytes.len(), big);
+        assert_eq!(s.jobs[&1].state, JobState::Queued);
+        assert_eq!(*s.jobs[&2].bytes, b"trace");
+        assert_eq!(s.jobs[&2].state, JobState::Parked);
+        assert!(ckpt.exists(), "the parked job's checkpoint is kept");
+        let _ = std::fs::remove_dir_all(&spool);
     }
 }

@@ -41,9 +41,11 @@ use std::sync::Arc;
 /// Magic prefix of a sealed spool manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"CRSPSRVM";
 
-/// Current manifest format version. v1 (PR 8) had no checksum and an
-/// older `JobSpec` encoding; v2 readers refuse it cleanly (quarantine).
-pub const MANIFEST_VERSION: u32 = 2;
+/// Current manifest format version. v1 had no checksum; v2 encoded the
+/// payload with the protocol's former flat little-endian layout; v3
+/// encodes it with [`crisp_ckpt::Wire`]. Readers refuse every other
+/// version cleanly (quarantine).
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// Sealed-frame overhead: magic (8) + version (4) + crc (4) + len (8).
 const HEADER_LEN: usize = 24;
@@ -435,10 +437,13 @@ mod tests {
         bad[0] ^= 0xFF;
         assert_eq!(open(&bad), Err(SpoolError::BadMagic));
 
-        // Wrong version (e.g. the checksum-free v1).
-        let mut bad = sealed.clone();
-        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(open(&bad), Err(SpoolError::BadVersion { version: 1 }));
+        // Wrong version: the checksum-free v1 and the v2 manifest, whose
+        // payload used the protocol's former encoding.
+        for version in [1u32, 2] {
+            let mut bad = sealed.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(open(&bad), Err(SpoolError::BadVersion { version }));
+        }
 
         // Truncated payload (torn write).
         assert!(matches!(

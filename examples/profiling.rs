@@ -38,7 +38,17 @@ fn main() {
         .trace(crisp_core::concurrent_bundle(frame.trace, compute))
         .run_or_panic();
 
-    // 3. Everything written to disk is also queryable in memory.
+    // 3. The exported trace must pass the bundled RFC 8259 validator, and
+    //    full telemetry must have recorded spans; CI runs this example as
+    //    its profiling smoke test.
+    crisp_sim::obs::json::validate(&result.chrome_trace_json())
+        .expect("exported trace is valid JSON");
+    assert!(
+        !result.timeline.is_empty(),
+        "full telemetry must record spans"
+    );
+
+    // 4. Everything written to disk is also queryable in memory.
     println!("{}", result.profile_report());
     println!(
         "timeline: {} spans, {} instants, {} counter samples",

@@ -81,8 +81,9 @@ fn streaming_is_byte_identical_to_materialized() {
     let path = saved_container("identical", false);
     let streamed = builder(path.as_path()).run_or_panic();
     assert_identical(&materialized, &streamed, "streaming");
-    // The streamed run really paged: its peak window stayed well under the
-    // whole-bundle footprint a materialized load would physically occupy.
+    // The streamed run really paged: its peak window stayed at or below
+    // half the whole-bundle footprint a materialized load would physically
+    // occupy.
     let whole: u64 = bundle()
         .streams
         .iter()
@@ -90,10 +91,10 @@ fn streaming_is_byte_identical_to_materialized() {
         .flat_map(|k| k.ctas.iter())
         .map(crisp_trace::cta_resident_cost)
         .sum();
+    let peak = streamed.trace.peak_resident_bytes;
     assert!(
-        materialized.trace.peak_resident_bytes < whole,
-        "peak window {} should undercut the materialized footprint {whole}",
-        materialized.trace.peak_resident_bytes,
+        peak * 2 <= whole,
+        "peak window {peak} exceeds half the materialized footprint {whole}",
     );
     let _ = std::fs::remove_file(path);
 }
