@@ -8,11 +8,14 @@
 //! ```
 //!
 //! With `--corpus` the harness analyzes every trace the repo's own
-//! frontends produce (the same bundles `chaos --corpus` validates) under
-//! the audited allow-list from [`crisp_bench::corpus_lint_config`]; with
-//! explicit paths it opens `.crsp` files as streaming sources — the
-//! analyzer demand-pages one kernel at a time, so linting a container much
-//! larger than RAM works — and starts from an empty config.
+//! frontends produce under the audited allow-list from
+//! [`crisp_bench::corpus_lint_config`]; with explicit paths it opens
+//! `.crsp` files as streaming sources — the validator and the analyzer
+//! demand-page one kernel at a time, so linting a container much larger
+//! than RAM works — and starts from an empty config. Every source first
+//! goes through the structural validator ([`crisp_trace::validate_source`],
+//! the simulator's pre-flight check); a trace with structural errors exits
+//! 1 before it is analyzed.
 //! `--allow race/global-write-overlap@my_kernel` appends further allow
 //! entries; `--deny errors` (the CI `lint-smoke` mode) exits non-zero when
 //! any error-severity diagnostic survives, `--deny warnings` when anything
@@ -160,6 +163,13 @@ fn main() -> ExitCode {
     let mut text = String::new();
     let mut analysis_time = std::time::Duration::ZERO;
     for (name, src) in &mut sources {
+        if let Err(errs) = crisp_trace::validate_source(src) {
+            eprintln!("lint: {name}: {} structural errors:", errs.len());
+            for e in &errs {
+                eprintln!("  {e}");
+            }
+            return ExitCode::from(1);
+        }
         let t0 = std::time::Instant::now();
         let report = match analyze_source(src, &cfg) {
             Ok(r) => r,

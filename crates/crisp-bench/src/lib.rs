@@ -43,9 +43,9 @@ pub fn emit(name: &str, table: &str) {
 
 /// The trace corpus every frontend in the repo can produce, at smoke scale.
 ///
-/// Shared by `chaos --corpus` (structural validation + codec round-trip)
-/// and `lint` (static analysis): one graphics frame, the three compute
-/// suites, and a concurrent render+compute bundle.
+/// Linted by `lint --corpus` and held to the validator, a codec round trip
+/// and the analyzer by `tests/analyze.rs`: one graphics frame, the three
+/// compute suites, a concurrent render+compute bundle, and paper-scale VIO.
 pub fn frontend_corpus() -> Vec<(String, TraceBundle)> {
     let mut corpus: Vec<(String, TraceBundle)> = Vec::new();
     let frame = Scene::build(SceneId::SponzaKhronos, 0.2).render(96, 54, false, GRAPHICS_STREAM);

@@ -344,7 +344,9 @@ mod tests {
     fn fig10_histogram_has_mass() {
         let r = fig10_texlines_histogram(ExpScale::quick());
         assert!(r.histogram.total_ctas() > 0);
-        assert!(r.histogram.mean() >= 1.0);
+        // The paper's range of texture lines per CTA.
+        let mean = r.histogram.mean();
+        assert!((1.0..=22.0).contains(&mean), "mean tex lines/CTA {mean}");
         assert!(r.to_table().contains("CTAs"));
     }
 

@@ -126,7 +126,7 @@ pub struct ServeConfig {
     /// tests inject [`crate::spool::FaultSpool`] here.
     pub spool_io: SpoolHandle,
     /// Fault-injection plan (worker kills). Empty by default; the soak
-    /// driver and chaos tests arm it.
+    /// driver (`serve-load`) and the worker-kill tests arm it.
     pub faults: FaultPlan,
 }
 

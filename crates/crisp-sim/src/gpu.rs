@@ -1207,23 +1207,6 @@ impl GpuSim {
                             // Kernel-launch boundary resets the partition too.
                             self.reset_slicer(now, sms);
                         }
-                        {
-                            // Fail fast on kernels whose CTAs can never be
-                            // placed (instead of spinning to the progress
-                            // watchdog). Geometry is in the directory, so
-                            // this needs no instruction payload.
-                            let res = CtaResources::of_info(&info);
-                            let sm = &self.cfg.sm;
-                            assert!(
-                                res.threads <= sm.max_threads
-                                    && res.warps <= sm.max_warps
-                                    && res.regs <= sm.max_regs
-                                    && res.smem <= sm.max_smem,
-                                "kernel '{}' needs {res:?} per CTA, which exceeds the SM's \
-                                 physical resources",
-                                info.name
-                            );
-                        }
                         if info.grid == 0 {
                             // Empty launch completes instantly.
                             self.stats.get_mut(&id).expect("registered").kernels += 1;
@@ -2044,9 +2027,9 @@ impl GpuSim {
 }
 
 /// The first kernel in `src` whose CTAs can never be placed on an SM with
-/// `sm`'s physical resources, as an error message. Both the builder's
-/// pre-flight and checkpoint restore reject such a source up front; the
-/// dispatcher asserts it never meets one.
+/// `sm`'s physical resources, as an error message. The builder (with or
+/// without pre-flight) and checkpoint restore both reject such a source up
+/// front, so the dispatcher never meets one.
 pub(crate) fn unplaceable_kernel(src: &TraceSource, sm: &crisp_sm::SmConfig) -> Option<String> {
     src.streams().iter().find_map(|s| {
         s.commands.iter().find_map(|cmd| {
@@ -2493,18 +2476,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the SM")]
     fn unplaceable_kernel_fails_fast() {
         let mut s = Stream::new(C, StreamKind::Compute);
-        // 512 regs/thread × 256 threads = 131072 regs > 65536. Pre-flight
-        // would reject it; the cycle loop must fail fast too.
+        // 512 regs/thread × 256 threads = 131072 regs > 65536. The build
+        // rejects it even with pre-flight off; no cycle ever runs.
         s.launch(alu_kernel("hog", 4, 8, 1, 512));
-        let mut gpu = builder(GpuConfig::test_tiny(), PartitionSpec::greedy())
+        let err = builder(GpuConfig::test_tiny(), PartitionSpec::greedy())
             .preflight(false)
             .trace(TraceBundle::from_streams(vec![s]))
             .try_build()
-            .unwrap();
-        let _ = gpu.run_or_panic();
+            .expect_err("an unplaceable kernel must not build");
+        assert!(
+            matches!(&err, SimError::InvalidConfig { message }
+                if message.contains("'hog'") && message.contains("exceeds the SM")),
+            "{err}"
+        );
     }
 
     #[test]

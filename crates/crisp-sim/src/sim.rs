@@ -325,7 +325,10 @@ impl SimulationBuilder {
     /// lets structurally bad inputs reach the cycle loop — useful only for
     /// testing the runtime fail-safes themselves (the watchdog, the panic
     /// capture) — and also disables the [`analyze`](Self::analyze) hook,
-    /// which runs as part of pre-flight.
+    /// which runs as part of pre-flight. Placement is always checked: a
+    /// kernel whose CTA cannot fit an empty SM fails
+    /// [`try_build`](Self::try_build) with [`SimError::InvalidConfig`]
+    /// either way.
     ///
     /// ```
     /// use crisp_sim::{GpuConfig, SimError, Simulation};
@@ -561,9 +564,6 @@ impl SimulationBuilder {
             }
         }
         if let Some(src) = source.as_ref() {
-            if let Some(msg) = crate::gpu::unplaceable_kernel(src, &cfg.sm) {
-                return invalid(msg);
-            }
             if let Some(label) = &self.fast_forward_to {
                 let found = src.streams().iter().any(|s| {
                     s.commands
@@ -649,6 +649,15 @@ impl SimulationBuilder {
             }
         }
         let cfg = self.gpu.unwrap_or_else(GpuConfig::jetson_orin);
+        // Placement is checked whether or not pre-flight runs: the
+        // dispatcher relies on every CTA fitting an empty SM, and the
+        // check reads only the source's directory metadata.
+        if let Some(message) = source
+            .as_ref()
+            .and_then(|src| crate::gpu::unplaceable_kernel(src, &cfg.sm))
+        {
+            return Err(SimError::InvalidConfig { message });
+        }
         let mut spec = self.partition.unwrap_or_else(PartitionSpec::greedy);
         if let Some(l2) = self.l2 {
             spec.l2 = l2;

@@ -451,7 +451,7 @@ pub(crate) struct DirStream {
 }
 
 /// Serialize a bundle in the version-2 indexed layout, with a hook that lets
-/// the chaos harness corrupt the index on the way out: `mutate_span` sees
+/// tests corrupt the index on the way out: `mutate_span` sees
 /// every CTA span (global index order) and may rewrite it, and `payload_pad`
 /// appends bytes to the payload that no span covers.
 fn write_bundle_v2_core<W: Write>(
@@ -523,7 +523,7 @@ pub fn write_bundle<W: Write>(bundle: &TraceBundle, w: &mut W) -> io::Result<()>
 }
 
 /// Write a bundle with a corrupted CTA index — the fault-injection hook
-/// behind the chaos harness. `mutate_span` may rewrite any `(offset, len)`
+/// behind the corrupt-index tests. `mutate_span` may rewrite any `(offset, len)`
 /// span (called once per CTA in global index order); a non-empty
 /// `payload_pad` leaves payload bytes no span covers.
 #[doc(hidden)]

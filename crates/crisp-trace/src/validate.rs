@@ -639,13 +639,24 @@ mod tests {
                 addrs: vec![0; 33],
             }),
         };
-        let w = sealed_warp(vec![naked_load, alu_with_mem, bad_access]);
+        // No lanes at all.
+        let no_lanes = Instr::load(
+            Reg(4),
+            MemAccess {
+                space: Space::Global,
+                class: DataClass::Compute,
+                width: 4,
+                addrs: Vec::new(),
+            },
+        );
+        let w = sealed_warp(vec![naked_load, alu_with_mem, bad_access, no_lanes]);
         let errs = validate_kernel(&kernel_of(vec![w])).unwrap_err();
         let ks = kinds(&errs);
         assert!(ks.contains(&&TraceErrorKind::MissingMemPayload));
         assert!(ks.contains(&&TraceErrorKind::UnexpectedMemPayload));
         assert!(ks.contains(&&TraceErrorKind::TooManyLanes { lanes: 33 }));
         assert!(ks.contains(&&TraceErrorKind::ZeroWidthAccess));
+        assert!(ks.contains(&&TraceErrorKind::NoActiveLanes));
         assert!(ks.contains(&&TraceErrorKind::SpaceMismatch {
             op: Space::Global,
             mem: Space::Shared,
@@ -703,12 +714,16 @@ mod tests {
             block_threads: 32,
             regs_per_thread: 8,
             smem_per_cta: 0,
-            ctas: vec![CtaTrace::new(vec![w.clone(), w])],
+            ctas: vec![CtaTrace::new(vec![w.clone(), w.clone()])],
         };
         let errs = validate_kernel(&overfull).unwrap_err();
         assert!(errs
             .iter()
             .any(|e| e.kind == TraceErrorKind::OverfullCta { warps: 2, max: 1 }));
+
+        let errs = validate_kernel(&kernel_of(vec![WarpTrace::new(), w])).unwrap_err();
+        assert_eq!(kinds(&errs), vec![&TraceErrorKind::EmptyWarp]);
+        assert_eq!(errs[0].site.warp, Some(0));
     }
 
     #[test]

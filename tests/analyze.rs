@@ -432,6 +432,15 @@ fn corpus_is_clean_of_the_new_analysis_families() {
 fn frontend_corpus_is_error_free_under_the_audited_config() {
     let cfg = corpus_lint_config();
     for (name, bundle) in frontend_corpus() {
+        // Structurally valid, before and after a codec round trip.
+        validate_bundle(&bundle).unwrap_or_else(|e| panic!("{name}: {}", e[0]));
+        let mut bytes = Vec::new();
+        crisp_trace::codec::write_bundle(&bundle, &mut bytes).expect("encode");
+        let decoded = crisp_trace::TraceInput::reader(std::io::Cursor::new(bytes))
+            .open()
+            .and_then(|mut src| src.to_bundle())
+            .expect("decode");
+        validate_bundle(&decoded).unwrap_or_else(|e| panic!("{name} round-tripped: {}", e[0]));
         let report = analyze_bundle(&bundle, &cfg);
         assert!(
             !report.has_errors(),

@@ -86,6 +86,7 @@ fn watchdog_names_the_culprit_cta() {
         panic!("expected Deadlock, got {err}");
     };
     assert_eq!(*window, 2_000);
+    assert_eq!(ctx.cycle, 2_001, "one window past the last progress");
     assert_eq!(ctx.report.culprits(), vec![(0, S, 0)], "culprit CTA named");
     assert!(
         ctx.report.sms[0]
@@ -142,16 +143,11 @@ fn watchdog_zero_disables_and_the_cycle_budget_still_catches_it() {
         .trace(deadlock_bundle())
         .run()
         .expect_err("budget");
-    assert!(
-        matches!(
-            err,
-            SimError::CycleBudgetExceeded {
-                max_cycles: 5_000,
-                ..
-            }
-        ),
-        "got {err}"
-    );
+    let SimError::CycleBudgetExceeded { max_cycles, ctx } = &err else {
+        panic!("expected CycleBudgetExceeded, got {err}");
+    };
+    assert_eq!(*max_cycles, 5_000);
+    assert_eq!(ctx.cycle, 5_001, "the first cycle past the budget");
 }
 
 #[test]
@@ -183,43 +179,67 @@ fn worker_panic_is_caught_by_the_cycle_loop() {
 
 #[test]
 fn preflight_cross_checks_config_against_the_gpu() {
-    use crisp_sim::{PartitionSpec, SmPartition};
+    use crisp_sim::{PartitionSpec, ResourceQuota, SmPartition};
     use std::collections::HashMap;
 
-    // Partition assigns an SM index the GPU does not have.
-    let mut map = HashMap::new();
-    map.insert(S, vec![0usize, 9]);
-    let spec = PartitionSpec {
-        sm: SmPartition::InterSm(map),
-        l2: crisp_sim::L2Policy::Shared,
+    // Partitions this GPU cannot honour: an SM index it does not have, a
+    // stream with no SMs, and two intra-SM quotas that each take a whole SM.
+    let sm = gpu().sm;
+    let whole_sm = ResourceQuota {
+        threads: sm.max_threads,
+        warps: sm.max_warps,
+        regs: sm.max_regs,
+        smem: sm.max_smem,
+        ctas: 1,
     };
-    let err = Simulation::builder()
-        .gpu(gpu())
-        .partition(spec)
-        .trace(deadlock_bundle_valid())
-        .run()
-        .expect_err("SM index out of range");
-    assert!(
-        matches!(&err, SimError::InvalidConfig { message } if message.contains("SM 9")),
-        "got {err}"
-    );
+    let partitions = [
+        (
+            SmPartition::InterSm(HashMap::from([(S, vec![0, 9])])),
+            "SM 9",
+        ),
+        (SmPartition::InterSm(HashMap::from([(S, vec![])])), "no SMs"),
+        (
+            SmPartition::IntraSm(HashMap::from([(S, whole_sm), (StreamId(1), whole_sm)])),
+            "oversubscribe threads",
+        ),
+    ];
+    for (sm, needle) in partitions {
+        let err = Simulation::builder()
+            .gpu(gpu())
+            .partition(PartitionSpec {
+                sm,
+                l2: crisp_sim::L2Policy::Shared,
+            })
+            .trace(deadlock_bundle_valid())
+            .run()
+            .expect_err(needle);
+        assert!(
+            matches!(&err, SimError::InvalidConfig { message } if message.contains(needle)),
+            "got {err}"
+        );
+    }
 
-    // A kernel whose CTA can never be placed on this SM.
+    // A kernel whose CTA can never be placed on this SM: rejected at
+    // build whether or not pre-flight runs.
     let mut w = WarpTrace::new();
     w.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
     w.seal();
     let hog = KernelTrace::new("hog", 64, 40_000, 0, vec![CtaTrace::new(vec![w; 2])]);
     let mut s = Stream::new(S, StreamKind::Compute);
     s.launch(hog);
-    let err = Simulation::builder()
-        .gpu(gpu())
-        .trace(TraceBundle::from_streams(vec![s]))
-        .run()
-        .expect_err("unplaceable kernel");
-    assert!(
-        matches!(&err, SimError::InvalidConfig { message } if message.contains("hog")),
-        "got {err}"
-    );
+    let hog = TraceBundle::from_streams(vec![s]);
+    for preflight in [true, false] {
+        let err = Simulation::builder()
+            .gpu(gpu())
+            .preflight(preflight)
+            .trace(hog.clone())
+            .run()
+            .expect_err("unplaceable kernel");
+        assert!(
+            matches!(&err, SimError::InvalidConfig { message } if message.contains("hog")),
+            "preflight {preflight}: got {err}"
+        );
+    }
 
     // A fast-forward marker that exists in no stream.
     let err = Simulation::builder()

@@ -469,6 +469,115 @@ fn admission_rejects_invalid_traces_and_unknown_scenes() {
     server.join();
 }
 
+#[test]
+fn frame_faults_get_typed_replies_and_the_daemon_stays_live() {
+    use crisp_serve::{proto, Response, MAX_FRAME};
+    use std::io::Write as _;
+    let server = Server::start(config("frames", 1, 2_000)).expect("start daemon");
+    let mut malformed = Vec::new();
+    proto::write_frame(&mut malformed, 0x7F, b"not-a-request").expect("frame");
+    // Each fault on a fresh connection, with the typed reply it must get;
+    // `None` promises a 1000-byte frame, sends 10 bytes and vanishes.
+    let faults = [
+        ("malformed", malformed, Some(ErrorCode::Malformed)),
+        (
+            "oversized",
+            (MAX_FRAME + 1).to_le_bytes().to_vec(),
+            Some(ErrorCode::Oversized),
+        ),
+        (
+            "mid-stream disconnect",
+            [&1000u32.to_le_bytes()[..], &[0x55; 10]].concat(),
+            None,
+        ),
+    ];
+    for (what, bytes, want) in faults {
+        let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
+        conn.write_all(&bytes).expect(what);
+        let Some(want) = want else { continue };
+        let (kind, payload) =
+            proto::read_frame(&mut conn).unwrap_or_else(|e| panic!("{what}: no reply: {e}"));
+        match Response::decode(kind, &payload) {
+            Ok(Response::Error { code, .. }) => assert_eq!(code, want, "{what}"),
+            other => panic!("{what}: wanted {want:?}, got {other:?}"),
+        }
+    }
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let json = client.metrics_json().expect("metrics");
+    assert!(
+        json.contains(
+            "{\"name\":\"serve/proto_errors\",\"labels\":{},\
+             \"type\":\"counter\",\"value\":2}"
+        ),
+        "the malformed and oversized frames were counted: {json}"
+    );
+    let probe = client
+        .submit(&spec(
+            "batch",
+            "probe",
+            1,
+            bundle_bytes(&busy_bundle(1, 50)),
+        ))
+        .expect("submit probe");
+    assert_eq!(
+        client.wait(probe, 120_000).expect("wait probe").state,
+        JobState::Completed,
+        "daemon is live after the frame faults"
+    );
+    client.shutdown(false).expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn unplaceable_kernel_fails_permanently_at_build() {
+    // Admission checks no placement, so the job is admitted; the build
+    // must then reject it once, without panicking a worker.
+    let mut cfg = config("unplaceable", 1, 2_000);
+    cfg.breaker_threshold = 1;
+    let server = Server::start(cfg).expect("start daemon");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut w = WarpTrace::new();
+    w.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
+    w.seal();
+    let mut s = Stream::new(S, StreamKind::Compute);
+    s.launch(KernelTrace::new(
+        "hog",
+        64,
+        40_000,
+        0,
+        vec![CtaTrace::new(vec![w; 2])],
+    ));
+    let bytes = bundle_bytes(&TraceBundle::from_streams(vec![s]));
+    let job = client
+        .submit(&spec("batch", "hog", 1, bytes))
+        .expect("admitted");
+    let status = client.wait(job, 120_000).expect("wait");
+    assert_eq!(status.state, JobState::Failed);
+    assert_eq!(status.retries, 0, "a build failure is not retried");
+    let o = client.result(job).expect("result");
+    assert_eq!(o.failure, Some(FailureClass::Permanent), "{}", o.error);
+    assert!(
+        o.error.contains("'hog'"),
+        "the kernel is named: {}",
+        o.error
+    );
+    let json = client.metrics_json().expect("metrics");
+    assert!(
+        json.contains(
+            "{\"name\":\"serve/worker_respawns\",\"labels\":{},\
+             \"type\":\"counter\",\"value\":0}"
+        ),
+        "no worker panicked: {json}"
+    );
+    let err = client
+        .submit(&spec("batch", "next", 1, bundle_bytes(&busy_bundle(1, 50))))
+        .expect_err("the failure counts toward the tenant's breaker");
+    assert_eq!(err.code(), Some(ErrorCode::BreakerOpen), "{err}");
+    client.shutdown(false).expect("shutdown");
+    server.join();
+}
+
 // --------------------------------------------------------------------------
 // Satellite: a cancel that lands while the simulation is stalled must
 // surface as SimError::Cancelled — never misreported as the watchdog's
