@@ -15,6 +15,12 @@
 //!   trace (simulated timeline + host self-profile as named Perfetto
 //!   processes).
 //!
+//! The front end, scene build + render + compute-trace generation, runs
+//! before the simulator exists, so its profile cannot see it. hostprof
+//! times it and counts its allocations separately, prints both, and writes
+//! them as `frontend_s` and `frontend_allocs_per_instr` (allocations per
+//! generated warp instruction).
+//!
 //! The run fails (exit 1) when the phase attribution covers less than 90%
 //! of measured wall-clock — the self-profiler's own accuracy contract — or
 //! when fewer than 30% of busy SM-cycles were slept, which means the SM
@@ -45,8 +51,25 @@ fn main() {
     };
     let gpu = GpuConfig::rtx3070();
     let (w, h) = s.res.dims();
+
+    #[cfg(feature = "alloc-profile")]
+    crisp_obs::alloc::enable();
+    let t0 = std::time::Instant::now();
     let frame = Scene::build(SceneId::SponzaPbr, s.detail).render(w, h, false, GRAPHICS_STREAM);
     let trace = concurrent_bundle(frame.trace, holo(COMPUTE_STREAM, s.compute));
+    let frontend_s = t0.elapsed().as_secs_f64();
+    #[cfg(feature = "alloc-profile")]
+    let frontend_allocs = {
+        crisp_obs::alloc::disable();
+        let n = crisp_obs::alloc::total_count();
+        // The simulator's profile counts from zero.
+        crisp_obs::alloc::reset();
+        n
+    };
+    #[cfg(not(feature = "alloc-profile"))]
+    let frontend_allocs = 0;
+    let frontend_instrs = trace.instr_count();
+    let frontend_api = frontend_allocs as f64 / frontend_instrs.max(1) as f64;
 
     println!(
         "== hostprof: {} ({} SMs), {scale_name} scale ==",
@@ -73,7 +96,14 @@ fn main() {
         .host_profile
         .as_ref()
         .expect("built with .host_profile(true)");
-    crisp_bench::emit("hostprof", &result.host_report());
+    let report = format!(
+        "{}front end (scene build + render + compute generation): {:.3} s, \
+         {frontend_allocs} allocations for {frontend_instrs} warp instructions \
+         ({frontend_api:.3} per instruction)\n",
+        result.host_report(),
+        frontend_s
+    );
+    crisp_bench::emit("hostprof", &report);
     let trace_path = crisp_bench::out_dir().join("hostprof_trace.json");
     std::fs::write(&trace_path, result.chrome_trace_json_with_host())
         .expect("write dual-clock trace");
@@ -95,6 +125,7 @@ fn main() {
          \"coverage\": {cov:.4},\n\"allocs_per_cycle\": {apc:.4},\n\
          \"alloc_total\": {alloc_count},\n\"alloc_bytes\": {alloc_bytes},\n\
          \"sm_sleep_frac\": {sleep:.4},\n\"heartbeats\": {hb},\n\
+         \"frontend_s\": {frontend_s:.4},\n\"frontend_allocs_per_instr\": {frontend_api:.4},\n\
          \"driver_phase_ns\": {{{phases}}}\n}}\n",
         cycles = prof.cycles,
         instrs = prof.instrs,

@@ -34,6 +34,11 @@ use crate::texture::Texture;
 /// Bytes of one per-instance record (transform + layer index).
 pub const INSTANCE_STRIDE: u64 = 80;
 
+/// Sector size the L1 coalescer fetches ([`DrawStats::tex_sectors`]).
+const SECTOR_BYTES: u64 = 32;
+/// DRAM row size [`DrawStats::tex_rows`] counts.
+const DRAM_ROW_BYTES: u64 = 2048;
+
 /// One instance of an instanced draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instance {
@@ -191,6 +196,52 @@ pub struct Renderer {
     fb: Framebuffer,
     attr_cursor: u64,
     stats: FrameStats,
+    scratch: TexScratch,
+}
+
+/// Buffers the fragment-shading trace is built through, kept across warps
+/// and draws so texture sampling does not allocate per lane or per fetch.
+#[derive(Debug, Default)]
+struct TexScratch {
+    /// Every lane's texel footprint for every bound map of the current
+    /// warp, back to back.
+    texels: Vec<u64>,
+    /// `(start, end)` of each footprint in `texels`, map-major: the
+    /// footprint of lane `l` in map `m` is entry `m * lanes + l`.
+    footprints: Vec<(usize, usize)>,
+    /// One texture instruction's addresses, sorted.
+    sorted: Vec<u64>,
+    /// The DRAM rows the current draw's texture instructions read, listed
+    /// once per instruction; sorted and deduplicated when the draw ends.
+    rows: Vec<u64>,
+}
+
+impl TexScratch {
+    /// Count the sectors `access` presents to the L1 and record the DRAM
+    /// rows it touches. One sort of its addresses serves both.
+    fn tally(&mut self, access: &MemAccess) -> u64 {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&access.addrs);
+        self.sorted.sort_unstable();
+        let width = access.width as u64;
+        let mut sectors = 0;
+        let mut next_sector = 0; // sectors below this are already counted
+        let mut last_row = None;
+        for &a in &self.sorted {
+            let first = (a / SECTOR_BYTES).max(next_sector);
+            let last = (a + width - 1) / SECTOR_BYTES;
+            if last >= first {
+                sectors += last - first + 1;
+                next_sector = last + 1;
+            }
+            let row = a / DRAM_ROW_BYTES;
+            if last_row != Some(row) {
+                self.rows.push(row);
+                last_row = Some(row);
+            }
+        }
+        sectors
+    }
 }
 
 impl Renderer {
@@ -202,6 +253,7 @@ impl Renderer {
             fb,
             attr_cursor: AddressAllocator::ATTR_BASE,
             stats: FrameStats::default(),
+            scratch: TexScratch::default(),
         }
     }
 
@@ -266,7 +318,7 @@ impl Renderer {
         let batches = vertex_batches(&d.mesh.indices, BATCH_SIZE);
         ds.batches = (batches.len() * d.instances.len()) as u64;
 
-        let mut vs_ctas: Vec<CtaTrace> = Vec::new();
+        let mut vs_ctas: Vec<CtaTrace> = Vec::with_capacity(batches.len() * d.instances.len());
         // (fragment, attribute address of its primitive) pairs.
         let mut frags: Vec<(Fragment, u64)> = Vec::new();
         let grid = TileGrid::new(self.cfg.width, self.cfg.height);
@@ -330,7 +382,6 @@ impl Renderer {
             }
         }
         ds.fragments = frags.len() as u64;
-        let mut tex_rows: std::collections::HashSet<u64> = std::collections::HashSet::new();
 
         // Tile/quad-order sort: fragments grouped by screen locality so
         // quads form naturally within warps (paper's approximated quads).
@@ -342,8 +393,12 @@ impl Renderer {
             )
         });
 
-        let fs_ctas = self.fs_ctas(d, &frags, &mut ds, &mut tex_rows);
-        ds.tex_rows = tex_rows.len() as u64;
+        self.scratch.rows.clear();
+        let fs_ctas = self.fs_ctas(d, &frags, &mut ds);
+        let rows = &mut self.scratch.rows;
+        rows.sort_unstable();
+        rows.dedup();
+        ds.tex_rows = rows.len() as u64;
         let vs_kernel = KernelTrace::new(
             format!("vs:{}", d.name),
             BATCH_SIZE as u32, // 96 → 3 warps per CTA
@@ -373,10 +428,15 @@ impl Renderer {
         attr_base: u64,
         index_pos: &mut u64,
     ) -> CtaTrace {
-        let stream = self.cfg.stream;
-        let mut warps = Vec::new();
+        let instrs = 1 // index fetch
+            + 3 // attribute fetches
+            + usize::from(instanced)
+            + (d.vs.fp_ops + d.vs.int_ops) as usize
+            + 1 // attribute store
+            + 1; // exit
+        let mut warps = Vec::with_capacity(b.unique.len().div_ceil(WARP_SIZE));
         for (w_idx, chunk) in b.unique.chunks(WARP_SIZE).enumerate() {
-            let mut w = WarpTrace::new();
+            let mut w = WarpTrace::with_capacity(instrs);
             let lanes = chunk.len();
             // Index fetch: lanes read consecutive u32s from the index buffer.
             w.push(Instr::load(
@@ -452,10 +512,10 @@ impl Renderer {
                 MemAccess::scattered(Space::Global, DataClass::Pipeline, 48, attr_addrs),
             ));
             w.seal();
+            debug_assert_eq!(w.len(), instrs, "vertex warp sized exactly");
             warps.push(w);
         }
         *index_pos += (b.prims.len() * 3) as u64;
-        let _ = stream;
         CtaTrace::new(warps)
     }
 
@@ -465,14 +525,15 @@ impl Renderer {
         d: &DrawCall,
         frags: &[(Fragment, u64)],
         ds: &mut DrawStats,
-        tex_rows: &mut std::collections::HashSet<u64>,
     ) -> Vec<CtaTrace> {
-        let mut ctas = Vec::new();
-        let mut warps: Vec<WarpTrace> = Vec::new();
+        let per_cta = self.cfg.fs_warps_per_cta;
+        let mut ctas = Vec::with_capacity(frags.len().div_ceil(WARP_SIZE * per_cta));
+        let mut warps: Vec<WarpTrace> = Vec::with_capacity(per_cta);
         for chunk in frags.chunks(WARP_SIZE) {
-            warps.push(self.fs_warp(d, chunk, ds, tex_rows));
-            if warps.len() == self.cfg.fs_warps_per_cta {
-                ctas.push(CtaTrace::new(std::mem::take(&mut warps)));
+            warps.push(self.fs_warp(d, chunk, ds));
+            if warps.len() == per_cta {
+                let full = std::mem::replace(&mut warps, Vec::with_capacity(per_cta));
+                ctas.push(CtaTrace::new(full));
             }
         }
         if !warps.is_empty() {
@@ -486,10 +547,40 @@ impl Renderer {
         d: &DrawCall,
         chunk: &[(Fragment, u64)],
         ds: &mut DrawStats,
-        tex_rows: &mut std::collections::HashSet<u64>,
     ) -> WarpTrace {
-        let mut w = WarpTrace::new();
         let lanes = chunk.len();
+        let maps = &d.textures[..d.fs.map_slots];
+        // Every lane's footprint in every bound map, gathered first so the
+        // warp trace can be sized exactly before it is filled.
+        let sc = &mut self.scratch;
+        sc.texels.clear();
+        sc.footprints.clear();
+        // A lane's LoD depends only on the map's dimensions, so
+        // consecutive maps of one size (a PBR material's) share it.
+        let mut lods = [0f32; WARP_SIZE];
+        let mut lod_dims = None;
+        for tex in maps {
+            let same_dims = lod_dims == Some((tex.width, tex.height));
+            lod_dims = Some((tex.width, tex.height));
+            for (lod, (f, _)) in lods.iter_mut().zip(chunk) {
+                if !same_dims {
+                    *lod = tex.lod_from_derivatives(f.duv_dx, f.duv_dy);
+                }
+                let start = sc.texels.len();
+                let layer = f.layer.min(tex.layers - 1);
+                tex.sample_addrs_into(f.uv, *lod, layer, self.cfg.lod0, &mut sc.texels);
+                sc.footprints.push((start, sc.texels.len()));
+            }
+        }
+        let fs = &d.fs;
+        let instrs = 1 // attribute fetch
+            + 6 // interpolation
+            + maps.len() * fs.int_ops.min(2) as usize
+            + sc.footprints.chunks(lanes).map(rounds).sum::<usize>()
+            + (fs.fp_ops + fs.sfu_ops + fs.int_ops.saturating_sub(2)) as usize
+            + 1 // colour store
+            + 1; // exit
+        let mut w = WarpTrace::with_capacity(instrs);
         // Fetch the primitive's post-transform attributes from the L2
         // (the inter-stage communication the composition figures show).
         let attr_addrs: Vec<u64> = chunk.iter().map(|(_, a)| *a).collect();
@@ -513,8 +604,9 @@ impl Renderer {
         // registers rotate so independent fetches overlap (MLP).
         let mut tex_reg = 0u16;
         let mut last_int: Option<Reg> = None;
-        for tex in d.textures.iter().take(d.fs.map_slots) {
-            for i in 0..d.fs.int_ops.min(2) {
+        for (m, tex) in maps.iter().enumerate() {
+            let lane_fps = m * lanes..(m + 1) * lanes;
+            for i in 0..fs.int_ops.min(2) {
                 let dst = Reg(20 + i as u16);
                 match last_int {
                     Some(prev) => w.push(Instr::alu(Op::IntAlu, dst, &[Reg(2), prev])),
@@ -522,32 +614,23 @@ impl Renderer {
                 }
                 last_int = Some(dst);
             }
-            // Per-lane footprints, emitted as one tex instruction per
-            // footprint round (k-th texel of every lane).
-            let footprints: Vec<Vec<u64>> = chunk
-                .iter()
-                .map(|(f, _)| {
-                    let lod = tex.lod_from_derivatives(f.duv_dx, f.duv_dy);
-                    tex.sample_addrs(f.uv, lod, f.layer.min(tex.layers - 1), self.cfg.lod0)
-                })
-                .collect();
-            let max_fp = footprints.iter().map(Vec::len).max().unwrap_or(0);
-            for k in 0..max_fp {
-                let addrs: Vec<u64> = footprints
-                    .iter()
-                    .filter_map(|f| f.get(k).copied())
-                    .collect();
-                if addrs.is_empty() {
-                    continue;
-                }
+            // One tex instruction per footprint round (k-th texel of every
+            // lane).
+            for k in 0..rounds(&sc.footprints[lane_fps.clone()]) {
+                let mut addrs = Vec::with_capacity(lanes);
+                addrs.extend(
+                    sc.footprints[lane_fps.clone()]
+                        .iter()
+                        .filter(|&&(start, end)| start + k < end)
+                        .map(|&(start, _)| sc.texels[start + k]),
+                );
                 let access = MemAccess::scattered(
                     Space::Tex,
                     DataClass::Texture,
                     tex.format.bytes() as u8,
                     addrs,
                 );
-                ds.tex_sectors += access.distinct_chunks(32).len() as u64;
-                tex_rows.extend(access.addrs.iter().map(|a| a / 2048));
+                ds.tex_sectors += sc.tally(&access);
                 w.push(Instr::load(Reg(40 + tex_reg % 12), access));
                 tex_reg += 1;
                 ds.tex_instrs += 1;
@@ -600,6 +683,7 @@ impl Renderer {
             MemAccess::scattered(Space::Global, DataClass::Pipeline, 4, px_addrs),
         ));
         w.seal();
+        debug_assert_eq!(w.len(), instrs, "fragment warp sized exactly");
         debug_assert_eq!(lanes.min(WARP_SIZE), lanes);
 
         // Functional shading into the framebuffer.
@@ -636,6 +720,15 @@ impl Renderer {
         };
         [scale(base[0]), scale(base[1]), scale(base[2])]
     }
+}
+
+/// Texture instructions one map's lane footprints take: the longest one.
+fn rounds(footprints: &[(usize, usize)]) -> usize {
+    footprints
+        .iter()
+        .map(|&(start, end)| end - start)
+        .max()
+        .unwrap_or(0)
 }
 
 fn offscreen(tri: &[ScreenVertex; 3], w: u32, h: u32) -> bool {

@@ -812,8 +812,12 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Response {
 }
 
 /// Pre-flight a submission: materialize scene payloads, open the
-/// container, validate, lint. Returns the concrete container bytes plus
-/// the analyzer's cross-stream interference score (when linting ran).
+/// container, validate, check that every kernel fits the preset's SM,
+/// lint. Returns the concrete container bytes plus the analyzer's
+/// cross-stream interference score (when linting ran).
+///
+/// The placement check is the one the simulation build runs, so a job
+/// that is admitted never fails its build for want of SM resources.
 ///
 /// The lint pass includes the CFG deadlock prover and the cross-stream
 /// interference estimator scored against the job's GPU preset: a trace
@@ -834,12 +838,12 @@ fn admission_check(spec: &JobSpec, lint: LintLevel) -> Result<(Vec<u8>, Option<f
         }
         msg
     })?;
+    let gpu = preset_config(spec.gpu);
+    if let Some(msg) = crisp_sim::unplaceable_kernel(&src, &gpu) {
+        return Err(format!("trace cannot run on {}: {msg}", gpu.name));
+    }
     let mut interference = None;
     if lint != LintLevel::Off {
-        let gpu = match spec.gpu {
-            GpuPreset::TestTiny => GpuConfig::test_tiny(),
-            GpuPreset::JetsonOrin => GpuConfig::jetson_orin(),
-        };
         let cfg = crisp_sim::AnalysisConfig {
             interference: Some(crisp_analyze::InterferenceSpec::shared(gpu.l2_bytes)),
             ..Default::default()
@@ -857,6 +861,14 @@ fn admission_check(spec: &JobSpec, lint: LintLevel) -> Result<(Vec<u8>, Option<f
         }
     }
     Ok((bytes, interference))
+}
+
+/// The GPU model a preset names.
+fn preset_config(preset: GpuPreset) -> GpuConfig {
+    match preset {
+        GpuPreset::TestTiny => GpuConfig::test_tiny(),
+        GpuPreset::JetsonOrin => GpuConfig::jetson_orin(),
+    }
 }
 
 /// Generate a built-in workload server-side and encode it as a CRSP
@@ -1162,10 +1174,7 @@ fn build_sim(c: &Claimed) -> Result<crisp_sim::GpuSim, BuildError> {
             ))
         })?,
         None => {
-            let mut gpu = match c.spec_gpu {
-                GpuPreset::TestTiny => GpuConfig::test_tiny(),
-                GpuPreset::JetsonOrin => GpuConfig::jetson_orin(),
-            };
+            let mut gpu = preset_config(c.spec_gpu);
             if c.spec_max_cycles > 0 {
                 gpu.max_cycles = c.spec_max_cycles;
             }

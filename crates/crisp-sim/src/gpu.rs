@@ -1887,7 +1887,7 @@ impl GpuSim {
             if let Some(e) = errors.iter().find(|e| !e.kind.only_stalls()) {
                 return Err(bad(format!("checkpoint trace source is invalid: {e}")));
             }
-            if let Some(msg) = unplaceable_kernel(src, &cfg.sm) {
+            if let Some(msg) = unplaceable_kernel(src, &cfg) {
                 return Err(bad(msg));
             }
         }
@@ -2026,11 +2026,13 @@ impl GpuSim {
     }
 }
 
-/// The first kernel in `src` whose CTAs can never be placed on an SM with
-/// `sm`'s physical resources, as an error message. The builder (with or
+/// The first kernel in `src` whose CTAs can never be placed on one of
+/// `gpu`'s SMs, as an error message naming it. The builder (with or
 /// without pre-flight) and checkpoint restore both reject such a source up
-/// front, so the dispatcher never meets one.
-pub(crate) fn unplaceable_kernel(src: &TraceSource, sm: &crisp_sm::SmConfig) -> Option<String> {
+/// front, so the dispatcher never meets one; a job queue can run the same
+/// check at admission. It reads only the source's directory metadata.
+pub fn unplaceable_kernel(src: &TraceSource, gpu: &GpuConfig) -> Option<String> {
+    let sm = &gpu.sm;
     src.streams().iter().find_map(|s| {
         s.commands.iter().find_map(|cmd| {
             let CommandMeta::Launch { info, .. } = cmd else {

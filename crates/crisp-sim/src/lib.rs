@@ -55,8 +55,8 @@ mod stats;
 pub use config::GpuConfig;
 pub use error::{DeadlockReport, FaultClass, HangContext, SimError, StreamFrontier};
 pub use gpu::{
-    GpuSim, KernelRecord, SimResult, StreamResult, CLEAR_STATS_MARKER, DEFAULT_INTERRUPT_INTERVAL,
-    DEFAULT_WATCHDOG,
+    unplaceable_kernel, GpuSim, KernelRecord, SimResult, StreamResult, CLEAR_STATS_MARKER,
+    DEFAULT_INTERRUPT_INTERVAL, DEFAULT_WATCHDOG,
 };
 pub use interrupt::Interrupt;
 pub use policy::{L2Policy, PartitionSpec, SmPartition};

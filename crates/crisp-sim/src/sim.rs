@@ -654,7 +654,7 @@ impl SimulationBuilder {
         // check reads only the source's directory metadata.
         if let Some(message) = source
             .as_ref()
-            .and_then(|src| crate::gpu::unplaceable_kernel(src, &cfg.sm))
+            .and_then(|src| crate::gpu::unplaceable_kernel(src, &cfg))
         {
             return Err(SimError::InvalidConfig { message });
         }

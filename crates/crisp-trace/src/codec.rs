@@ -372,7 +372,7 @@ pub fn read_kernel<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
         let mut warps = Vec::with_capacity(n_warps.min(64));
         for _ in 0..n_warps {
             let n_instrs = read_varint(r)? as usize;
-            let mut warp = WarpTrace::new();
+            let mut warp = WarpTrace::with_capacity(n_instrs.min(MAX_PRESIZED_INSTRS));
             for _ in 0..n_instrs {
                 warp.push(read_instr(r)?);
             }
@@ -382,6 +382,11 @@ pub fn read_kernel<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
     }
     Ok(KernelTrace::new(name, block_threads, regs, smem, ctas))
 }
+
+/// The most instructions a decoder reserves for one warp before reading
+/// them: a corrupt count must not force a huge allocation, and a longer
+/// warp still decodes, growing as it goes.
+const MAX_PRESIZED_INSTRS: usize = 1 << 16;
 
 /// Encode one CTA's instruction streams as a self-contained blob:
 /// `n_warps` varint, then per warp `n_instrs` varint + instructions.
@@ -406,7 +411,7 @@ pub(crate) fn read_cta_blob<R: Read>(r: &mut R, max_warps: usize) -> io::Result<
     let mut warps = Vec::with_capacity(n_warps.min(64));
     for _ in 0..n_warps {
         let n_instrs = read_varint(r)? as usize;
-        let mut warp = WarpTrace::new();
+        let mut warp = WarpTrace::with_capacity(n_instrs.min(MAX_PRESIZED_INSTRS));
         for _ in 0..n_instrs {
             warp.push(read_instr(r)?);
         }
@@ -991,6 +996,24 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes()); // smem
         write_varint(&mut buf, 1).unwrap(); // grid
         write_varint(&mut buf, 2).unwrap(); // warps in cta 0: too many
+        assert!(read_kernel(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn huge_instruction_count_is_an_error_not_an_allocation() {
+        // A warp claiming 2^60 instructions must fail on the missing bytes,
+        // not reserve room for all of them up front.
+        let mut blob = Vec::new();
+        write_varint(&mut blob, 1).unwrap(); // warps
+        write_varint(&mut blob, 1 << 60).unwrap(); // instructions in warp 0
+        assert!(read_cta_blob(&mut blob.as_slice(), 1).is_err());
+        let mut buf = Vec::new();
+        write_string(&mut buf, "k").unwrap();
+        buf.extend_from_slice(&32u32.to_le_bytes()); // block_threads
+        buf.extend_from_slice(&8u32.to_le_bytes()); // regs
+        buf.extend_from_slice(&0u32.to_le_bytes()); // smem
+        write_varint(&mut buf, 1).unwrap(); // grid
+        buf.extend_from_slice(&blob);
         assert!(read_kernel(&mut buf.as_slice()).is_err());
     }
 

@@ -14,6 +14,13 @@ impl WarpTrace {
         WarpTrace::default()
     }
 
+    /// An empty warp trace with room for `n` instructions.
+    pub fn with_capacity(n: usize) -> Self {
+        WarpTrace {
+            instrs: Vec::with_capacity(n),
+        }
+    }
+
     /// Append one instruction.
     pub fn push(&mut self, i: Instr) {
         self.instrs.push(i);
@@ -44,11 +51,14 @@ impl WarpTrace {
         self.instrs.iter()
     }
 
-    /// Ensure the warp ends with an `Exit`, appending one if missing.
+    /// Ensure the warp ends with an `Exit`, appending one if missing, and
+    /// trim spare capacity so a finished warp holds only its instructions
+    /// (a no-op for a warp sized exactly up front).
     pub fn seal(&mut self) {
         if !matches!(self.instrs.last().map(|i| i.op), Some(crate::Op::Exit)) {
             self.instrs.push(Instr::exit());
         }
+        self.instrs.shrink_to_fit();
     }
 }
 
@@ -179,6 +189,14 @@ mod tests {
         }
         w.seal();
         w
+    }
+
+    #[test]
+    fn seal_trims_spare_capacity() {
+        let mut w = WarpTrace::with_capacity(64);
+        w.push(Instr::alu(Op::IntAlu, Reg(0), &[]));
+        w.seal();
+        assert_eq!(w.instrs.capacity(), 2, "the alu op and the exit");
     }
 
     #[test]

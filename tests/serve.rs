@@ -530,9 +530,10 @@ fn frame_faults_get_typed_replies_and_the_daemon_stays_live() {
 }
 
 #[test]
-fn unplaceable_kernel_fails_permanently_at_build() {
-    // Admission checks no placement, so the job is admitted; the build
-    // must then reject it once, without panicking a worker.
+fn unplaceable_kernel_is_refused_at_admission() {
+    // Admission runs the build's placement check, so a kernel that can
+    // never fit the preset's SM is refused at submit: it takes no job id,
+    // no queue slot and no worker, and does not count toward the breaker.
     let mut cfg = config("unplaceable", 1, 2_000);
     cfg.breaker_threshold = 1;
     let server = Server::start(cfg).expect("start daemon");
@@ -549,18 +550,33 @@ fn unplaceable_kernel_fails_permanently_at_build() {
         vec![CtaTrace::new(vec![w; 2])],
     ));
     let bytes = bundle_bytes(&TraceBundle::from_streams(vec![s]));
-    let job = client
+    let err = client
         .submit(&spec("batch", "hog", 1, bytes))
-        .expect("admitted");
-    let status = client.wait(job, 120_000).expect("wait");
-    assert_eq!(status.state, JobState::Failed);
-    assert_eq!(status.retries, 0, "a build failure is not retried");
-    let o = client.result(job).expect("result");
-    assert_eq!(o.failure, Some(FailureClass::Permanent), "{}", o.error);
+        .expect_err("an unplaceable kernel is refused");
+    assert_eq!(err.code(), Some(ErrorCode::Rejected), "{err}");
     assert!(
-        o.error.contains("'hog'"),
-        "the kernel is named: {}",
-        o.error
+        err.to_string().contains("'hog'"),
+        "the kernel is named: {err}"
+    );
+    let json = client.metrics_json().expect("metrics");
+    assert!(
+        json.contains(
+            "{\"name\":\"serve/queue_depth\",\"labels\":{},\
+             \"type\":\"gauge\",\"value\":0.0}"
+        ) && json.contains(
+            "{\"name\":\"serve/rejected\",\
+             \"labels\":{\"reason\":\"admission\",\"tenant\":\"batch\"},\
+             \"type\":\"counter\",\"value\":1}"
+        ),
+        "refused at admission, nothing queued: {json}"
+    );
+    let next = client
+        .submit(&spec("batch", "next", 1, bundle_bytes(&busy_bundle(1, 50))))
+        .expect("a refusal does not open the tenant's breaker");
+    assert_eq!(next, 1, "the refused submission took no job id");
+    assert_eq!(
+        client.wait(next, 120_000).expect("wait").state,
+        JobState::Completed
     );
     let json = client.metrics_json().expect("metrics");
     assert!(
@@ -570,10 +586,6 @@ fn unplaceable_kernel_fails_permanently_at_build() {
         ),
         "no worker panicked: {json}"
     );
-    let err = client
-        .submit(&spec("batch", "next", 1, bundle_bytes(&busy_bundle(1, 50))))
-        .expect_err("the failure counts toward the tenant's breaker");
-    assert_eq!(err.code(), Some(ErrorCode::BreakerOpen), "{err}");
     client.shutdown(false).expect("shutdown");
     server.join();
 }
