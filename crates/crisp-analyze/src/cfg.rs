@@ -29,7 +29,7 @@
 //!   (reconvergence-hostile divergence).
 
 use crisp_trace::{
-    CtaTrace, Instr, KernelTrace, Op, Space, StreamId, TraceErrorSite, NUM_BARRIERS,
+    CtaTrace, InstrRef, KernelTrace, Op, Space, StreamId, TraceErrorSite, NUM_BARRIERS,
 };
 
 use crate::config::AnalysisConfig;
@@ -80,7 +80,7 @@ fn space_byte(s: Space) -> u8 {
 /// Fold one instruction into a signature: opcode class (+ operand
 /// sub-tag) and the register shape, but not addresses — the same code
 /// walked with different data must hash identically.
-fn sig_instr(h: &mut u64, i: &Instr) {
+fn sig_instr(h: &mut u64, i: InstrRef<'_>) {
     let (a, b) = match i.op {
         Op::IntAlu => (0, 0),
         Op::FpAlu => (1, 0),
@@ -381,7 +381,7 @@ pub(crate) fn check_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_trace::{CtaTrace, Reg, WarpTrace};
+    use crisp_trace::{CtaTrace, Instr, Reg, WarpTrace};
 
     fn sealed(instrs: Vec<Instr>) -> WarpTrace {
         let mut w = WarpTrace::new();

@@ -101,7 +101,7 @@ fn check_warp(
     let mut read_since_def: u128 = 0;
     // (space, width, lane addresses) of loads seen since the last barrier /
     // conflicting store, keyed to the instr index of the first occurrence.
-    let mut loads_seen: HashMap<(u8, u8, Vec<u64>), usize> = HashMap::new();
+    let mut loads_seen: HashMap<(u8, u8, &[u64]), usize> = HashMap::new();
     let space_tag = |s: Space| -> u8 {
         match s {
             Space::Global => 0,
@@ -142,7 +142,7 @@ fn check_warp(
             }
             Op::Ld(space) => {
                 if let Some(mem) = &instr.mem {
-                    let key = (space_tag(space), mem.width, mem.addrs.clone());
+                    let key = (space_tag(space), mem.width, mem.addrs);
                     match loads_seen.get(&key) {
                         Some(&prev) => {
                             if let Some(severity) =

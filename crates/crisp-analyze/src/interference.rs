@@ -183,6 +183,7 @@ impl InterferenceAcc {
         if fp.first_kernel.is_none() {
             fp.first_kernel = Some(k.name.clone());
         }
+        let mut chunks = Vec::new();
         for cta in &k.ctas {
             for w in &cta.warps {
                 for i in w.iter() {
@@ -190,11 +191,11 @@ impl InterferenceAcc {
                     if !m.space.is_cached() {
                         continue;
                     }
-                    let chunks = m.distinct_chunks(SECTOR_BYTES);
+                    m.distinct_chunks_into(SECTOR_BYTES, &mut chunks);
                     if matches!(i.op, crisp_trace::Op::St(sp) if sp != crisp_trace::Space::Shared) {
-                        fp.store_sectors.extend(chunks.iter().copied());
+                        fp.store_sectors.extend(&chunks);
                     }
-                    fp.sectors.entry(m.class).or_default().extend(chunks);
+                    fp.sectors.entry(m.class).or_default().extend(&chunks);
                 }
             }
         }

@@ -13,14 +13,14 @@
 //! overlapping plain stores, so it is reported at warning severity with an
 //! allow-entry escape hatch rather than as an error.
 
-use crisp_trace::{CtaTrace, KernelTrace, MemAccess, Op, Space, StreamId, TraceErrorSite};
+use crisp_trace::{CtaTrace, KernelTrace, MemRef, Op, Space, StreamId, TraceErrorSite};
 
 use crate::config::AnalysisConfig;
 use crate::diag::{Diagnostic, LintCode};
 
 /// Merge an access's per-lane byte ranges `[addr, addr+width)` into a
 /// sorted list of disjoint intervals (touching ranges coalesce).
-pub(crate) fn merged_intervals(mem: &MemAccess) -> Vec<(u64, u64)> {
+pub(crate) fn merged_intervals(mem: &MemRef<'_>) -> Vec<(u64, u64)> {
     let w = mem.width as u64;
     let mut spans: Vec<(u64, u64)> = mem.addrs.iter().map(|&a| (a, a + w)).collect();
     spans.sort_unstable();
@@ -300,7 +300,7 @@ fn check_global_overlap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_trace::{DataClass, Instr, Reg, WarpTrace};
+    use crisp_trace::{DataClass, Instr, MemAccess, Reg, WarpTrace};
 
     fn shared_store(base: u64, lanes: usize) -> Instr {
         Instr::store(
@@ -337,9 +337,9 @@ mod tests {
     #[test]
     fn merged_intervals_coalesce_lanes() {
         let m = MemAccess::coalesced(Space::Shared, DataClass::Compute, 4, 0, 32);
-        assert_eq!(merged_intervals(&m), vec![(0, 128)]);
+        assert_eq!(merged_intervals(&m.view()), vec![(0, 128)]);
         let m = MemAccess::scattered(Space::Shared, DataClass::Compute, 4, vec![0, 64, 4]);
-        assert_eq!(merged_intervals(&m), vec![(0, 8), (64, 68)]);
+        assert_eq!(merged_intervals(&m.view()), vec![(0, 8), (64, 68)]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   and never trips.
 
 use crisp_trace::{
-    ClassFootprint, KernelTrace, MemAccess, Space, StreamId, TraceErrorSite, SECTOR_BYTES,
+    ClassFootprint, KernelTrace, MemRef, Space, StreamId, TraceErrorSite, SECTOR_BYTES,
 };
 
 use crate::config::AnalysisConfig;
@@ -43,19 +43,21 @@ pub(crate) struct MemStats {
 }
 
 /// Serialisation degree of a shared access: the max number of distinct
-/// 4 B words any single bank must serve.
-pub(crate) fn bank_conflict_degree(mem: &MemAccess) -> usize {
+/// 4 B words any single bank must serve. `words` is scratch.
+pub(crate) fn bank_conflict_degree(mem: &MemRef<'_>, words: &mut Vec<u64>) -> usize {
     let mut counts = [0usize; SHARED_BANKS as usize];
-    for word in mem.distinct_chunks(BANK_WORD_BYTES) {
+    mem.distinct_chunks_into(BANK_WORD_BYTES, words);
+    for &word in words.iter() {
         counts[(word % SHARED_BANKS) as usize] += 1;
     }
     counts.iter().copied().max().unwrap_or(0)
 }
 
 /// Sector slack of a global access: (sectors touched, fewest sectors its
-/// distinct bytes could occupy).
-pub(crate) fn sector_slack(mem: &MemAccess) -> (usize, usize) {
-    let sectors = mem.distinct_chunks(SECTOR_BYTES).len();
+/// distinct bytes could occupy). `chunks` is scratch.
+pub(crate) fn sector_slack(mem: &MemRef<'_>, chunks: &mut Vec<u64>) -> (usize, usize) {
+    mem.distinct_chunks_into(SECTOR_BYTES, chunks);
+    let sectors = chunks.len();
     let distinct_bytes: u64 = crate::race::merged_intervals(mem)
         .iter()
         .map(|(lo, hi)| hi - lo)
@@ -93,6 +95,7 @@ pub(crate) fn check_kernel(
     let mut stats = MemStats::default();
     stats.footprint.add_kernel(k);
 
+    let mut chunks = Vec::new();
     for (ci, cta) in k.ctas.iter().enumerate() {
         for (wi, w) in cta.warps.iter().enumerate() {
             // (first offending instr, details, occurrence count) per lint.
@@ -107,7 +110,7 @@ pub(crate) fn check_kernel(
                     Space::Global | Space::Local => {
                         stats.global_accesses += 1;
                         if mem.space == Space::Global {
-                            let (sectors, ideal) = sector_slack(mem);
+                            let (sectors, ideal) = sector_slack(mem, &mut chunks);
                             if sectors >= cfg.uncoalesced_min_sectors
                                 && sectors as f64 > ideal as f64 * cfg.uncoalesced_slack
                             {
@@ -118,7 +121,7 @@ pub(crate) fn check_kernel(
                     }
                     Space::Shared => {
                         stats.shared_accesses += 1;
-                        let degree = bank_conflict_degree(mem);
+                        let degree = bank_conflict_degree(mem, &mut chunks);
                         if degree >= cfg.bank_conflict_threshold {
                             conflict_count += 1;
                             conflict.get_or_insert((ii, degree));
@@ -173,7 +176,7 @@ pub(crate) fn check_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_trace::{CtaTrace, DataClass, Instr, Reg, WarpTrace};
+    use crisp_trace::{CtaTrace, DataClass, Instr, MemAccess, Reg, WarpTrace};
 
     fn sealed(instrs: Vec<Instr>) -> WarpTrace {
         let mut w = WarpTrace::new();

@@ -172,12 +172,14 @@ fn tex_sectors_per_draw(trace: &Stream) -> Vec<(String, u64)> {
 
 fn tex_sectors(k: &KernelTrace) -> u64 {
     let mut n = 0;
+    let mut sectors = Vec::new();
     for cta in &k.ctas {
         for w in &cta.warps {
             for i in w.iter() {
                 if let Some(m) = &i.mem {
                     if m.space == Space::Tex {
-                        n += m.distinct_chunks(SECTOR_BYTES).len() as u64;
+                        m.distinct_chunks_into(SECTOR_BYTES, &mut sectors);
+                        n += sectors.len() as u64;
                     }
                 }
             }

@@ -436,7 +436,7 @@ mod tests {
             .map(|k| {
                 k.ctas[0].warps[0]
                     .iter()
-                    .find_map(|i| i.mem.as_ref())
+                    .find_map(|i| i.mem)
                     .expect("loads")
                     .addrs[0]
             })

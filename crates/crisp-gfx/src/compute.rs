@@ -275,7 +275,7 @@ mod tests {
             for w in &cta.warps {
                 let first = w
                     .iter()
-                    .find_map(|i| i.mem.as_ref().filter(|m| m.space == Space::Global))
+                    .find_map(|i| i.mem.filter(|m| m.space == Space::Global))
                     .expect("has loads")
                     .addrs[0];
                 firsts.push(first);

@@ -19,8 +19,8 @@
 //! frames can be dumped as PPM images (Figures 5, 8).
 
 use crisp_trace::{
-    CtaTrace, DataClass, Instr, KernelTrace, MemAccess, Op, Reg, Space, Stream, StreamId,
-    StreamKind, WarpTrace, WARP_SIZE,
+    CtaTrace, DataClass, Instr, KernelTrace, MemRef, Op, Reg, Space, Stream, StreamId, StreamKind,
+    WarpTrace, WARP_SIZE,
 };
 
 use crate::batch::{vertex_batches, Batch, BATCH_SIZE};
@@ -219,9 +219,9 @@ struct TexScratch {
 impl TexScratch {
     /// Count the sectors `access` presents to the L1 and record the DRAM
     /// rows it touches. One sort of its addresses serves both.
-    fn tally(&mut self, access: &MemAccess) -> u64 {
+    fn tally(&mut self, access: MemRef<'_>) -> u64 {
         self.sorted.clear();
-        self.sorted.extend_from_slice(&access.addrs);
+        self.sorted.extend_from_slice(access.addrs);
         self.sorted.sort_unstable();
         let width = access.width as u64;
         let mut sectors = 0;
@@ -434,45 +434,30 @@ impl Renderer {
             + (d.vs.fp_ops + d.vs.int_ops) as usize
             + 1 // attribute store
             + 1; // exit
+
+        // Every memory instruction has one address per lane.
+        let mem_instrs = 1 + 3 + usize::from(instanced) + 1;
+        let (global, pipeline) = (Space::Global, DataClass::Pipeline);
         let mut warps = Vec::with_capacity(b.unique.len().div_ceil(WARP_SIZE));
         for (w_idx, chunk) in b.unique.chunks(WARP_SIZE).enumerate() {
-            let mut w = WarpTrace::with_capacity(instrs);
             let lanes = chunk.len();
+            let mut w = WarpTrace::with_capacity(instrs, mem_instrs * lanes);
             // Index fetch: lanes read consecutive u32s from the index buffer.
-            w.push(Instr::load(
-                Reg(1),
-                MemAccess::coalesced(
-                    Space::Global,
-                    DataClass::Pipeline,
-                    4,
-                    d.mesh
-                        .index_addr((*index_pos + (w_idx * WARP_SIZE) as u64) as usize),
-                    lanes,
-                ),
-            ));
+            let index_base = d
+                .mesh
+                .index_addr((*index_pos + (w_idx * WARP_SIZE) as u64) as usize);
+            let index_addrs = (0..lanes as u64).map(|l| index_base + l * 4);
+            w.push_load(Reg(1), global, pipeline, 4, index_addrs);
             // Attribute fetches: position, normal, uv per unique vertex.
             for (reg, off, width) in [(2u16, 0u64, 12u8), (3, 12, 12), (4, 24, 8)] {
-                let addrs: Vec<u64> = chunk
-                    .iter()
-                    .map(|&vi| d.mesh.vertex_addr(vi) + off)
-                    .collect();
-                w.push(Instr::load(
-                    Reg(reg),
-                    MemAccess::scattered(Space::Global, DataClass::Pipeline, width, addrs),
-                ));
+                let addrs = chunk.iter().map(|&vi| d.mesh.vertex_addr(vi) + off);
+                w.push_load(Reg(reg), global, pipeline, width, addrs);
             }
             if instanced {
                 // All lanes read the same per-instance record: temporal
                 // locality across batches, streaming across instances.
-                w.push(Instr::load(
-                    Reg(5),
-                    MemAccess::scattered(
-                        Space::Global,
-                        DataClass::Pipeline,
-                        64,
-                        vec![inst_addr; lanes],
-                    ),
-                ));
+                let addrs = std::iter::repeat_n(inst_addr, lanes);
+                w.push_load(Reg(5), global, pipeline, 64, addrs);
             }
             // Transform ALU: one dependence chain through r8..r15, seeded
             // by the attribute registers (every write is read by the next
@@ -503,16 +488,13 @@ impl Renderer {
                 }
             }
             // Store post-transform attributes to the L2 attribute ring.
-            let attr_addrs: Vec<u64> = (0..lanes)
-                .map(|l| attr_base + (w_idx * WARP_SIZE + l) as u64 * ATTR_STRIDE)
-                .collect();
+            let attr_addrs =
+                (0..lanes).map(|l| attr_base + (w_idx * WARP_SIZE + l) as u64 * ATTR_STRIDE);
             let result = if d.vs.fp_ops > 0 { Reg(8) } else { Reg(1) };
-            w.push(Instr::store(
-                result,
-                MemAccess::scattered(Space::Global, DataClass::Pipeline, 48, attr_addrs),
-            ));
+            w.push_store(result, global, pipeline, 48, attr_addrs);
             w.seal();
             debug_assert_eq!(w.len(), instrs, "vertex warp sized exactly");
+            debug_assert_eq!(w.addr_count(), mem_instrs * lanes);
             warps.push(w);
         }
         *index_pos += (b.prims.len() * 3) as u64;
@@ -580,14 +562,15 @@ impl Renderer {
             + (fs.fp_ops + fs.sfu_ops + fs.int_ops.saturating_sub(2)) as usize
             + 1 // colour store
             + 1; // exit
-        let mut w = WarpTrace::with_capacity(instrs);
+
+        // The attribute fetch and the colour store take one address per
+        // lane; the texture fetches take every footprint texel once.
+        let addrs = 2 * lanes + sc.texels.len();
+        let mut w = WarpTrace::with_capacity(instrs, addrs);
+        let (global, pipeline) = (Space::Global, DataClass::Pipeline);
         // Fetch the primitive's post-transform attributes from the L2
         // (the inter-stage communication the composition figures show).
-        let attr_addrs: Vec<u64> = chunk.iter().map(|(_, a)| *a).collect();
-        w.push(Instr::load(
-            Reg(1),
-            MemAccess::scattered(Space::Global, DataClass::Pipeline, 48, attr_addrs),
-        ));
+        w.push_load(Reg(1), global, pipeline, 48, chunk.iter().map(|(_, a)| *a));
         // Attribute interpolation on the SFU (ipa), chained so each
         // intermediate is consumed before its register is reused.
         for i in 0..6u16 {
@@ -617,21 +600,14 @@ impl Renderer {
             // One tex instruction per footprint round (k-th texel of every
             // lane).
             for k in 0..rounds(&sc.footprints[lane_fps.clone()]) {
-                let mut addrs = Vec::with_capacity(lanes);
-                addrs.extend(
-                    sc.footprints[lane_fps.clone()]
-                        .iter()
-                        .filter(|&&(start, end)| start + k < end)
-                        .map(|&(start, _)| sc.texels[start + k]),
-                );
-                let access = MemAccess::scattered(
-                    Space::Tex,
-                    DataClass::Texture,
-                    tex.format.bytes() as u8,
-                    addrs,
-                );
-                ds.tex_sectors += sc.tally(&access);
-                w.push(Instr::load(Reg(40 + tex_reg % 12), access));
+                let addrs = sc.footprints[lane_fps.clone()]
+                    .iter()
+                    .filter(|&&(start, end)| start + k < end)
+                    .map(|&(start, _)| sc.texels[start + k]);
+                let dst = Reg(40 + tex_reg % 12);
+                let width = tex.format.bytes() as u8;
+                let access = w.push_load(dst, Space::Tex, DataClass::Texture, width, addrs);
+                ds.tex_sectors += sc.tally(access);
                 tex_reg += 1;
                 ds.tex_instrs += 1;
             }
@@ -674,16 +650,15 @@ impl Renderer {
             w.push(Instr::alu(Op::IntAlu, dst, &[prev]));
         }
         // Colour store (the black-box output write; ROP itself is skipped).
-        let px_addrs: Vec<u64> = chunk
-            .iter()
-            .map(|(f, _)| self.fb.pixel_addr(f.x, f.y))
-            .collect();
-        w.push(Instr::store(
-            lit,
-            MemAccess::scattered(Space::Global, DataClass::Pipeline, 4, px_addrs),
-        ));
+        let px_addrs = chunk.iter().map(|(f, _)| self.fb.pixel_addr(f.x, f.y));
+        w.push_store(lit, global, pipeline, 4, px_addrs);
         w.seal();
         debug_assert_eq!(w.len(), instrs, "fragment warp sized exactly");
+        debug_assert_eq!(
+            w.addr_count(),
+            addrs,
+            "fragment warp addresses sized exactly"
+        );
         debug_assert_eq!(lanes.min(WARP_SIZE), lanes);
 
         // Functional shading into the framebuffer.

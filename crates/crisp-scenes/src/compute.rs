@@ -945,7 +945,7 @@ mod tests {
                     for i in w.iter() {
                         if let Some(m) = &i.mem {
                             if i.op.is_load() {
-                                for &a in &m.addrs {
+                                for &a in m.addrs {
                                     assert!(a >= fb && a < fb_end, "gather out of fb: {a:#x}");
                                     reads_fb = true;
                                 }

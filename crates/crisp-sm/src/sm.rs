@@ -726,7 +726,7 @@ impl Sm {
         let mut sectors = self.lsu.sector_buf();
         let w = self.warps[slot].as_ref().expect("picked warp exists");
         let instr = w.next_instr().expect("picked warp has an instruction");
-        let access = instr.mem.as_ref().expect("memory op carries an access");
+        let access = instr.mem.expect("memory op carries an access");
         if space != Space::Shared {
             access.distinct_chunks_into(SECTOR_BYTES, &mut sectors);
             sectors.iter_mut().for_each(|c| *c *= SECTOR_BYTES);
@@ -1124,7 +1124,7 @@ mod tests {
             stream: StreamId(0),
             kernel: crisp_trace::KernelId(0),
             info: Arc::new(crisp_trace::KernelInfo::of(k)),
-            cta: Arc::new(k.ctas[cta_index].clone()),
+            cta: k.ctas[cta_index].clone(),
             cta_index,
             seq,
         };

@@ -4,7 +4,7 @@ use std::io;
 use std::sync::Arc;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Wire, Writer};
-use crisp_trace::{CtaTrace, Instr, KernelId, KernelInfo, Op, Reg, StreamId, TraceSource};
+use crisp_trace::{CtaTrace, InstrRef, KernelId, KernelInfo, Op, Reg, StreamId, TraceSource};
 
 /// Why a warp cannot issue right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,7 @@ fn reg_bit(r: Reg) -> u128 {
 
 /// The registers `instr` reads or writes (its RAW/WAW hazard mask), or
 /// `None` when one of them is past the scoreboard.
-fn hazard_mask(instr: &Instr) -> Option<u128> {
+fn hazard_mask(instr: InstrRef<'_>) -> Option<u128> {
     instr.src_regs().chain(instr.dst).try_fold(0u128, |m, r| {
         (r.0 < crisp_trace::SCOREBOARD_REGS).then(|| m | 1u128 << r.0)
     })
@@ -131,7 +131,7 @@ impl WarpState {
     }
 
     /// The next instruction to issue, if the trace has one.
-    pub fn next_instr(&self) -> Option<&Instr> {
+    pub fn next_instr(&self) -> Option<InstrRef<'_>> {
         self.cta.warps[self.warp_index].get(self.pc)
     }
 
@@ -280,7 +280,7 @@ impl CheckpointState for WarpState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_trace::{CtaTrace, MemAccess, Op, Space, WarpTrace};
+    use crisp_trace::{CtaTrace, Instr, MemAccess, Op, Space, WarpTrace};
 
     fn warp_with(instrs: Vec<Instr>) -> WarpState {
         let mut w = WarpTrace::new();
@@ -288,7 +288,7 @@ mod tests {
         w.seal();
         let k = crisp_trace::KernelTrace::new("k", 32, 8, 0, vec![CtaTrace::new(vec![w])]);
         let info = Arc::new(KernelInfo::of(&k));
-        let cta = Arc::new(k.ctas[0].clone());
+        let cta = k.ctas[0].clone();
         WarpState::new(info, cta, KernelId(0), 0, 0, 0, StreamId(0), 0)
     }
 

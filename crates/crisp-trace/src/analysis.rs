@@ -92,13 +92,15 @@ impl ClassFootprint {
 
     /// Fold a kernel's accesses in.
     pub fn add_kernel(&mut self, k: &KernelTrace) {
+        let mut lines = Vec::new();
         for cta in &k.ctas {
             for w in &cta.warps {
                 for i in w.iter() {
                     if let Some(m) = &i.mem {
                         if m.space.is_cached() {
+                            m.distinct_chunks_into(LINE_BYTES, &mut lines);
                             let set = self.lines.entry(m.class).or_default();
-                            set.extend(m.distinct_chunks(LINE_BYTES));
+                            set.extend(&lines);
                         }
                     }
                 }
@@ -150,12 +152,14 @@ impl TexLinesHistogram {
     pub fn cta_avg_lines_per_tex(cta: &CtaTrace) -> Option<f64> {
         let mut tex_instrs = 0u64;
         let mut lines = 0u64;
+        let mut chunks = Vec::new();
         for w in &cta.warps {
             for i in w.iter() {
                 if let Some(m) = &i.mem {
                     if m.space == Space::Tex {
                         tex_instrs += 1;
-                        lines += m.distinct_chunks(LINE_BYTES).len() as u64;
+                        m.distinct_chunks_into(LINE_BYTES, &mut chunks);
+                        lines += chunks.len() as u64;
                     }
                 }
             }
@@ -206,6 +210,7 @@ impl ReuseHistogram {
         // An exact stack-distance computation via an LRU list; fine for
         // analysis-scale traces.
         let mut stack: Vec<u64> = Vec::new();
+        let mut lines = Vec::new();
         for cta in &k.ctas {
             for w in &cta.warps {
                 for i in w.iter() {
@@ -218,7 +223,8 @@ impl ReuseHistogram {
                             continue;
                         }
                     }
-                    for line in m.distinct_chunks(LINE_BYTES) {
+                    m.distinct_chunks_into(LINE_BYTES, &mut lines);
+                    for &line in &lines {
                         h.total += 1;
                         match stack.iter().position(|&l| l == line) {
                             Some(pos) => {

@@ -35,7 +35,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::isa::{DataClass, Instr, MemAccess, Op, Reg, Space, MAX_SRCS};
+use crate::isa::{DataClass, InstrRef, Op, Reg, Space, MAX_SRCS};
 use crate::kernel::{CtaTrace, KernelTrace, WarpTrace};
 use crate::stream::{Command, Stream, StreamId, StreamKind, TraceBundle};
 
@@ -216,7 +216,7 @@ fn tag_class(t: u8) -> io::Result<DataClass> {
     })
 }
 
-fn write_instr<W: Write>(w: &mut W, i: &Instr) -> io::Result<()> {
+fn write_instr<W: Write>(w: &mut W, i: InstrRef<'_>) -> io::Result<()> {
     w.write_all(&[op_tag(i.op)])?;
     if let Op::Bar(id @ 1..) = i.op {
         w.write_all(&[id])?;
@@ -231,7 +231,7 @@ fn write_instr<W: Write>(w: &mut W, i: &Instr) -> io::Result<()> {
         w.write_all(&[space_tag(m.space), class_tag(m.class), m.width])?;
         write_varint(w, m.addrs.len() as u64)?;
         let mut prev = 0i64;
-        for &a in &m.addrs {
+        for &a in m.addrs {
             let delta = a as i64 - prev;
             write_varint(w, zigzag(delta))?;
             prev = a as i64;
@@ -240,7 +240,9 @@ fn write_instr<W: Write>(w: &mut W, i: &Instr) -> io::Result<()> {
     Ok(())
 }
 
-fn read_instr<R: Read>(r: &mut R) -> io::Result<Instr> {
+/// Decode one instruction and append it to `warp`, its lane addresses
+/// straight into the warp's address buffer.
+fn read_instr<R: Read>(r: &mut R, warp: &mut WarpTrace) -> io::Result<()> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     let op = if tag[0] == OP_TAG_NAMED_BAR {
@@ -264,33 +266,29 @@ fn read_instr<R: Read>(r: &mut R) -> io::Result<Instr> {
         let v = u16::from_le_bytes(u16buf);
         *s = (v != u16::MAX).then_some(Reg(v));
     }
-    let mem = if op.is_mem() {
-        let mut hdr = [0u8; 3];
-        r.read_exact(&mut hdr)?;
-        let space = tag_space(hdr[0])?;
-        let class = tag_class(hdr[1])?;
-        let width = hdr[2];
-        let n = read_varint(r)? as usize;
-        if n == 0 || n > crate::WARP_SIZE {
-            return Err(bad("bad lane count"));
-        }
-        let mut addrs = Vec::with_capacity(n);
-        let mut prev = 0i64;
-        for _ in 0..n {
-            let delta = unzigzag(read_varint(r)?);
-            prev = prev.wrapping_add(delta);
-            addrs.push(prev as u64);
-        }
-        Some(MemAccess {
-            space,
-            class,
-            width,
-            addrs,
-        })
-    } else {
-        None
-    };
-    Ok(Instr { op, dst, srcs, mem })
+    if !op.is_mem() {
+        warp.push_parts(op, dst, srcs, None, []);
+        return Ok(());
+    }
+    let mut hdr = [0u8; 3];
+    r.read_exact(&mut hdr)?;
+    let space = tag_space(hdr[0])?;
+    let class = tag_class(hdr[1])?;
+    let width = hdr[2];
+    let n = read_varint(r)? as usize;
+    if n == 0 || n > crate::WARP_SIZE {
+        return Err(bad("bad lane count"));
+    }
+    let mut lanes = [0u64; crate::WARP_SIZE];
+    let mut prev = 0i64;
+    for a in &mut lanes[..n] {
+        let delta = unzigzag(read_varint(r)?);
+        prev = prev.wrapping_add(delta);
+        *a = prev as u64;
+    }
+    let mem = Some((space, class, width));
+    warp.push_parts(op, dst, srcs, mem, lanes[..n].iter().copied());
+    Ok(())
 }
 
 /// Write a length-prefixed UTF-8 string.
@@ -332,13 +330,7 @@ pub fn write_kernel<W: Write>(w: &mut W, k: &KernelTrace) -> io::Result<()> {
     w.write_all(&k.smem_per_cta.to_le_bytes())?;
     write_varint(w, k.ctas.len() as u64)?;
     for cta in &k.ctas {
-        write_varint(w, cta.warps.len() as u64)?;
-        for warp in &cta.warps {
-            write_varint(w, warp.len() as u64)?;
-            for i in warp.iter() {
-                write_instr(w, i)?;
-            }
-        }
+        write_cta_blob(w, cta)?;
     }
     Ok(())
 }
@@ -364,29 +356,12 @@ pub fn read_kernel<R: Read>(r: &mut R) -> io::Result<KernelTrace> {
         .div_ceil(crate::WARP_SIZE as u32) as usize;
     let grid = read_varint(r)? as usize;
     let mut ctas = Vec::with_capacity(grid.min(1 << 20));
+    let mut scratch = WarpTrace::new();
     for _ in 0..grid {
-        let n_warps = read_varint(r)? as usize;
-        if n_warps > max_warps {
-            return Err(bad("cta has more warps than the block geometry allows"));
-        }
-        let mut warps = Vec::with_capacity(n_warps.min(64));
-        for _ in 0..n_warps {
-            let n_instrs = read_varint(r)? as usize;
-            let mut warp = WarpTrace::with_capacity(n_instrs.min(MAX_PRESIZED_INSTRS));
-            for _ in 0..n_instrs {
-                warp.push(read_instr(r)?);
-            }
-            warps.push(warp);
-        }
-        ctas.push(CtaTrace::new(warps));
+        ctas.push(read_cta_blob(r, max_warps, &mut scratch)?);
     }
     Ok(KernelTrace::new(name, block_threads, regs, smem, ctas))
 }
-
-/// The most instructions a decoder reserves for one warp before reading
-/// them: a corrupt count must not force a huge allocation, and a longer
-/// warp still decodes, growing as it goes.
-const MAX_PRESIZED_INSTRS: usize = 1 << 16;
 
 /// Encode one CTA's instruction streams as a self-contained blob:
 /// `n_warps` varint, then per warp `n_instrs` varint + instructions.
@@ -403,19 +378,28 @@ pub(crate) fn write_cta_blob<W: Write>(w: &mut W, cta: &CtaTrace) -> io::Result<
 
 /// Decode a blob written by [`write_cta_blob`]. `max_warps` comes from the
 /// launch geometry; a blob claiming more is structural corruption.
-pub(crate) fn read_cta_blob<R: Read>(r: &mut R, max_warps: usize) -> io::Result<CtaTrace> {
+///
+/// Each warp is decoded into `scratch` first: its buffers grow to the
+/// longest warp once per caller, and each decoded warp is a clone of
+/// exactly its own size, so a warp costs two allocations whatever its
+/// length (and a corrupt instruction count reserves nothing).
+pub(crate) fn read_cta_blob<R: Read>(
+    r: &mut R,
+    max_warps: usize,
+    scratch: &mut WarpTrace,
+) -> io::Result<CtaTrace> {
     let n_warps = read_varint(r)? as usize;
     if n_warps > max_warps {
         return Err(bad("cta has more warps than the block geometry allows"));
     }
     let mut warps = Vec::with_capacity(n_warps.min(64));
     for _ in 0..n_warps {
-        let n_instrs = read_varint(r)? as usize;
-        let mut warp = WarpTrace::with_capacity(n_instrs.min(MAX_PRESIZED_INSTRS));
+        let n_instrs = read_varint(r)?;
+        scratch.clear();
         for _ in 0..n_instrs {
-            warp.push(read_instr(r)?);
+            read_instr(r, scratch)?;
         }
-        warps.push(warp);
+        warps.push(scratch.clone());
     }
     Ok(CtaTrace::new(warps))
 }
@@ -771,7 +755,7 @@ mod tests {
                 DirCmd::Marker(_) => unreachable!("order only holds launches"),
             };
             let mut lim = r.take(len);
-            let blob = read_cta_blob(&mut lim, max_warps)?;
+            let blob = read_cta_blob(&mut lim, max_warps, &mut WarpTrace::new())?;
             if lim.limit() != 0 {
                 return Err(bad("CTA blob shorter than its indexed span"));
             }
@@ -1006,7 +990,7 @@ mod tests {
         let mut blob = Vec::new();
         write_varint(&mut blob, 1).unwrap(); // warps
         write_varint(&mut blob, 1 << 60).unwrap(); // instructions in warp 0
-        assert!(read_cta_blob(&mut blob.as_slice(), 1).is_err());
+        assert!(read_cta_blob(&mut blob.as_slice(), 1, &mut WarpTrace::new()).is_err());
         let mut buf = Vec::new();
         write_string(&mut buf, "k").unwrap();
         buf.extend_from_slice(&32u32.to_le_bytes()); // block_threads
@@ -1070,7 +1054,7 @@ mod tests {
     fn named_barrier_instr_roundtrips() {
         for id in 0..crate::NUM_BARRIERS as u8 {
             let mut bytes = Vec::new();
-            write_instr(&mut bytes, &Instr::bar_at(id)).unwrap();
+            write_instr(&mut bytes, Instr::bar_at(id).view()).unwrap();
             if id == 0 {
                 // Slot 0 keeps the classic one-byte tag: pre-named-barrier
                 // containers and their readers stay byte-compatible.
@@ -1078,8 +1062,9 @@ mod tests {
             } else {
                 assert_eq!(&bytes[..2], &[OP_TAG_NAMED_BAR, id]);
             }
-            let back = read_instr(&mut bytes.as_slice()).unwrap();
-            assert_eq!(back.op, Op::Bar(id));
+            let mut back = WarpTrace::new();
+            read_instr(&mut bytes.as_slice(), &mut back).unwrap();
+            assert_eq!(back.get(0).unwrap().op, Op::Bar(id));
         }
     }
 
@@ -1087,10 +1072,10 @@ mod tests {
     fn non_canonical_or_out_of_range_barrier_slots_are_rejected() {
         for bad_id in [0u8, 16, 200] {
             let mut bytes = Vec::new();
-            write_instr(&mut bytes, &Instr::bar()).unwrap();
+            write_instr(&mut bytes, Instr::bar().view()).unwrap();
             bytes[0] = OP_TAG_NAMED_BAR;
             bytes.insert(1, bad_id);
-            let err = read_instr(&mut bytes.as_slice()).unwrap_err();
+            let err = read_instr(&mut bytes.as_slice(), &mut WarpTrace::new()).unwrap_err();
             assert!(err.to_string().contains("barrier slot"), "{err}");
         }
     }

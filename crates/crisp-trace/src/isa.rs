@@ -157,22 +157,41 @@ impl MemAccess {
         }
     }
 
-    /// Distinct aligned chunks of `chunk` bytes touched by this access.
-    /// With `chunk = 32` this yields the sector count the coalescer produces;
-    /// with `chunk = 128` the cache-line count.
-    pub fn distinct_chunks(&self, chunk: u64) -> Vec<u64> {
-        let mut v = Vec::new();
-        self.distinct_chunks_into(chunk, &mut v);
-        v
+    /// The borrowed form of this access, as a [`WarpTrace`](crate::WarpTrace)
+    /// hands it out.
+    pub fn view(&self) -> MemRef<'_> {
+        MemRef {
+            space: self.space,
+            class: self.class,
+            width: self.width,
+            addrs: &self.addrs,
+        }
     }
+}
 
-    /// Allocation-free [`Self::distinct_chunks`]: clears `out` and fills it
-    /// with the distinct chunk ids. Hot paths (functional cache warming
-    /// replays every memory instruction of a skipped region) reuse one
-    /// scratch vector across millions of calls.
+/// The memory operand of a stored instruction: [`MemAccess`] with its lane
+/// addresses borrowed from the warp's flat address buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemRef<'a> {
+    /// Address space.
+    pub space: Space,
+    /// Data classification for composition accounting.
+    pub class: DataClass,
+    /// Bytes accessed per lane.
+    pub width: u8,
+    /// Byte addresses of the *active* lanes.
+    pub addrs: &'a [u64],
+}
+
+impl MemRef<'_> {
+    /// Clears `out` and fills it with the distinct aligned chunks of `chunk`
+    /// bytes this access touches, ascending. With `chunk = 32` that is the
+    /// sector list the coalescer produces; with `chunk = 128` the cache
+    /// lines. Callers reuse one `out` across instructions, so the hot paths
+    /// (the SM's coalescer, functional cache warming) do not allocate.
     pub fn distinct_chunks_into(&self, chunk: u64, out: &mut Vec<u64>) {
         out.clear();
-        for &a in &self.addrs {
+        for &a in self.addrs {
             let first = a / chunk;
             let last = (a + self.width as u64 - 1) / chunk;
             out.extend(first..=last);
@@ -182,7 +201,9 @@ impl MemAccess {
     }
 }
 
-/// One dynamic warp instruction.
+/// One dynamic warp instruction, owned: the value a generator hands to
+/// [`WarpTrace::push`](crate::WarpTrace::push). A warp stores it as a
+/// fixed-size record and hands it back as an [`InstrRef`].
 ///
 /// `dst`/`srcs` express the register dependencies the scoreboard enforces.
 /// Memory instructions additionally carry a [`MemAccess`].
@@ -283,15 +304,49 @@ impl Instr {
         }
     }
 
+    /// The borrowed form of this instruction, as a
+    /// [`WarpTrace`](crate::WarpTrace) hands it out.
+    pub fn view(&self) -> InstrRef<'_> {
+        InstrRef {
+            op: self.op,
+            dst: self.dst,
+            srcs: self.srcs,
+            mem: self.mem.as_ref().map(MemAccess::view),
+        }
+    }
+}
+
+/// One stored warp instruction, as [`WarpTrace::iter`](crate::WarpTrace::iter)
+/// and [`WarpTrace::get`](crate::WarpTrace::get) hand it out: the fields of
+/// [`Instr`], with the memory operand's addresses borrowed from the warp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstrRef<'a> {
+    /// Opcode class.
+    pub op: Op,
+    /// Destination register, if any.
+    pub dst: Option<Reg>,
+    /// Source registers (up to [`MAX_SRCS`]).
+    pub srcs: [Option<Reg>; MAX_SRCS],
+    /// Memory behaviour for `Ld`/`St` opcodes.
+    pub mem: Option<MemRef<'a>>,
+}
+
+impl InstrRef<'_> {
     /// Iterator over the source registers that are present.
-    pub fn src_regs(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.srcs.iter().flatten().copied()
+    pub fn src_regs(&self) -> impl Iterator<Item = Reg> {
+        self.srcs.into_iter().flatten()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn chunks(m: &MemAccess, chunk: u64) -> Vec<u64> {
+        let mut out = vec![7]; // stale contents must be cleared
+        m.view().distinct_chunks_into(chunk, &mut out);
+        out
+    }
 
     #[test]
     fn coalesced_access_covers_consecutive_addresses() {
@@ -304,8 +359,8 @@ mod tests {
     #[test]
     fn coalesced_32b_lanes_touch_one_line() {
         let m = MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 0x0, 32);
-        assert_eq!(m.distinct_chunks(128), vec![0]);
-        assert_eq!(m.distinct_chunks(32), vec![0, 1, 2, 3]);
+        assert_eq!(chunks(&m, 128), vec![0]);
+        assert_eq!(chunks(&m, 32), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -313,13 +368,13 @@ mod tests {
         // A 16-byte access starting 8 bytes before a 32B boundary straddles
         // two sectors.
         let m = MemAccess::scattered(Space::Global, DataClass::Compute, 16, vec![24]);
-        assert_eq!(m.distinct_chunks(32), vec![0, 1]);
+        assert_eq!(chunks(&m, 32), vec![0, 1]);
     }
 
     #[test]
     fn scattered_access_distinct_lines() {
         let m = MemAccess::scattered(Space::Tex, DataClass::Texture, 4, vec![0, 128, 256, 130]);
-        assert_eq!(m.distinct_chunks(128), vec![0, 1, 2]);
+        assert_eq!(chunks(&m, 128), vec![0, 1, 2]);
     }
 
     #[test]
@@ -333,7 +388,7 @@ mod tests {
         let i = Instr::alu(Op::FpFma, Reg(5), &[Reg(1), Reg(2), Reg(3)]);
         assert_eq!(i.dst, Some(Reg(5)));
         assert_eq!(
-            i.src_regs().collect::<Vec<_>>(),
+            i.view().src_regs().collect::<Vec<_>>(),
             vec![Reg(1), Reg(2), Reg(3)]
         );
         assert!(i.mem.is_none());

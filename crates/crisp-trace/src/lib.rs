@@ -10,7 +10,9 @@
 //! information Accel-Sim's SASS tracer captures on silicon, and all that a
 //! cycle-level timing model needs. Traces are organised as
 //! [`Instr`] → [`WarpTrace`] → [`CtaTrace`] → [`KernelTrace`] →
-//! [`Stream`] → [`TraceBundle`].
+//! [`Stream`] → [`TraceBundle`]. A warp stores each instruction as a
+//! fixed-size record and all its lane addresses in one flat buffer; it
+//! hands instructions back as borrowed [`InstrRef`] views.
 //!
 //! # Example
 //!
@@ -39,7 +41,10 @@ pub mod validate;
 pub use analysis::{
     ClassFootprint, InstrMix, ReuseHistogram, TexLinesHistogram, LINE_BYTES, SECTOR_BYTES,
 };
-pub use isa::{DataClass, Instr, MemAccess, Op, Reg, Space, MAX_SRCS, NUM_BARRIERS, WARP_SIZE};
+pub use isa::{
+    DataClass, Instr, InstrRef, MemAccess, MemRef, Op, Reg, Space, MAX_SRCS, NUM_BARRIERS,
+    WARP_SIZE,
+};
 pub use kernel::{CtaTrace, KernelTrace, WarpTrace};
 pub use source::{
     cta_resident_cost, CommandMeta, KernelId, KernelInfo, StreamMeta, TraceInput, TraceSource,

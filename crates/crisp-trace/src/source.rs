@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::codec::{self, DirCmd, DirStream};
-use crate::kernel::{CtaTrace, KernelTrace};
+use crate::kernel::{CtaTrace, KernelTrace, WarpTrace};
 use crate::stream::{Command, Stream, StreamId, StreamKind, TraceBundle};
 use crate::WARP_SIZE;
 
@@ -214,20 +214,23 @@ pub fn cta_resident_cost(cta: &CtaTrace) -> u64 {
     cta_cost(cta)
 }
 
+/// Bytes [`cta_resident_cost`] charges per CTA, per warp, per instruction
+/// and per lane address. They are the sizes of the trace layout the cost
+/// model was defined on (an owned instruction of 56 bytes with its own
+/// address `Vec`), frozen: `TraceStats` is checkpointed and cross-checked
+/// on restore, so the unit must not move when the in-memory layout does.
+const CTA_BYTES: u64 = 24;
+const WARP_BYTES: u64 = 24;
+const INSTR_BYTES: u64 = 56;
+const ADDR_BYTES: u64 = 8;
+
 /// Deterministic in-memory cost estimate of one decoded CTA.
 fn cta_cost(cta: &CtaTrace) -> u64 {
-    use std::mem::size_of;
-    let mut bytes = size_of::<CtaTrace>() as u64;
-    for w in &cta.warps {
-        bytes += size_of::<crate::WarpTrace>() as u64;
-        bytes += (w.len() * size_of::<crate::Instr>()) as u64;
-        for i in w.iter() {
-            if let Some(m) = &i.mem {
-                bytes += (m.addrs.len() * size_of::<u64>()) as u64;
-            }
-        }
-    }
-    bytes
+    let warps = cta
+        .warps
+        .iter()
+        .map(|w| WARP_BYTES + w.len() as u64 * INSTR_BYTES + w.addr_count() as u64 * ADDR_BYTES);
+    CTA_BYTES + warps.sum::<u64>()
 }
 
 /// Any trace input the simulator accepts: an in-memory bundle, a path to a
@@ -349,6 +352,9 @@ enum Backing {
     Streaming {
         reader: Box<dyn TraceRead>,
         payload_start: u64,
+        /// Decode buffer reused across CTA fetches
+        /// ([`codec::read_cta_blob`]).
+        scratch: WarpTrace,
     },
 }
 
@@ -391,12 +397,11 @@ impl TraceSource {
                     Command::Launch(k) => {
                         let id = KernelId(kernels.len() as u32);
                         let info = Arc::new(KernelInfo::of(&k));
-                        let ctas: Vec<Arc<CtaTrace>> = k.ctas.into_iter().map(Arc::new).collect();
                         kernels.push(KernelEntry {
                             stream: s.id,
                             info: info.clone(),
                             ctas: CtaStore::Loaded {
-                                ctas,
+                                ctas: k.ctas,
                                 window: BTreeSet::new(),
                             },
                         });
@@ -496,6 +501,7 @@ impl TraceSource {
             backing: Backing::Streaming {
                 reader,
                 payload_start,
+                scratch: WarpTrace::new(),
             },
             provenance,
             stats: TraceStats::default(),
@@ -605,13 +611,14 @@ impl TraceSource {
                 let Backing::Streaming {
                     reader,
                     payload_start,
+                    scratch,
                 } = &mut self.backing
                 else {
                     return Err(bad("lazy CTA store without a streaming backing".into()));
                 };
                 reader.seek(SeekFrom::Start(*payload_start + off))?;
                 let mut lim = (&mut **reader).take(len);
-                let blob = codec::read_cta_blob(&mut lim, max_warps)?;
+                let blob = codec::read_cta_blob(&mut lim, max_warps, scratch)?;
                 if lim.limit() != 0 {
                     return Err(bad("CTA blob shorter than its indexed span".into()));
                 }
@@ -657,8 +664,7 @@ impl TraceSource {
         let mut ctas = Vec::with_capacity(info.grid);
         for i in 0..info.grid {
             let was_resident = self.is_resident(kernel, i);
-            let a = self.fetch_cta(kernel, i)?;
-            ctas.push((*a).clone());
+            ctas.push(self.fetch_cta(kernel, i)?);
             if !was_resident {
                 self.release_cta(kernel, i);
             }
@@ -768,6 +774,32 @@ mod tests {
                 CommandMeta::Marker(_) => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn resident_cost_is_frozen_at_the_original_layout() {
+        // 24 per CTA + 2 × (24 per warp + 12 instructions × 56 + 32 lanes × 8).
+        let k = kernel("k", 10, 2, 1);
+        assert_eq!(cta_resident_cost(&k.ctas[0]), 1928);
+    }
+
+    #[test]
+    fn cloned_streams_and_materialized_kernels_share_ctas() {
+        let b = bundle();
+        let copy = b.streams[1].clone();
+        let k0 = b.streams[1].kernels().next().unwrap();
+        let c0 = copy.kernels().next().unwrap();
+        assert!(k0.ctas.iter().zip(&c0.ctas).all(|(a, c)| Arc::ptr_eq(a, c)));
+
+        let mut src = TraceSource::from_bundle(b.clone());
+        let (kid, _) = launches(&src)[1];
+        let mat = src.materialize_kernel(kid).unwrap();
+        assert_eq!(mat.ctas.len(), k0.ctas.len());
+        assert!(k0
+            .ctas
+            .iter()
+            .zip(&mat.ctas)
+            .all(|(a, m)| Arc::ptr_eq(a, m)));
     }
 
     #[test]

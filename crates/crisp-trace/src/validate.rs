@@ -498,7 +498,7 @@ fn validate_cta_into(cta: &CtaTrace, lint: &mut Lint) {
     }
 }
 
-fn validate_instr_into(instr: &crate::Instr, lint: &mut Lint) {
+fn validate_instr_into(instr: crate::InstrRef<'_>, lint: &mut Lint) {
     for r in instr.src_regs().chain(instr.dst) {
         if r.0 >= SCOREBOARD_REGS {
             lint.push(TraceErrorKind::RegOutOfRange { reg: r.0 });
@@ -539,6 +539,7 @@ mod tests {
     use crate::isa::{DataClass, Instr, MemAccess, Reg};
     use crate::kernel::WarpTrace;
     use crate::stream::{Stream, StreamKind};
+    use std::sync::Arc;
 
     fn sealed_warp(instrs: Vec<Instr>) -> WarpTrace {
         let mut w = WarpTrace::new();
@@ -702,7 +703,7 @@ mod tests {
             block_threads: 32,
             regs_per_thread: 8,
             smem_per_cta: 0,
-            ctas: vec![CtaTrace::new(vec![])],
+            ctas: vec![Arc::new(CtaTrace::new(vec![]))],
         };
         let errs = validate_kernel(&empty).unwrap_err();
         assert_eq!(kinds(&errs), vec![&TraceErrorKind::EmptyCta]);
@@ -714,7 +715,7 @@ mod tests {
             block_threads: 32,
             regs_per_thread: 8,
             smem_per_cta: 0,
-            ctas: vec![CtaTrace::new(vec![w.clone(), w.clone()])],
+            ctas: vec![Arc::new(CtaTrace::new(vec![w.clone(), w.clone()]))],
         };
         let errs = validate_kernel(&overfull).unwrap_err();
         assert!(errs

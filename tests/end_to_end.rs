@@ -161,7 +161,7 @@ fn framebuffer_and_trace_agree_on_fragment_count() {
                 .map(|w| {
                     // Count lanes of the colour store (the last store).
                     w.iter()
-                        .filter_map(|i| i.mem.as_ref())
+                        .filter_map(|i| i.mem)
                         .rfind(|m| m.space == crisp_trace::Space::Global && !m.addrs.is_empty())
                         .map(|m| m.addrs.len() as u64)
                         .unwrap_or(0)

@@ -111,8 +111,9 @@ fn mem_access_chunking() {
         let addrs: Vec<u64> = (0..n).map(|_| rng.range(0, 1_000_000)).collect();
         let width = [1u8, 4, 8, 16][rng.range(0, 4) as usize];
         let m = MemAccess::scattered(Space::Global, DataClass::Compute, width, addrs.clone());
-        let sectors = m.distinct_chunks(32);
-        let lines = m.distinct_chunks(128);
+        let (mut sectors, mut lines) = (Vec::new(), Vec::new());
+        m.view().distinct_chunks_into(32, &mut sectors);
+        m.view().distinct_chunks_into(128, &mut lines);
         assert!(!sectors.is_empty(), "seed {seed}");
         assert!(
             lines.len() <= sectors.len(),
@@ -472,7 +473,7 @@ fn streaming_source_pages_random_bundles_bit_exactly() {
         }
         for &(ki, ci) in &pairs {
             let cta = src.fetch_cta(KernelId(ki), ci).expect("fetch");
-            assert_eq!(*cta, kernels[ki as usize].ctas[ci], "seed {seed}");
+            assert_eq!(cta, kernels[ki as usize].ctas[ci], "seed {seed}");
             src.release_cta(KernelId(ki), ci);
         }
         assert_eq!(

@@ -89,7 +89,7 @@ fn streaming_is_byte_identical_to_materialized() {
         .iter()
         .flat_map(|s| s.kernels())
         .flat_map(|k| k.ctas.iter())
-        .map(crisp_trace::cta_resident_cost)
+        .map(|c| crisp_trace::cta_resident_cost(c))
         .sum();
     let peak = streamed.trace.peak_resident_bytes;
     assert!(
