@@ -21,17 +21,30 @@ use crate::diag::{Diagnostic, LintCode};
 /// Merge an access's per-lane byte ranges `[addr, addr+width)` into a
 /// sorted list of disjoint intervals (touching ranges coalesce).
 pub(crate) fn merged_intervals(mem: &MemRef<'_>) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    merged_intervals_into(mem, &mut out);
+    out
+}
+
+/// [`merged_intervals`] into `out` (cleared first), merging in place so a
+/// caller that reuses `out` allocates nothing per access.
+pub(crate) fn merged_intervals_into(mem: &MemRef<'_>, out: &mut Vec<(u64, u64)>) {
     let w = mem.width as u64;
-    let mut spans: Vec<(u64, u64)> = mem.addrs.iter().map(|&a| (a, a + w)).collect();
-    spans.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
-    for (lo, hi) in spans {
-        match out.last_mut() {
-            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-            _ => out.push((lo, hi)),
+    out.clear();
+    out.extend(mem.addrs.iter().map(|&a| (a, a + w)));
+    out.sort_unstable();
+    // `out[..merged]` holds the intervals merged so far.
+    let mut merged = 0;
+    for i in 0..out.len() {
+        let (lo, hi) = out[i];
+        if merged > 0 && lo <= out[merged - 1].1 {
+            out[merged - 1].1 = out[merged - 1].1.max(hi);
+        } else {
+            out[merged] = (lo, hi);
+            merged += 1;
         }
     }
-    out
+    out.truncate(merged);
 }
 
 /// First overlapping byte range of two sorted disjoint interval lists.
@@ -227,6 +240,7 @@ fn check_global_overlap(
         instr: usize,
     }
     let mut spans: Vec<Span> = Vec::new();
+    let mut intervals = Vec::new();
     for (ci, cta) in k.ctas.iter().enumerate() {
         let mut raw: Vec<Span> = Vec::new();
         for (wi, w) in cta.warps.iter().enumerate() {
@@ -238,7 +252,8 @@ fn check_global_overlap(
                 if mem.space != Space::Global {
                     continue;
                 }
-                for (lo, hi) in merged_intervals(mem) {
+                merged_intervals_into(mem, &mut intervals);
+                for &(lo, hi) in &intervals {
                     raw.push(Span {
                         lo,
                         hi,
@@ -340,6 +355,24 @@ mod tests {
         assert_eq!(merged_intervals(&m.view()), vec![(0, 128)]);
         let m = MemAccess::scattered(Space::Shared, DataClass::Compute, 4, vec![0, 64, 4]);
         assert_eq!(merged_intervals(&m.view()), vec![(0, 8), (64, 68)]);
+    }
+
+    #[test]
+    fn merging_into_a_reused_buffer_matches_the_owned_result() {
+        let accesses = [
+            MemAccess::scattered(Space::Global, DataClass::Compute, 4, vec![96, 0, 4, 64, 8]),
+            MemAccess::scattered(Space::Global, DataClass::Compute, 8, vec![3, 0, 40, 44]),
+            MemAccess::coalesced(Space::Global, DataClass::Compute, 4, 256, 32),
+        ];
+        let mut buf = vec![(1, 2); 40];
+        for m in &accesses {
+            merged_intervals_into(&m.view(), &mut buf);
+            assert_eq!(buf, merged_intervals(&m.view()));
+        }
+        assert_eq!(
+            merged_intervals(&accesses[1].view()),
+            vec![(0, 11), (40, 52)]
+        );
     }
 
     #[test]

@@ -54,14 +54,16 @@ pub(crate) fn bank_conflict_degree(mem: &MemRef<'_>, words: &mut Vec<u64>) -> us
 }
 
 /// Sector slack of a global access: (sectors touched, fewest sectors its
-/// distinct bytes could occupy). `chunks` is scratch.
-pub(crate) fn sector_slack(mem: &MemRef<'_>, chunks: &mut Vec<u64>) -> (usize, usize) {
+/// distinct bytes could occupy). `chunks` and `intervals` are scratch.
+pub(crate) fn sector_slack(
+    mem: &MemRef<'_>,
+    chunks: &mut Vec<u64>,
+    intervals: &mut Vec<(u64, u64)>,
+) -> (usize, usize) {
     mem.distinct_chunks_into(SECTOR_BYTES, chunks);
     let sectors = chunks.len();
-    let distinct_bytes: u64 = crate::race::merged_intervals(mem)
-        .iter()
-        .map(|(lo, hi)| hi - lo)
-        .sum();
+    crate::race::merged_intervals_into(mem, intervals);
+    let distinct_bytes: u64 = intervals.iter().map(|(lo, hi)| hi - lo).sum();
     let ideal = distinct_bytes.div_ceil(SECTOR_BYTES).max(1) as usize;
     (sectors, ideal)
 }
@@ -95,7 +97,7 @@ pub(crate) fn check_kernel(
     let mut stats = MemStats::default();
     stats.footprint.add_kernel(k);
 
-    let mut chunks = Vec::new();
+    let (mut chunks, mut intervals) = (Vec::new(), Vec::new());
     for (ci, cta) in k.ctas.iter().enumerate() {
         for (wi, w) in cta.warps.iter().enumerate() {
             // (first offending instr, details, occurrence count) per lint.
@@ -110,7 +112,7 @@ pub(crate) fn check_kernel(
                     Space::Global | Space::Local => {
                         stats.global_accesses += 1;
                         if mem.space == Space::Global {
-                            let (sectors, ideal) = sector_slack(mem, &mut chunks);
+                            let (sectors, ideal) = sector_slack(mem, &mut chunks, &mut intervals);
                             if sectors >= cfg.uncoalesced_min_sectors
                                 && sectors as f64 > ideal as f64 * cfg.uncoalesced_slack
                             {

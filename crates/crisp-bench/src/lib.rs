@@ -1,8 +1,8 @@
 //! Shared plumbing for the figure-regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! by calling the corresponding runner in `crisp_core::experiments`,
-//! printing the text table, and writing the raw output under
+//! `run_all` regenerates the paper's tables and figures (or those its
+//! `--only` flag names) by calling the runners in `crisp_core::experiments`,
+//! printing each text table, and writing the raw output under
 //! `target/experiments/`.
 //!
 //! Scale is controlled by the `CRISP_SCALE` environment variable:

@@ -5,14 +5,14 @@
 use crisp_gfx::batch::vs_invocation_count;
 use crisp_mem::Replacement;
 use crisp_scenes::silicon::mape;
-use crisp_scenes::{all_scenes, holo, Scene, SceneId};
+use crisp_scenes::{all_scenes, holo, SceneId};
 use crisp_sim::{GpuConfig, PartitionSpec, SchedulerPolicy, SimResult, Simulation, Telemetry};
-use crisp_trace::TraceBundle;
+use crisp_trace::{Stream, TraceBundle};
 
 use crate::report::{f3, pct, table};
 use crate::{COMPUTE_STREAM, GRAPHICS_STREAM};
 
-use super::ExpScale;
+use super::{cores, render_trace, sweep, sweep_with, ExpScale};
 
 /// Batch-size sweep result.
 #[derive(Debug, Clone)]
@@ -103,64 +103,66 @@ impl HwSweep {
     }
 }
 
-/// Render one frame of `scene` and simulate it alone on `gpu`.
-fn sim_frame(gpu: &GpuConfig, scene: &Scene, scale: ExpScale) -> SimResult {
-    let (w, h) = scale.res.dims();
-    let f = scene.render(w, h, false, GRAPHICS_STREAM);
+/// Simulate one rendered frame alone on `gpu`.
+fn sim_frame(gpu: &GpuConfig, frame: &Stream) -> SimResult {
     Simulation::builder()
         .gpu(gpu.clone())
         .partition(PartitionSpec::greedy())
         .telemetry(Telemetry::NONE)
-        .trace(TraceBundle::from_streams(vec![f.trace]))
+        .trace(TraceBundle::from_streams(vec![frame.clone()]))
         .run_or_panic()
+}
+
+/// Sweep one RTX 3070 knob over `values` on the SPH frame: `set` applies
+/// a value to the GPU, and each value simulates the same frame.
+fn hw_sweep(
+    workers: usize,
+    scale: ExpScale,
+    knob: &'static str,
+    values: &[u64],
+    set: impl Fn(&mut GpuConfig, u64) + Sync,
+) -> HwSweep {
+    let frame = render_trace(SceneId::SponzaPbr, scale);
+    let rows = sweep_with(workers, values, |&v| {
+        let mut gpu = GpuConfig::rtx3070();
+        set(&mut gpu, v);
+        (v, sim_frame(&gpu, &frame).cycles)
+    });
+    HwSweep { knob, rows }
 }
 
 /// Sweep the L1 data-port width (sectors/cycle) on the texture-heavy SPH
 /// frame — the resource whose pressure the LoD case study quantifies.
 pub fn ablation_l1_ports(scale: ExpScale) -> HwSweep {
-    let scene = Scene::build(SceneId::SponzaPbr, scale.detail);
-    let rows = [1u32, 2, 4, 8]
-        .iter()
-        .map(|&p| {
-            let mut gpu = GpuConfig::rtx3070();
-            gpu.sm.l1_ports = p;
-            (p as u64, sim_frame(&gpu, &scene, scale).cycles)
-        })
-        .collect();
-    HwSweep {
-        knob: "l1 ports",
-        rows,
-    }
+    hw_sweep(cores(), scale, "l1 ports", &[1, 2, 4, 8], |gpu, p| {
+        gpu.sm.l1_ports = p as u32;
+    })
 }
 
 /// Sweep the L1 MSHR capacity (memory-level parallelism per SM).
 pub fn ablation_mshr(scale: ExpScale) -> HwSweep {
-    let scene = Scene::build(SceneId::SponzaPbr, scale.detail);
-    let rows = [4usize, 8, 16, 32, 64, 128]
-        .iter()
-        .map(|&e| {
-            let mut gpu = GpuConfig::rtx3070();
-            gpu.l1_mshr_entries = e;
-            (e as u64, sim_frame(&gpu, &scene, scale).cycles)
-        })
-        .collect();
-    HwSweep {
-        knob: "L1 MSHR entries",
-        rows,
-    }
+    ablation_mshr_on(cores(), scale)
+}
+
+/// [`ablation_mshr`] swept on at most `workers` workers.
+fn ablation_mshr_on(workers: usize, scale: ExpScale) -> HwSweep {
+    let entries = [4, 8, 16, 32, 64, 128];
+    hw_sweep(workers, scale, "L1 MSHR entries", &entries, |gpu, e| {
+        gpu.l1_mshr_entries = e as usize;
+    })
 }
 
 /// GTO vs LRR warp scheduling on a graphics frame.
 pub fn ablation_scheduler(scale: ExpScale) -> Vec<(&'static str, u64)> {
-    let scene = Scene::build(SceneId::Pistol, scale.detail);
-    [("GTO", SchedulerPolicy::Gto), ("LRR", SchedulerPolicy::Lrr)]
-        .iter()
-        .map(|&(name, pol)| {
+    let frame = render_trace(SceneId::Pistol, scale);
+    sweep(
+        &[("GTO", SchedulerPolicy::Gto), ("LRR", SchedulerPolicy::Lrr)],
+        |&(name, pol)| {
             let mut gpu = GpuConfig::rtx3070();
             gpu.sm.scheduler = pol;
-            (name, sim_frame(&gpu, &scene, scale).cycles)
-        })
-        .collect()
+            (name, sim_frame(&gpu, &frame).cycles)
+        },
+    )
 }
 
 /// LRU vs pseudo-random L2 replacement on a texture-reuse-heavy frame
@@ -169,53 +171,54 @@ pub fn ablation_scheduler(scale: ExpScale) -> Vec<(&'static str, u64)> {
 /// actually contends for capacity — at the full 4 MB the scaled frame fits
 /// and the policies are indistinguishable.
 pub fn ablation_replacement(scale: ExpScale) -> Vec<(&'static str, u64, f64)> {
-    let scene = Scene::build(SceneId::SponzaPbr, scale.detail);
-    [("LRU", Replacement::Lru), ("Random", Replacement::Random)]
-        .iter()
-        .map(|&(name, pol)| {
+    let frame = render_trace(SceneId::SponzaPbr, scale);
+    sweep(
+        &[("LRU", Replacement::Lru), ("Random", Replacement::Random)],
+        |&(name, pol)| {
             let mut gpu = GpuConfig::rtx3070();
             gpu.l2_bytes = 512 << 10;
             gpu.l2_replacement = pol;
-            let r = sim_frame(&gpu, &scene, scale);
+            let r = sim_frame(&gpu, &frame);
             (name, r.cycles, r.l2_stats.total().hit_rate())
-        })
-        .collect()
+        },
+    )
 }
 
 /// MiG's bandwidth loss as a function of bank granularity: the fewer banks
 /// the GPU has, the more a bank-level split costs (each side keeps only
 /// half the banks' bandwidth).
 pub fn ablation_mig_banks(scale: ExpScale) -> Vec<(u32, f64)> {
-    let (w, h) = scale.res.dims();
-    let scene = Scene::build(SceneId::SponzaPbr, scale.detail);
-    [4u32, 8, 16, 32]
+    let frame = render_trace(SceneId::SponzaPbr, scale);
+    let compute = holo(COMPUTE_STREAM, scale.compute);
+    let banks = [4u32, 8, 16, 32];
+    // (banks, MiG split?) for every bank count: MPS then MiG.
+    let points: Vec<(u32, bool)> = banks
         .iter()
-        .map(|&banks| {
-            let mut gpu = GpuConfig::rtx3070();
-            gpu.l2_banks = banks;
-            let run = |spec: PartitionSpec| {
-                let f = scene.render(w, h, false, GRAPHICS_STREAM);
-                let c = holo(COMPUTE_STREAM, scale.compute);
-                Simulation::builder()
-                    .gpu(gpu.clone())
-                    .partition(spec)
-                    .telemetry(Telemetry::NONE)
-                    .trace(TraceBundle::from_streams(vec![f.trace, c]))
-                    .run_or_panic()
-                    .makespan()
-            };
-            let mps = run(PartitionSpec::mps_even(
-                &gpu,
-                GRAPHICS_STREAM,
-                COMPUTE_STREAM,
-            ));
-            let mig = run(PartitionSpec::mig_even(
-                &gpu,
-                GRAPHICS_STREAM,
-                COMPUTE_STREAM,
-            ));
-            (banks, mps as f64 / mig as f64)
-        })
+        .flat_map(|&b| [(b, false), (b, true)])
+        .collect();
+    let makespans = sweep(&points, |&(banks, mig)| {
+        let mut gpu = GpuConfig::rtx3070();
+        gpu.l2_banks = banks;
+        let spec = if mig {
+            PartitionSpec::mig_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM)
+        } else {
+            PartitionSpec::mps_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM)
+        };
+        Simulation::builder()
+            .gpu(gpu)
+            .partition(spec)
+            .telemetry(Telemetry::NONE)
+            .trace(TraceBundle::from_streams(vec![
+                frame.clone(),
+                compute.clone(),
+            ]))
+            .run_or_panic()
+            .makespan()
+    });
+    banks
+        .into_iter()
+        .zip(makespans.chunks(2))
+        .map(|(b, m)| (b, m[0] as f64 / m[1] as f64))
         .collect()
 }
 
@@ -250,6 +253,11 @@ mod tests {
         let r = ablation_mshr(ExpScale::quick());
         let (few, many) = r.endpoints();
         assert!(few >= many, "4 MSHRs cannot beat 128: {few} vs {many}");
+        // The default sweep (one worker per core) matches a serial one.
+        assert_eq!(
+            ablation_mshr_on(1, ExpScale::quick()).to_table(),
+            r.to_table()
+        );
     }
 
     #[test]

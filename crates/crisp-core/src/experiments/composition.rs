@@ -1,14 +1,13 @@
 //! L2-composition experiments: Figures 7 and 11.
 
 use crisp_gfx::{FilterMode, Texture, TextureFormat, Vec2};
-use crisp_scenes::{Scene, SceneId};
+use crisp_scenes::SceneId;
 use crisp_sim::{GpuConfig, PartitionSpec, Simulation, Telemetry};
 use crisp_trace::{DataClass, TraceBundle};
 
 use crate::report::{pct, table};
-use crate::GRAPHICS_STREAM;
 
-use super::ExpScale;
+use super::{render_trace, sweep, ExpScale};
 
 /// Figure 7: the four-loads-merge-to-one mip demonstration.
 #[derive(Debug, Clone)]
@@ -111,16 +110,15 @@ impl Fig11Result {
     }
 }
 
-fn composition_run(scene: &Scene, scale: ExpScale) -> Fig11Row {
-    let (w, h) = scale.res.dims();
-    let f = scene.render(w, h, false, GRAPHICS_STREAM);
+fn composition_run(scene: SceneId, scale: ExpScale) -> Fig11Row {
+    let frame = render_trace(scene, scale);
     let gpu = GpuConfig::rtx3070();
     let r = Simulation::builder()
         .gpu(gpu)
         .partition(PartitionSpec::greedy())
         .telemetry(Telemetry::COMPOSITION)
         .composition_interval(5_000)
-        .trace(TraceBundle::from_streams(vec![f.trace]))
+        .trace(TraceBundle::from_streams(vec![frame]))
         .run_or_panic();
     let samples: Vec<f64> = r
         .l2_composition_timeline
@@ -138,7 +136,7 @@ fn composition_run(scene: &Scene, scale: ExpScale) -> Fig11Row {
         f64::max,
     );
     Fig11Row {
-        scene: scene.id,
+        scene,
         texture_fraction: avg,
         texture_fraction_peak: peak,
         l2_hit_rate: r.l2_stats.total().hit_rate(),
@@ -148,10 +146,9 @@ fn composition_run(scene: &Scene, scale: ExpScale) -> Fig11Row {
 /// Run Figure 11: L2 composition and hit rates of Pistol (PBR, 8 maps)
 /// versus the Khronos Sponza (basic shading, one map per draw).
 pub fn fig11_l2_composition(scale: ExpScale) -> Fig11Result {
-    let rows = vec![
-        composition_run(&Scene::build(SceneId::Pistol, scale.detail), scale),
-        composition_run(&Scene::build(SceneId::SponzaKhronos, scale.detail), scale),
-    ];
+    let rows = sweep(&[SceneId::Pistol, SceneId::SponzaKhronos], |&id| {
+        composition_run(id, scale)
+    });
     Fig11Result { rows }
 }
 

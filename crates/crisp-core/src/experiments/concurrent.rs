@@ -1,6 +1,6 @@
 //! Concurrent-execution experiments: Figures 12, 13, 14 and 15.
 
-use crisp_scenes::{holo, nn, vio, ComputeScale, Scene, SceneId};
+use crisp_scenes::{holo, nn, vio, ComputeScale, SceneId};
 use crisp_sim::{
     GpuConfig, OccupancySample, PartitionSpec, SimResult, Simulation, SlicerConfig, TapConfig,
 };
@@ -9,7 +9,7 @@ use crisp_trace::{DataClass, Stream, StreamId, TraceBundle};
 use crate::report::{f3, pct, table};
 use crate::{COMPUTE_STREAM, GRAPHICS_STREAM};
 
-use super::ExpScale;
+use super::{cores, render_trace, sweep_with, ExpScale};
 
 /// The paper's three compute workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,19 +55,18 @@ impl std::fmt::Display for ComputeKind {
 fn run_pair(
     gpu: &GpuConfig,
     spec: PartitionSpec,
-    scene: &Scene,
-    compute: ComputeKind,
-    scale: ExpScale,
+    frame: &Stream,
+    compute: &Stream,
     occupancy_interval: u64,
 ) -> SimResult {
-    let (w, h) = scale.res.dims();
-    let frame = scene.render(w, h, false, GRAPHICS_STREAM);
-    let cstream = compute.build(COMPUTE_STREAM, scale.compute);
     Simulation::builder()
         .gpu(gpu.clone())
         .partition(spec)
         .occupancy_interval(occupancy_interval)
-        .trace(TraceBundle::from_streams(vec![frame.trace, cstream]))
+        .trace(TraceBundle::from_streams(vec![
+            frame.clone(),
+            compute.clone(),
+        ]))
         .run_or_panic()
 }
 
@@ -154,26 +153,36 @@ fn pair_scenes(scale: ExpScale) -> Vec<SceneId> {
 /// The scene × compute × policy grid behind Figures 12 and 14: every pair
 /// runs under each policy, and a row holds the makespan speedups over the
 /// first policy (whose own speedup is therefore 1).
+///
+/// The compute streams are generated once and each scene is rendered once;
+/// one scene's compute × policy runs are swept across the host's cores.
 fn pair_grid(
+    workers: usize,
     gpu: &GpuConfig,
     scale: ExpScale,
     policies: &[(&'static str, PartitionSpec)],
 ) -> Vec<PairRow> {
+    let computes = ComputeKind::ALL.map(|k| k.build(COMPUTE_STREAM, scale.compute));
+    let points: Vec<(usize, usize)> = (0..computes.len())
+        .flat_map(|c| (0..policies.len()).map(move |p| (c, p)))
+        .collect();
     let mut rows = Vec::new();
-    for scene_id in pair_scenes(scale) {
-        let scene = Scene::build(scene_id, scale.detail);
-        for compute in ComputeKind::ALL {
-            let makespans: Vec<u64> = policies
-                .iter()
-                .map(|(_, spec)| run_pair(gpu, spec.clone(), &scene, compute, scale, 0).makespan())
-                .collect();
+    for scene in pair_scenes(scale) {
+        let frame = render_trace(scene, scale);
+        let makespans = sweep_with(workers, &points, |&(c, p)| {
+            run_pair(gpu, policies[p].1.clone(), &frame, &computes[c], 0).makespan()
+        });
+        for (compute, makespans) in ComputeKind::ALL
+            .into_iter()
+            .zip(makespans.chunks(policies.len()))
+        {
             let speedups = policies
                 .iter()
-                .zip(&makespans)
+                .zip(makespans)
                 .map(|((label, _), &m)| (*label, makespans[0] as f64 / m as f64))
                 .collect();
             rows.push(PairRow {
-                scene: scene_id,
+                scene,
                 compute,
                 speedups,
             });
@@ -185,6 +194,11 @@ fn pair_grid(
 /// Run Figure 12 on the Jetson Orin model: MPS-even vs intra-SM EVEN vs
 /// warped-slicer Dynamic, all pairs, normalized to MPS.
 pub fn fig12_warped_slicer(scale: ExpScale) -> Fig12Result {
+    fig12_on(cores(), scale)
+}
+
+/// [`fig12_warped_slicer`] with its grid swept on at most `workers` workers.
+fn fig12_on(workers: usize, scale: ExpScale) -> Fig12Result {
     let gpu = GpuConfig::jetson_orin();
     let policies = [
         (
@@ -201,7 +215,7 @@ pub fn fig12_warped_slicer(scale: ExpScale) -> Fig12Result {
         ),
     ];
     Fig12Result {
-        rows: pair_grid(&gpu, scale, &policies),
+        rows: pair_grid(workers, &gpu, scale, &policies),
     }
 }
 
@@ -248,13 +262,11 @@ impl Fig13Result {
 /// sampling occupancy densely.
 pub fn fig13_occupancy_timeline(scale: ExpScale) -> Fig13Result {
     let gpu = GpuConfig::jetson_orin();
-    let scene = Scene::build(SceneId::Pistol, scale.detail);
     let r = run_pair(
         &gpu,
         PartitionSpec::fg_dynamic(SlicerConfig::default()),
-        &scene,
-        ComputeKind::Vio,
-        scale,
+        &render_trace(SceneId::Pistol, scale),
+        &ComputeKind::Vio.build(COMPUTE_STREAM, scale.compute),
         500,
     );
     Fig13Result {
@@ -288,6 +300,11 @@ impl Fig14Result {
 
 /// Run Figure 14 on the RTX 3070 model.
 pub fn fig14_tap(scale: ExpScale) -> Fig14Result {
+    fig14_on(cores(), scale)
+}
+
+/// [`fig14_tap`] with its grid swept on at most `workers` workers.
+fn fig14_on(workers: usize, scale: ExpScale) -> Fig14Result {
     let gpu = GpuConfig::rtx3070();
     // Long epochs: a set-window remap orphans resident lines (their
     // index changes), so repartitioning must be rare to amortise the
@@ -312,7 +329,7 @@ pub fn fig14_tap(scale: ExpScale) -> Fig14Result {
         ),
     ];
     Fig14Result {
-        rows: pair_grid(&gpu, scale, &policies),
+        rows: pair_grid(workers, &gpu, scale, &policies),
     }
 }
 
@@ -362,13 +379,11 @@ pub fn fig15_tap_composition(scale: ExpScale) -> Fig15Result {
         sample_every: 4,
         min_sets: 1,
     };
-    let scene = Scene::build(SceneId::SponzaPbr, scale.detail);
     let r = run_pair(
         &gpu,
         PartitionSpec::tap_even(&gpu, GRAPHICS_STREAM, COMPUTE_STREAM, tap_cfg),
-        &scene,
-        ComputeKind::Holo,
-        scale,
+        &render_trace(SceneId::SponzaPbr, scale),
+        &ComputeKind::Holo.build(COMPUTE_STREAM, scale.compute),
         0,
     );
     let comp = &r.l2_composition;
@@ -412,6 +427,8 @@ mod tests {
             r.geomean("EVEN")
         );
         assert!(r.to_table().contains("Dynamic"));
+        // The default sweep (one worker per core) matches a serial one.
+        assert_eq!(fig12_on(1, ExpScale::quick()).to_table(), r.to_table());
     }
 
     #[test]
@@ -427,6 +444,7 @@ mod tests {
         assert_eq!(r.rows.len(), 6);
         // TAP must not collapse (paper: TAP ≈ MPS).
         assert!(r.mean("TAP") > 0.7, "TAP mean {}", r.mean("TAP"));
+        assert_eq!(fig14_on(1, ExpScale::quick()).to_table(), r.to_table());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crisp_trace::{KernelTrace, Space, Stream, TexLinesHistogram, TraceBundle, SE
 use crate::report::{f3, pct, table};
 use crate::{Resolution, GRAPHICS_STREAM};
 
-use super::ExpScale;
+use super::{sweep, ExpScale};
 
 /// Figure 3: vertex-shader invocation correlation at batch size 96.
 #[derive(Debug, Clone)]
@@ -128,28 +128,31 @@ pub fn fig06_frame_correlation(scale: ExpScale) -> Fig06Result {
         Resolution::Tiny => vec![Resolution::Tiny],
         _ => vec![Resolution::Scaled2K, Resolution::Scaled4K],
     };
-    let mut rows = Vec::new();
-    for scene in all_scenes(scale.detail) {
-        for &res in &resolutions {
-            let (w, h) = res.dims();
-            let f = scene.render(w, h, false, GRAPHICS_STREAM);
-            let hw_ms = Silicon::frame_time_ms(
-                &format!("{}@{}", scene.id, res.label()),
-                &scene.draws,
-                &f.stats,
-                gpu.n_sms,
-                gpu.core_clock_mhz,
-                gpu.dram_gbps,
-            );
-            let cycles = simulate_frame(&gpu, f.trace);
-            rows.push(Fig06Row {
-                scene: scene.id,
-                res: res.label(),
-                hw_ms,
-                sim_ms: gpu.cycles_to_ms(cycles),
-            });
+    let scenes = all_scenes(scale.detail);
+    let points: Vec<(&Scene, Resolution)> = scenes
+        .iter()
+        .flat_map(|scene| resolutions.iter().map(move |&res| (scene, res)))
+        .collect();
+    // Every point renders its own frame: no two share a (scene, size).
+    let rows = sweep(&points, |&(scene, res)| {
+        let (w, h) = res.dims();
+        let f = scene.render(w, h, false, GRAPHICS_STREAM);
+        let hw_ms = Silicon::frame_time_ms(
+            &format!("{}@{}", scene.id, res.label()),
+            &scene.draws,
+            &f.stats,
+            gpu.n_sms,
+            gpu.core_clock_mhz,
+            gpu.dram_gbps,
+        );
+        let cycles = simulate_frame(&gpu, f.trace);
+        Fig06Row {
+            scene: scene.id,
+            res: res.label(),
+            hw_ms,
+            sim_ms: gpu.cycles_to_ms(cycles),
         }
-    }
+    });
     let xs: Vec<f64> = rows.iter().map(|r| r.hw_ms).collect();
     let ys: Vec<f64> = rows.iter().map(|r| r.sim_ms).collect();
     let longer = rows.iter().filter(|r| r.sim_ms > r.hw_ms).count();

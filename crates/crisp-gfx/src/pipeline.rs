@@ -25,9 +25,9 @@ use crisp_trace::{
 
 use crate::batch::{vertex_batches, Batch, BATCH_SIZE};
 use crate::fb::Framebuffer;
-use crate::math::{Mat4, Vec3};
+use crate::math::{Mat4, Vec2, Vec3};
 use crate::mesh::{AddressAllocator, Mesh, ATTR_STRIDE};
-use crate::raster::{is_backface, rasterize, Fragment, ScreenVertex, TileGrid};
+use crate::raster::{is_backface, rasterize, Fragment, ScreenVertex, TileGrid, TILE_SIZE};
 use crate::shader::{FragmentShader, ShaderKind, VertexShader};
 use crate::texture::Texture;
 
@@ -319,8 +319,9 @@ impl Renderer {
         ds.batches = (batches.len() * d.instances.len()) as u64;
 
         let mut vs_ctas: Vec<CtaTrace> = Vec::with_capacity(batches.len() * d.instances.len());
-        // (fragment, attribute address of its primitive) pairs.
-        let mut frags: Vec<(Fragment, u64)> = Vec::new();
+        let mut frags: Vec<FragRec> = Vec::new();
+        let mut prims: Vec<Prim> = Vec::new();
+        let mut screen: Vec<Option<ScreenVertex>> = Vec::with_capacity(BATCH_SIZE);
         let grid = TileGrid::new(self.cfg.width, self.cfg.height);
 
         let mut index_pos = 0u64; // running cursor into the index buffer
@@ -339,25 +340,22 @@ impl Renderer {
                 ds.vs_threads_from_warps += (b.unique.len().div_ceil(WARP_SIZE) * WARP_SIZE) as u64;
 
                 // Functional transform of the batch's unique vertices.
-                let screen: Vec<Option<ScreenVertex>> = b
-                    .unique
-                    .iter()
-                    .map(|&vi| {
-                        let v = d.mesh.vertices[vi as usize];
-                        let clip = mvp.transform_point(v.pos);
-                        let n = normal_m.transform_dir(v.normal).normalized();
-                        let layer = if instanced { inst.layer } else { v.layer };
-                        ScreenVertex::from_clip_viewport(
-                            clip,
-                            v.uv,
-                            n,
-                            layer,
-                            self.cfg
-                                .viewport
-                                .unwrap_or((0, 0, self.cfg.width, self.cfg.height)),
-                        )
-                    })
-                    .collect();
+                screen.clear();
+                screen.extend(b.unique.iter().map(|&vi| {
+                    let v = d.mesh.vertices[vi as usize];
+                    let clip = mvp.transform_point(v.pos);
+                    let n = normal_m.transform_dir(v.normal).normalized();
+                    let layer = if instanced { inst.layer } else { v.layer };
+                    ScreenVertex::from_clip_viewport(
+                        clip,
+                        v.uv,
+                        n,
+                        layer,
+                        self.cfg
+                            .viewport
+                            .unwrap_or((0, 0, self.cfg.width, self.cfg.height)),
+                    )
+                }));
 
                 for p in &b.prims {
                     ds.prims += 1;
@@ -375,9 +373,28 @@ impl Renderer {
                         continue;
                     }
                     let attr_addr = attr_base + p[0] as u64 * ATTR_STRIDE;
-                    for f in rasterize(&tri, &mut self.fb) {
-                        frags.push((f, attr_addr));
-                    }
+                    // The primitive's table entry is added with its first
+                    // fragment, so a fully occluded one costs nothing.
+                    let prim = u32::try_from(prims.len()).expect("< 2^32 primitives per draw");
+                    rasterize(&tri, &mut self.fb, |f| {
+                        if prims.len() == prim as usize {
+                            prims.push(Prim {
+                                duv_dx: f.duv_dx,
+                                duv_dy: f.duv_dy,
+                                layer: f.layer,
+                                attr_addr,
+                            });
+                        }
+                        frags.push(FragRec {
+                            x: f.x,
+                            y: f.y,
+                            z: f.z,
+                            uv: f.uv,
+                            normal: f.normal,
+                            prim,
+                            seq: u32::try_from(frags.len()).expect("< 2^32 fragments per draw"),
+                        });
+                    });
                 }
             }
         }
@@ -385,16 +402,19 @@ impl Renderer {
 
         // Tile/quad-order sort: fragments grouped by screen locality so
         // quads form naturally within warps (paper's approximated quads).
-        frags.sort_by_key(|(f, _)| {
+        // `seq` makes every key distinct, so the unstable sort keeps
+        // overlapping fragments in rasterization order.
+        frags.sort_unstable_by_key(|r| {
             (
-                f.tile(grid.tiles_x),
-                (f.y & !1, f.x & !1),
-                (f.y & 1, f.x & 1),
+                (r.y / TILE_SIZE) * grid.tiles_x + r.x / TILE_SIZE,
+                (r.y & !1, r.x & !1),
+                (r.y & 1, r.x & 1),
+                r.seq,
             )
         });
 
         self.scratch.rows.clear();
-        let fs_ctas = self.fs_ctas(d, &frags, &mut ds);
+        let fs_ctas = self.fs_ctas(d, &frags, &prims, &mut ds);
         let rows = &mut self.scratch.rows;
         rows.sort_unstable();
         rows.dedup();
@@ -505,14 +525,20 @@ impl Renderer {
     fn fs_ctas(
         &mut self,
         d: &DrawCall,
-        frags: &[(Fragment, u64)],
+        frags: &[FragRec],
+        prims: &[Prim],
         ds: &mut DrawStats,
     ) -> Vec<CtaTrace> {
         let per_cta = self.cfg.fs_warps_per_cta;
         let mut ctas = Vec::with_capacity(frags.len().div_ceil(WARP_SIZE * per_cta));
         let mut warps: Vec<WarpTrace> = Vec::with_capacity(per_cta);
+        // One warp's fragments, rebuilt from the records, with the
+        // attribute address of each one's primitive.
+        let mut lanes: Vec<(Fragment, u64)> = Vec::with_capacity(WARP_SIZE);
         for chunk in frags.chunks(WARP_SIZE) {
-            warps.push(self.fs_warp(d, chunk, ds));
+            lanes.clear();
+            lanes.extend(chunk.iter().map(|r| r.fragment(&prims[r.prim as usize])));
+            warps.push(self.fs_warp(d, &lanes, ds));
             if warps.len() == per_cta {
                 let full = std::mem::replace(&mut warps, Vec::with_capacity(per_cta));
                 ctas.push(CtaTrace::new(full));
@@ -697,6 +723,47 @@ impl Renderer {
     }
 }
 
+/// A rasterized fragment as a draw holds it until its warp is shaded: the
+/// per-pixel fields of a [`Fragment`], the index of its primitive in the
+/// draw's [`Prim`] table, and its position in rasterization order.
+#[derive(Debug, Clone, Copy)]
+struct FragRec {
+    x: u32,
+    y: u32,
+    z: f32,
+    uv: Vec2,
+    normal: Vec3,
+    prim: u32,
+    seq: u32,
+}
+
+/// What every fragment of one primitive shares.
+#[derive(Debug, Clone, Copy)]
+struct Prim {
+    duv_dx: Vec2,
+    duv_dy: Vec2,
+    layer: u32,
+    /// Attribute-ring address of the primitive's post-transform vertex.
+    attr_addr: u64,
+}
+
+impl FragRec {
+    /// The full fragment, and its primitive's attribute address.
+    fn fragment(&self, p: &Prim) -> (Fragment, u64) {
+        let f = Fragment {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+            uv: self.uv,
+            duv_dx: p.duv_dx,
+            duv_dy: p.duv_dy,
+            normal: self.normal,
+            layer: p.layer,
+        };
+        (f, p.attr_addr)
+    }
+}
+
 /// Texture instructions one map's lane footprints take: the longest one.
 fn rounds(footprints: &[(usize, usize)]) -> usize {
     footprints
@@ -782,6 +849,13 @@ mod tests {
         let s = r.render(&[d], &camera());
         let cov = r.framebuffer().coverage();
         (s, r.stats().clone(), cov)
+    }
+
+    #[test]
+    fn a_fragment_record_fits_in_40_bytes() {
+        // A draw holds one record per fragment until its warps are built:
+        // the renderer's largest buffer.
+        assert!(std::mem::size_of::<FragRec>() <= 40);
     }
 
     #[test]

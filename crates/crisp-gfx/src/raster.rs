@@ -115,20 +115,21 @@ pub fn is_backface(v: &[ScreenVertex; 3]) -> bool {
     signed_area2((v[0].sx, v[0].sy), (v[1].sx, v[1].sy), (v[2].sx, v[2].sy)) >= 0.0
 }
 
-/// Rasterize one triangle with early-Z against `fb`'s depth buffer.
+/// Rasterize one triangle with early-Z against `fb`'s depth buffer,
+/// handing each surviving fragment to `emit` in row-major order.
 ///
 /// Fragments that fail the depth test are eliminated before shading ("the
 /// early-Z test eliminates the pixels that are blocked to reduce the total
 /// number of pixels that need to be rendered"); survivors update the depth
 /// buffer immediately.
-pub fn rasterize(v: &[ScreenVertex; 3], fb: &mut Framebuffer) -> Vec<Fragment> {
+pub fn rasterize(v: &[ScreenVertex; 3], fb: &mut Framebuffer, mut emit: impl FnMut(Fragment)) {
     let (w, h) = (fb.width(), fb.height());
     let (ax, ay) = (v[0].sx, v[0].sy);
     let (bx, by) = (v[1].sx, v[1].sy);
     let (cx, cy) = (v[2].sx, v[2].sy);
     let area = signed_area2((ax, ay), (bx, by), (cx, cy));
     if area.abs() < 1e-9 {
-        return Vec::new();
+        return;
     }
     // Per-triangle constant uv derivatives (affine approximation — the
     // paper's approximated-quads LoD has the same granularity).
@@ -153,7 +154,6 @@ pub fn rasterize(v: &[ScreenVertex; 3], fb: &mut Framebuffer) -> Vec<Fragment> {
     let max_y = (ay.max(by).max(cy).ceil() as i64).clamp(0, h as i64) as u32;
 
     let inv_area = 1.0 / area;
-    let mut frags = Vec::new();
     for py in min_y..max_y {
         for px in min_x..max_x {
             let p = (px as f32 + 0.5, py as f32 + 0.5);
@@ -180,7 +180,7 @@ pub fn rasterize(v: &[ScreenVertex; 3], fb: &mut Framebuffer) -> Vec<Fragment> {
                 w0 * v[0].normal.y + w1 * v[1].normal.y + w2 * v[2].normal.y,
                 w0 * v[0].normal.z + w1 * v[1].normal.z + w2 * v[2].normal.z,
             );
-            frags.push(Fragment {
+            emit(Fragment {
                 x: px,
                 y: py,
                 z,
@@ -192,7 +192,6 @@ pub fn rasterize(v: &[ScreenVertex; 3], fb: &mut Framebuffer) -> Vec<Fragment> {
             });
         }
     }
-    frags
 }
 
 /// The ITR screen-tile grid: maps fragments/primitives to tiles and tiles
@@ -257,6 +256,13 @@ mod tests {
         }
     }
 
+    /// Every fragment `rasterize` emits for `t`, in emission order.
+    fn collect_frags(t: &[ScreenVertex; 3], fb: &mut Framebuffer) -> Vec<Fragment> {
+        let mut frags = Vec::new();
+        rasterize(t, fb, |f| frags.push(f));
+        frags
+    }
+
     fn full_quad_tris(size: f32) -> [[ScreenVertex; 3]; 2] {
         // Two triangles covering [0,size)². Screen-space CCW in y-down
         // coordinates (negative signed area) to pass is_backface.
@@ -271,7 +277,7 @@ mod tests {
     fn full_screen_quad_covers_every_pixel() {
         let mut fb = Framebuffer::new(16, 16);
         let tris = full_quad_tris(16.0);
-        let n: usize = tris.iter().map(|t| rasterize(t, &mut fb).len()).sum();
+        let n: usize = tris.iter().map(|t| collect_frags(t, &mut fb).len()).sum();
         assert_eq!(n, 256, "every pixel covered exactly once");
     }
 
@@ -284,11 +290,11 @@ mod tests {
                 v.z = 0.2;
             }
         }
-        let n_near: usize = near.iter().map(|t| rasterize(t, &mut fb).len()).sum();
+        let n_near: usize = near.iter().map(|t| collect_frags(t, &mut fb).len()).sum();
         assert_eq!(n_near, 64);
         // A farther quad drawn after is fully occluded.
         let far = full_quad_tris(8.0);
-        let n_far: usize = far.iter().map(|t| rasterize(t, &mut fb).len()).sum();
+        let n_far: usize = far.iter().map(|t| collect_frags(t, &mut fb).len()).sum();
         assert_eq!(n_far, 0, "early-Z must kill occluded fragments");
     }
 
@@ -297,7 +303,7 @@ mod tests {
         let mut fb = Framebuffer::new(8, 8);
         let far = full_quad_tris(8.0);
         for t in &far {
-            let _ = rasterize(t, &mut fb);
+            let _ = collect_frags(t, &mut fb);
         }
         let mut near = full_quad_tris(8.0);
         for t in &mut near {
@@ -305,7 +311,7 @@ mod tests {
                 v.z = 0.1;
             }
         }
-        let n: usize = near.iter().map(|t| rasterize(t, &mut fb).len()).sum();
+        let n: usize = near.iter().map(|t| collect_frags(t, &mut fb).len()).sum();
         assert_eq!(n, 64, "closer fragments replace farther ones");
     }
 
@@ -313,7 +319,10 @@ mod tests {
     fn uv_interpolation_spans_the_quad() {
         let mut fb = Framebuffer::new(16, 16);
         let tris = full_quad_tris(16.0);
-        let frags: Vec<Fragment> = tris.iter().flat_map(|t| rasterize(t, &mut fb)).collect();
+        let frags: Vec<Fragment> = tris
+            .iter()
+            .flat_map(|t| collect_frags(t, &mut fb))
+            .collect();
         let corner = frags.iter().find(|f| f.x == 0 && f.y == 0).unwrap();
         assert!(corner.uv.x < 0.1 && corner.uv.y < 0.1);
         let opposite = frags.iter().find(|f| f.x == 15 && f.y == 15).unwrap();
@@ -325,7 +334,7 @@ mod tests {
         // uv spans 1.0 over 16 pixels → |duv/dx| = 1/16 per pixel.
         let mut fb = Framebuffer::new(16, 16);
         let tris = full_quad_tris(16.0);
-        let frags = rasterize(&tris[0], &mut fb);
+        let frags = collect_frags(&tris[0], &mut fb);
         let f = &frags[0];
         assert!((f.duv_dx.x - 1.0 / 16.0).abs() < 1e-4, "{:?}", f.duv_dx);
         assert!((f.duv_dy.y - 1.0 / 16.0).abs() < 1e-4, "{:?}", f.duv_dy);
@@ -336,7 +345,7 @@ mod tests {
         let mut fb = Framebuffer::new(8, 8);
         let a = sv(1.0, 1.0, 0.5, Vec2::default());
         let t = [a, a, a];
-        assert!(rasterize(&t, &mut fb).is_empty());
+        assert!(collect_frags(&t, &mut fb).is_empty());
     }
 
     #[test]

@@ -84,7 +84,9 @@ fn malformed(msg: impl Into<String>) -> ProtoError {
     ProtoError::Malformed(msg.into())
 }
 
-/// Write one frame.
+/// Write one frame. The length prefix, type byte and payload are handed to
+/// `w` as one buffer, so a `TCP_NODELAY` socket sends them in one segment
+/// rather than three.
 ///
 /// # Errors
 ///
@@ -96,9 +98,11 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
     if len > MAX_FRAME {
         return Err(ProtoError::Oversized { len });
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.push(kind);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -919,6 +923,41 @@ mod tests {
         let (kind, payload) = read_frame(&mut cur).unwrap();
         assert_eq!(kind, 0x42);
         assert_eq!(payload, b"hello");
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Accepts every byte and counts the `write` calls.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"hello", &[7; 4096]] {
+            let mut w = Counting::default();
+            write_frame(&mut w, 0x42, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            let (kind, got) = read_frame(&mut w.bytes.as_slice()).unwrap();
+            assert_eq!((kind, got.as_slice()), (0x42, payload));
+        }
+        // An oversized payload is refused before anything is written.
+        let mut w = Counting::default();
+        let huge = vec![0u8; MAX_FRAME as usize];
+        assert!(matches!(
+            write_frame(&mut w, 0x42, &huge),
+            Err(ProtoError::Oversized { len }) if len == MAX_FRAME + 1
+        ));
+        assert_eq!(w.writes, 0);
     }
 
     /// A payload written field by field, to forge what no encoder emits.

@@ -9,8 +9,11 @@
 //!
 //! Renderer optimisations must leave all three byte-identical, so a change
 //! to how the trace is built that moves one address, one instruction, one
-//! pixel or one counter fails here. Scenes render at detail 0.2 and 96×54,
-//! small enough for a debug-build `cargo test`.
+//! pixel or one counter fails here. Every scene renders at detail 0.2 and
+//! 96×54, small enough for a debug-build `cargo test`. Two larger frames
+//! pin the order of overlapping fragments on overdrawn pixels at the
+//! sizes the experiments render: SponzaPbr at the quick 160×90 and
+//! SponzaKhronos at Figure 8's 640×360.
 
 use crisp_core::prelude::*;
 use crisp_gfx::DrawStats;
@@ -53,8 +56,8 @@ fn stats_digest(h: &mut Fnv, d: &DrawStats) {
     }
 }
 
-fn render_digest(id: SceneId) -> u64 {
-    let frame = Scene::build(id, 0.2).render(96, 54, false, GRAPHICS_STREAM);
+fn render_digest(id: SceneId, w: u32, h: u32) -> u64 {
+    let frame = Scene::build(id, 0.2).render(w, h, false, GRAPHICS_STREAM);
     assert!(
         frame.stats.fragments() > 0 && frame.stats.tex_instrs() > 0,
         "{id:?} must exercise the fragment and texture paths"
@@ -89,12 +92,26 @@ fn rendered_trace_framebuffer_and_stats_are_pinned() {
     assert_eq!(expected.map(|(id, _)| id), SceneId::ALL);
     let got: Vec<(SceneId, u64)> = expected
         .iter()
-        .map(|&(id, _)| (id, render_digest(id)))
+        .map(|&(id, _)| (id, render_digest(id, 96, 54)))
         .collect();
     for (&(id, want), &(_, have)) in expected.iter().zip(&got) {
         assert_eq!(
             have, want,
             "{id:?}: renderer output changed (digest {have:#018x}); all: {got:x?}"
+        );
+    }
+}
+
+#[test]
+fn experiment_sized_frames_are_pinned() {
+    for (id, (w, h), want) in [
+        (SceneId::SponzaPbr, (160, 90), 0xeedf_0328_02c8_44c0),
+        (SceneId::SponzaKhronos, (640, 360), 0xf1ce_5dd8_0f4b_da12),
+    ] {
+        let have = render_digest(id, w, h);
+        assert_eq!(
+            have, want,
+            "{id:?} at {w}x{h}: renderer output changed (digest {have:#018x})"
         );
     }
 }
