@@ -6,13 +6,13 @@ use crisp_gfx::batch::vs_invocation_count;
 use crisp_mem::Replacement;
 use crisp_scenes::silicon::mape;
 use crisp_scenes::{all_scenes, holo, SceneId};
-use crisp_sim::{GpuConfig, PartitionSpec, SchedulerPolicy, SimResult, Simulation, Telemetry};
-use crisp_trace::{Stream, TraceBundle};
+use crisp_sim::{GpuConfig, PartitionSpec, SchedulerPolicy, Simulation, Telemetry};
+use crisp_trace::TraceBundle;
 
 use crate::report::{f3, pct, table};
 use crate::{COMPUTE_STREAM, GRAPHICS_STREAM};
 
-use super::{cores, render_trace, sweep, sweep_with, ExpScale};
+use super::{cores, render_trace, sim_frame, sweep, sweep_with, ExpScale};
 
 /// Batch-size sweep result.
 #[derive(Debug, Clone)]
@@ -101,16 +101,6 @@ impl HwSweep {
             .collect();
         table(&[self.knob, "frame cycles", "vs largest"], &rows)
     }
-}
-
-/// Simulate one rendered frame alone on `gpu`.
-fn sim_frame(gpu: &GpuConfig, frame: &Stream) -> SimResult {
-    Simulation::builder()
-        .gpu(gpu.clone())
-        .partition(PartitionSpec::greedy())
-        .telemetry(Telemetry::NONE)
-        .trace(TraceBundle::from_streams(vec![frame.clone()]))
-        .run_or_panic()
 }
 
 /// Sweep one RTX 3070 knob over `values` on the SPH frame: `set` applies

@@ -51,7 +51,8 @@ pub use validation::{
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crisp_scenes::{ComputeScale, Scene, SceneId};
-use crisp_trace::Stream;
+use crisp_sim::{GpuConfig, PartitionSpec, SimResult, Simulation, Telemetry};
+use crisp_trace::{Stream, TraceBundle};
 
 use crate::{Resolution, GRAPHICS_STREAM};
 
@@ -95,6 +96,17 @@ fn render_trace(id: SceneId, scale: ExpScale) -> Stream {
     Scene::build(id, scale.detail)
         .render(w, h, false, GRAPHICS_STREAM)
         .trace
+}
+
+/// Simulate one rendered frame alone on `gpu`: greedy partition, no
+/// telemetry.
+fn sim_frame(gpu: &GpuConfig, frame: &Stream) -> SimResult {
+    Simulation::builder()
+        .gpu(gpu.clone())
+        .partition(PartitionSpec::greedy())
+        .telemetry(Telemetry::NONE)
+        .trace(TraceBundle::from_streams(vec![frame.clone()]))
+        .run_or_panic()
 }
 
 /// Run `f` on every point of an experiment grid, on as many workers as the

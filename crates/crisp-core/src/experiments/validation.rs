@@ -2,13 +2,13 @@
 
 use crisp_scenes::silicon::{correlation, mape, Silicon};
 use crisp_scenes::{all_scenes, Scene, SceneId};
-use crisp_sim::{GpuConfig, PartitionSpec, Simulation, Telemetry};
-use crisp_trace::{KernelTrace, Space, Stream, TexLinesHistogram, TraceBundle, SECTOR_BYTES};
+use crisp_sim::GpuConfig;
+use crisp_trace::{KernelTrace, Space, Stream, TexLinesHistogram, SECTOR_BYTES};
 
 use crate::report::{f3, pct, table};
 use crate::{Resolution, GRAPHICS_STREAM};
 
-use super::{sweep, ExpScale};
+use super::{sim_frame, sweep, ExpScale};
 
 /// Figure 3: vertex-shader invocation correlation at batch size 96.
 #[derive(Debug, Clone)]
@@ -109,17 +109,6 @@ impl Fig06Result {
     }
 }
 
-/// Simulate a graphics-only frame and return total cycles.
-fn simulate_frame(gpu: &GpuConfig, trace: Stream) -> u64 {
-    Simulation::builder()
-        .gpu(gpu.clone())
-        .partition(PartitionSpec::greedy())
-        .telemetry(Telemetry::NONE)
-        .trace(TraceBundle::from_streams(vec![trace]))
-        .run_or_panic()
-        .cycles
-}
-
 /// Run Figure 6 on the RTX 3070 model: every scene at the 2K- and 4K-class
 /// resolutions (quick scale simulates at reduced sizes).
 pub fn fig06_frame_correlation(scale: ExpScale) -> Fig06Result {
@@ -145,7 +134,7 @@ pub fn fig06_frame_correlation(scale: ExpScale) -> Fig06Result {
             gpu.core_clock_mhz,
             gpu.dram_gbps,
         );
-        let cycles = simulate_frame(&gpu, f.trace);
+        let cycles = sim_frame(&gpu, &f.trace).cycles;
         Fig06Row {
             scene: scene.id,
             res: res.label(),

@@ -125,8 +125,8 @@ pub struct ServeConfig {
     /// The spool I/O implementation. Defaults to the real filesystem;
     /// tests inject [`crate::spool::FaultSpool`] here.
     pub spool_io: SpoolHandle,
-    /// Fault-injection plan (worker kills). Empty by default; the soak
-    /// driver (`serve-load`) and the worker-kill tests arm it.
+    /// Fault-injection plan (worker kills). Empty by default; the
+    /// worker-kill and chaos-mix tests in `tests/serve.rs` arm it.
     pub faults: FaultPlan,
 }
 
@@ -490,7 +490,8 @@ impl Server {
             .metrics
             .gauge_set("serve/workers", Labels::new(), cfg.workers.max(1) as f64);
         // Pre-register the supervision metrics at zero so every export
-        // carries them — schema validators (serve-load) rely on presence.
+        // carries them — the CI `serve-smoke` schema check and
+        // `tests/serve.rs` rely on presence.
         for name in [
             "serve/job_retries",
             "serve/deadline_exceeded",
@@ -1308,7 +1309,7 @@ fn run_job(inner: &Arc<Inner>, c: &Claimed) {
                         job.cycles = cycles;
                     }
                 }
-                // Injected worker kill (tests/soak; a no-op by default).
+                // Injected worker kill (tests only; a no-op by default).
                 if inner.cfg.faults.should_kill(&c.name) {
                     panic!("injected worker kill (job {})", c.id);
                 }

@@ -3,8 +3,8 @@
 //!
 //! Everything the daemon persists — preemption checkpoints, emergency
 //! checkpoints, the shutdown manifest — goes through the [`SpoolIo`]
-//! trait, so disk faults are *injectable*: tests and the soak driver swap
-//! in [`FaultSpool`] and prove the daemon degrades instead of dying.
+//! trait, so disk faults are *injectable*: tests swap in [`FaultSpool`]
+//! and prove the daemon degrades instead of dying.
 //!
 //! ## Durability contract
 //!
@@ -119,8 +119,8 @@ impl SpoolIo for DiskSpool {
     }
 }
 
-/// A fault-injecting [`SpoolIo`] for tests and the soak driver: wraps a
-/// real [`DiskSpool`] and fails writes on demand.
+/// A fault-injecting [`SpoolIo`] for tests: wraps a real [`DiskSpool`]
+/// and fails writes on demand.
 ///
 /// Two knobs, both safe to flip while the daemon runs:
 ///

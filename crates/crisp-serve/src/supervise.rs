@@ -1,6 +1,5 @@
 //! Supervision policy: retry budgets with exponential backoff, per-tenant
-//! circuit breakers, and the fault-injection plan used by tests and the
-//! soak driver.
+//! circuit breakers, and the fault-injection plan the tests arm.
 //!
 //! The *mechanisms* (catching panics, parking to checkpoints, respawning
 //! workers) live in `server.rs`; this module holds the pure *policy*
@@ -134,7 +133,7 @@ struct KillRule {
     remaining: u32,
 }
 
-/// Injectable fault plan for tests and the soak driver. Cloning shares
+/// Injectable fault plan for tests. Cloning shares
 /// the underlying plan (it is an `Arc` inside), so the handle stored in
 /// `ServeConfig` and the one held by the test harness stay in sync.
 ///

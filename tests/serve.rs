@@ -332,6 +332,15 @@ fn cancellation_lands_within_one_interrupt_interval() {
         o.cycles
     );
 
+    let json = client.metrics_json().expect("metrics");
+    assert!(
+        json.contains(
+            "{\"name\":\"serve/cancelled\",\"labels\":{\"tenant\":\"batch\"},\
+             \"type\":\"counter\",\"value\":1}"
+        ),
+        "the cancellation was counted once: {json}"
+    );
+
     // A second cancel is a structured error, not a crash.
     let err = client.cancel(job).expect_err("double cancel must fail");
     assert_eq!(err.code(), Some(ErrorCode::AlreadyTerminal), "{err}");
@@ -1241,5 +1250,170 @@ fn spool_recovers_after_enospc_heals() {
         "exactly one recovery was counted: {json}"
     );
     client.shutdown(false).expect("shutdown");
+    server.join();
+}
+
+// --------------------------------------------------------------------------
+// Chaos mix: every supervision fault class in one session. The nightly
+// `serve-soak` CI job loops this test for several minutes; the seed and
+// the job count are fixed, so a failing run replays the same decisions.
+
+/// Sum one counter over every label set of a `metrics_json` export.
+fn counter_sum(json: &str, metric: &str) -> u64 {
+    json.match_indices(&format!("{{\"name\":\"{metric}\","))
+        .map(|(at, _)| {
+            let entry = &json[at..];
+            let value = entry.find("\"value\":").expect("counter value") + "\"value\":".len();
+            let digits: String = entry[value..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse::<u64>().expect("integral counter")
+        })
+        .sum()
+}
+
+/// Move every terminal job from `live` to `done`, failing on a job that
+/// is reported terminal twice.
+fn reap(client: &mut Client, live: &mut Vec<u64>, done: &mut BTreeMap<u64, JobState>) {
+    live.retain(|&id| {
+        let state = client.status(id).expect("status").state;
+        if !state.terminal() {
+            return true;
+        }
+        assert!(
+            done.insert(id, state).is_none(),
+            "job {id} reported terminal twice"
+        );
+        false
+    });
+}
+
+#[test]
+fn chaos_mix_loses_and_duplicates_no_job() {
+    // 40 jobs, at most 8 in flight, over two workers: long batch jobs
+    // (some armed with a one-shot worker kill), busy compute traces and
+    // priority-10 scenes that force parks, plus random mid-flight cancels
+    // and an ENOSPC burst two thirds of the way in. No job may be lost or
+    // reach two terminal states, and the daemon's counters must agree.
+    const JOBS: u64 = 40;
+    const IN_FLIGHT: usize = 8;
+    let fault_spool = FaultSpool::new();
+    let plan = FaultPlan::new();
+    let mut cfg = config("chaos", 2, 2_000);
+    // Fine-grained retry checkpoints and a fast backoff: a killed worker
+    // costs milliseconds.
+    cfg.checkpoint_every_slices = 2;
+    cfg.max_retries = 4;
+    cfg.retry_backoff_ms = 20;
+    // The breaker would only turn injected faults into admission refusals.
+    cfg.breaker_threshold = 0;
+    cfg.spool_io = SpoolHandle::new(fault_spool.clone());
+    cfg.faults = plan.clone();
+    let server = Server::start(cfg).expect("start daemon");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let slow = bundle_bytes(&slow_bundle(10_000));
+    let busy = bundle_bytes(&busy_bundle(2, 400));
+    // 64-bit LCG, upper bits.
+    let mut lcg = 0x5eed_50a4_u64;
+    let mut roll = |n: u64| {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (lcg >> 33) % n
+    };
+
+    let mut live: Vec<u64> = Vec::new();
+    let mut done = BTreeMap::new();
+    let mut kills_armed = 0u32;
+    for i in 0..JOBS {
+        if i == JOBS * 2 / 3 {
+            // A burst, not sticky: the final drain manifest still lands.
+            fault_spool.fail_next_writes(8);
+        }
+        while live.len() >= IN_FLIGHT {
+            std::thread::sleep(Duration::from_millis(5));
+            reap(&mut client, &mut live, &mut done);
+        }
+        let job = match roll(10) {
+            0 | 1 => {
+                // Zero-padded so no kill name is a prefix of another.
+                let name = format!("kill-{kills_armed:02}");
+                plan.kill_worker_when(&name, 1);
+                kills_armed += 1;
+                spec("batch", &name, 0, slow.clone())
+            }
+            2 | 3 => JobSpec {
+                payload: Payload::Scene {
+                    kind: "timewarp".into(),
+                    factor_milli: 200,
+                },
+                ..spec("render", &format!("urgent-{i}"), 10, Vec::new())
+            },
+            4 | 5 => spec("batch", &format!("slow-{i}"), 0, slow.clone()),
+            _ => spec("compute", &format!("busy-{i}"), 3, busy.clone()),
+        };
+        live.push(client.submit(&job).expect("submit"));
+        // Both rolls are drawn on every submission, so the decision stream
+        // does not depend on timing; only which live job a cancel hits does.
+        let (cancel, target) = (roll(6) == 0, roll(IN_FLIGHT as u64) as usize);
+        if cancel {
+            let id = live[target % live.len()];
+            if let Err(e) = client.cancel(id) {
+                // The job finished first.
+                assert_eq!(
+                    e.code(),
+                    Some(ErrorCode::AlreadyTerminal),
+                    "cancel {id}: {e}"
+                );
+            }
+        }
+        reap(&mut client, &mut live, &mut done);
+    }
+    for id in live {
+        let state = client.wait(id, 120_000).expect("wait").state;
+        assert!(state.terminal(), "job {id} still {state} after wait");
+        assert!(
+            done.insert(id, state).is_none(),
+            "job {id} reported terminal twice"
+        );
+    }
+    assert_eq!(
+        done.len() as u64,
+        JOBS,
+        "every job reached a terminal state"
+    );
+
+    let json = client.metrics_json().expect("metrics");
+    assert!(crisp_obs::json::validate(&json).is_ok(), "{json}");
+    let admitted = counter_sum(&json, "serve/admitted");
+    assert_eq!(admitted, JOBS, "serve/admitted matches submissions");
+    for (state, counter) in [
+        (JobState::Completed, "serve/completed"),
+        (JobState::Failed, "serve/failed"),
+        (JobState::Cancelled, "serve/cancelled"),
+    ] {
+        let seen = done.values().filter(|&&s| s == state).count() as u64;
+        assert_eq!(counter_sum(&json, counter), seen, "{counter}");
+    }
+    let terminal = counter_sum(&json, "serve/completed")
+        + counter_sum(&json, "serve/failed")
+        + counter_sum(&json, "serve/cancelled");
+    assert_eq!(terminal, admitted, "zero jobs lost or duplicated");
+    let kills = plan.kills_fired();
+    assert!(kills > 0, "the fault plan fired worker kills");
+    let respawns = counter_sum(&json, "serve/worker_respawns");
+    assert!(
+        respawns >= kills,
+        "every worker kill was survived ({respawns} respawns, {kills} kills)"
+    );
+    assert!(
+        counter_sum(&json, "serve/job_retries") > 0,
+        "killed jobs were retried: {json}"
+    );
+
+    fault_spool.heal();
+    client.shutdown(true).expect("drain shutdown");
     server.join();
 }
