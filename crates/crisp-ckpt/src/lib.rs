@@ -45,7 +45,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::io::{self, Read, Write};
 
 use crisp_trace::codec::{
@@ -600,8 +600,9 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     }
 }
 
-/// Written with sorted keys, so the bytes do not depend on hash order.
-impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
+/// Written with sorted keys, so the bytes depend on neither the hasher
+/// nor hash order.
+impl<K: Wire + Ord + Hash, V: Wire, S: BuildHasher + Default> Wire for HashMap<K, V, S> {
     fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));

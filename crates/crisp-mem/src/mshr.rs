@@ -7,6 +7,7 @@
 //! stalls (the effect the LoD case study quantifies).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
@@ -31,10 +32,34 @@ struct Entry {
 
 crisp_ckpt::wire_struct!(Entry { waiters });
 
+/// Multiply-shift hashing of sector addresses: one multiply by an odd
+/// constant, then the well-mixed high half folded onto the low bits the
+/// table indexes by (sector addresses have their low five bits clear). The
+/// table is looked up on every L1 access. Trace addresses can come from
+/// outside the program, but the table never holds more than `max_entries`
+/// sectors, so keys chosen to collide cost at most a probe over that many
+/// entries: SipHash's resistance to chosen keys is not worth its cost here.
+#[derive(Debug, Clone, Copy, Default)]
+struct SectorHasher(u64);
+
+impl Hasher for SectorHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
+    }
+}
+
 /// The MSHR table, keyed by sector address.
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, Entry, BuildHasherDefault<SectorHasher>>,
     max_entries: usize,
     max_merges: usize,
     /// Cleared waiter lists handed back through [`Mshr::recycle`], reused
@@ -48,7 +73,7 @@ impl Mshr {
     pub fn new(max_entries: usize, max_merges: usize) -> Self {
         assert!(max_entries > 0 && max_merges > 0);
         Mshr {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             max_entries,
             max_merges,
             spare: Vec::new(),
@@ -139,7 +164,7 @@ impl CheckpointState for Mshr {
                 entries.len()
             )));
         }
-        let mut map = HashMap::with_capacity(entries.len());
+        let mut map = HashMap::with_capacity_and_hasher(entries.len(), Default::default());
         for (sector, entry) in entries {
             // A live entry always holds the miss that allocated it; an empty
             // one would fill without waking anyone, stranding a sleeping SM.

@@ -179,6 +179,22 @@ impl Client {
         }
     }
 
+    /// Block until the job is terminal, however long that takes: repeats
+    /// [`Client::wait`] with `window_ms` per call (0 uses the server
+    /// default) while the job is live.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::UnknownJob`] for bad ids; transport errors otherwise.
+    pub fn wait_terminal(&mut self, job: u64, window_ms: u64) -> Result<JobStatus, ClientError> {
+        loop {
+            let status = self.wait(job, window_ms)?;
+            if status.state.terminal() {
+                return Ok(status);
+            }
+        }
+    }
+
     /// The service metrics snapshot as a JSON document (see
     /// [`metrics_json`](crate::metrics::metrics_json) for the schema).
     ///

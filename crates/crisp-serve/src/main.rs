@@ -238,13 +238,7 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
     let job = client.submit(&spec).map_err(|e| e.to_string())?;
     println!("job {job}");
     if wait {
-        let status = client.wait(job, 0).map_err(|e| e.to_string())?;
-        if !status.state.terminal() {
-            return Err(format!(
-                "timed out waiting; job {job} is still {}",
-                status.state
-            ));
-        }
+        let status = client.wait_terminal(job, 0).map_err(|e| e.to_string())?;
         let outcome = client.result(job).map_err(|e| e.to_string())?;
         println!(
             "{}: {} ({} cycles)",

@@ -101,6 +101,41 @@ fn batching_invocation_bounds() {
     }
 }
 
+/// Coalescing equals the obvious algorithm: every lane's chunks, sorted
+/// and deduplicated. Lanes come unsorted with repeats, runs of equal
+/// addresses and widths that straddle chunk boundaries.
+#[test]
+fn distinct_chunks_match_a_sort_and_dedup_reference() {
+    for seed in 0..256u64 {
+        let mut rng = Rng::new(seed);
+        let n = rng.range(1, 33) as usize;
+        let base = rng.range(0, 1 << 40);
+        let spread = [64, 512, 4096, 1 << 20][rng.range(0, 4) as usize];
+        let mut addrs: Vec<u64> = Vec::with_capacity(n);
+        while addrs.len() < n {
+            let a = match (addrs.last(), rng.range(0, 4)) {
+                (Some(&prev), 0) => prev,
+                (Some(_), 1) => addrs[rng.range(0, addrs.len() as u64) as usize],
+                _ => base + rng.range(0, spread),
+            };
+            addrs.push(a);
+        }
+        let width = [1u8, 3, 4, 8, 12, 16, 64][rng.range(0, 7) as usize];
+        let m = MemAccess::scattered(Space::Tex, DataClass::Texture, width, addrs.clone());
+        for chunk in [4u64, 32, 128] {
+            let mut want: Vec<u64> = addrs
+                .iter()
+                .flat_map(|&a| a / chunk..=(a + width as u64 - 1) / chunk)
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            let mut got = vec![u64::MAX]; // stale contents are cleared
+            m.view().distinct_chunks_into(chunk, &mut got);
+            assert_eq!(got, want, "seed {seed}, chunk {chunk}, width {width}");
+        }
+    }
+}
+
 /// Coalescing: distinct chunk count is bounded by lane count and chunk
 /// arithmetic is consistent across granularities.
 #[test]
