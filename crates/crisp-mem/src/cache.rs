@@ -172,7 +172,7 @@ impl CacheCore {
 
     /// Record an access that merged onto an in-flight MSHR entry without
     /// probing the tag array (counted as an access and a miss).
-    pub fn record_mshr_merge(&mut self, stream: StreamId, class: DataClass) {
+    pub(crate) fn record_mshr_merge(&mut self, stream: StreamId, class: DataClass) {
         self.stats.record(stream, class, false);
     }
 

@@ -1,4 +1,4 @@
-//! The per-SM memory port: a private L1 + MSHR front-end with a buffered
+//! The per-SM memory port: a private L1 `SectorCache` with a buffered
 //! egress queue toward the shared hierarchy.
 //!
 //! Each SM owns one [`SmMemPort`]. The load-store unit presents sector
@@ -16,19 +16,18 @@ use std::io;
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
 use crisp_trace::{DataClass, StreamId};
 
-use crate::cache::{AccessKind, AccessOutcome, CacheCore};
-use crate::mshr::{Mshr, MshrOutcome};
+use crate::cache::{AccessKind, Replacement};
+use crate::mshr::{ReadOutcome, SectorCache};
 use crate::req::{MemReq, ReqToken};
 use crate::stats::MemStats;
 use crate::system::{L1AccessResult, MemConfig};
 
-/// One SM's private slice of the memory hierarchy: unified L1, L1 MSHRs,
-/// and the egress queue toward the crossbar.
+/// One SM's private slice of the memory hierarchy: the unified L1 behind
+/// its MSHRs, and the egress queue toward the crossbar.
 #[derive(Debug)]
 pub struct SmMemPort {
     sm: u16,
-    l1: CacheCore,
-    mshr: Mshr,
+    l1: SectorCache,
     l1_latency: u64,
     /// Misses and write-throughs awaiting the deterministic drain into the
     /// crossbar, in issue order.
@@ -49,8 +48,12 @@ impl SmMemPort {
     pub fn new(sm: u16, cfg: &MemConfig) -> Self {
         SmMemPort {
             sm,
-            l1: CacheCore::new(cfg.l1_geom),
-            mshr: Mshr::new(cfg.l1_mshr_entries, cfg.l1_mshr_merges),
+            l1: SectorCache::new(
+                cfg.l1_geom,
+                Replacement::Lru,
+                cfg.l1_mshr_entries,
+                cfg.l1_mshr_merges,
+            ),
             l1_latency: cfg.l1_latency,
             egress: VecDeque::new(),
         }
@@ -61,103 +64,82 @@ impl SmMemPort {
         self.sm
     }
 
+    /// The L1 is never set-partitioned.
+    fn window(&self) -> (u64, u64) {
+        (0, self.l1.tags().num_sets())
+    }
+
     /// Present a sector-granular load at cycle `now`.
     pub fn read(&mut self, req: MemReq, now: u64) -> L1AccessResult {
         debug_assert_eq!(req.token.sm, self.sm, "token must carry the owning SM");
-        if !self.can_accept(req.addr) {
-            return L1AccessResult::Stall;
-        }
-        if self.mshr.is_pending(req.addr) {
-            self.l1.record_mshr_merge(req.stream, req.class);
-            let _ = self.mshr.on_miss(req.addr, req.token);
-            return L1AccessResult::Pending;
-        }
-        let window = (0, self.l1.num_sets());
-        match self.l1.access(&req, AccessKind::Read, window) {
-            AccessOutcome::Hit => L1AccessResult::Hit {
+        match self.l1.read(&req, self.window()) {
+            ReadOutcome::Hit => L1AccessResult::Hit {
                 ready_at: now + self.l1_latency,
             },
-            AccessOutcome::SectorMiss | AccessOutcome::LineMiss => {
-                match self.mshr.on_miss(req.addr, req.token) {
-                    MshrOutcome::Allocated => {
-                        self.egress.push_back(req);
-                        L1AccessResult::Pending
-                    }
-                    MshrOutcome::Merged => L1AccessResult::Pending,
-                    // Invariant: `can_accept` at the top of this function
-                    // guarantees the MSHR has room for `req.addr`, and
-                    // nothing between there and here allocates an entry, so
-                    // this arm is unreachable. Degrade to a stall anyway:
-                    // the caller retries next cycle, which at worst costs a
-                    // cycle and a double-counted L1 miss — strictly better
-                    // than tearing down a multi-hour run.
-                    MshrOutcome::Full => {
-                        debug_assert!(false, "MSHR full after can_accept said otherwise");
-                        L1AccessResult::Stall
-                    }
-                }
+            ReadOutcome::Miss => {
+                self.egress.push_back(req);
+                L1AccessResult::Pending
             }
+            ReadOutcome::Merged => L1AccessResult::Pending,
+            ReadOutcome::Stall => L1AccessResult::Stall,
         }
     }
 
     /// Whether a load of sector `addr` would be tracked right now:
     /// [`SmMemPort::read`] stalls exactly when this is false.
     pub fn can_accept(&self, addr: u64) -> bool {
-        self.mshr.can_accept(addr)
+        self.l1.can_accept(addr)
     }
 
     /// Present a sector-granular store. The L1 is write-through/no-allocate;
     /// the write is queued toward the L2 (write-validate) and completes
     /// immediately from the warp's perspective.
     pub fn write(&mut self, req: MemReq) {
-        let window = (0, self.l1.num_sets());
-        let _ = self.l1.access(&req, AccessKind::WriteNoAllocate, window);
+        let window = self.window();
+        let _ = self
+            .l1
+            .tags_mut()
+            .access(&req, AccessKind::WriteNoAllocate, window);
         self.egress.push_back(req);
     }
 
     /// A response from the shared hierarchy: fill the L1 sector and wake
-    /// every load merged on it.
+    /// every load merged on it. L1 lines are never dirty (write-through),
+    /// so the fill evicts without a writeback.
     pub(crate) fn on_response(
         &mut self,
         sector: u64,
         stream: StreamId,
         class: DataClass,
     ) -> Vec<ReqToken> {
-        let line = sector & !(crisp_trace::LINE_BYTES - 1);
-        let sub = (sector % crisp_trace::LINE_BYTES) / crisp_trace::SECTOR_BYTES;
-        let window = (0, self.l1.num_sets());
-        // L1 lines are never dirty (write-through), so the eviction
-        // writeback is always empty.
-        let _ = self.l1.fill(line, sub, stream, class, false, window);
-        self.mshr.on_fill(sector)
+        let window = self.window();
+        self.l1.fill(sector, stream, class, window).0
     }
 
     /// Hand a waiter list from [`SmMemPort::on_response`] back for reuse.
-    /// The L1 MSHR is worked inside the SM's cycle, so recycling keeps that
-    /// phase allocation-free.
     pub(crate) fn recycle_waiters(&mut self, waiters: Vec<ReqToken>) {
-        self.mshr.recycle(waiters);
+        self.l1.recycle(waiters);
     }
 
     /// Whether nothing is pending in this port (no MSHR entries, no queued
     /// egress traffic).
     pub fn quiescent(&self) -> bool {
-        self.mshr.in_flight() == 0 && self.egress.is_empty()
+        self.l1.in_flight() == 0 && self.egress.is_empty()
     }
 
     /// Sectors awaiting a fill from the shared hierarchy.
     pub fn in_flight(&self) -> usize {
-        self.mshr.in_flight()
+        self.l1.in_flight()
     }
 
     /// L1 statistics of this SM.
     pub fn stats(&self) -> &MemStats {
-        self.l1.stats()
+        self.l1.tags().stats()
     }
 
     /// Clear L1 statistics (tags and contents are kept).
     pub fn clear_stats(&mut self) {
-        self.l1.clear_stats();
+        self.l1.tags_mut().clear_stats();
     }
 
     /// Functionally warm one access: probe the L1 and install the sector
@@ -166,25 +148,15 @@ impl SmMemPort {
     /// hierarchy (read miss, or any write — the L1 is write-through).
     /// Used by fast-forward mode.
     pub fn warm(&mut self, req: &MemReq) -> bool {
-        let window = (0, self.l1.num_sets());
+        let window = self.window();
         if req.is_write {
-            let _ = self.l1.access(req, AccessKind::WriteNoAllocate, window);
+            let _ = self
+                .l1
+                .tags_mut()
+                .access(req, AccessKind::WriteNoAllocate, window);
             return true;
         }
-        match self.l1.access(req, AccessKind::Read, window) {
-            AccessOutcome::Hit => false,
-            AccessOutcome::SectorMiss | AccessOutcome::LineMiss => {
-                let _ = self.l1.fill(
-                    req.line_addr(),
-                    req.sector_in_line(),
-                    req.stream,
-                    req.class,
-                    false,
-                    window,
-                );
-                true
-            }
-        }
+        self.l1.warm_read(req, window)
     }
 }
 
@@ -195,7 +167,6 @@ impl CheckpointState for SmMemPort {
     fn save<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         w.put(&self.sm)?;
         self.l1.save(w)?;
-        self.mshr.save(w)?;
         w.put(&self.egress)
     }
 
@@ -204,8 +175,16 @@ impl CheckpointState for SmMemPort {
         if found != sm {
             return Err(bad(format!("port belongs to SM {found}, expected SM {sm}")));
         }
-        let l1 = CacheCore::restore(r, (cfg.l1_geom, crate::cache::Replacement::Lru))?;
-        let mshr = Mshr::restore(r, (cfg.l1_mshr_entries, cfg.l1_mshr_merges, cfg.n_sms))?;
+        let l1 = SectorCache::restore(
+            r,
+            (
+                cfg.l1_geom,
+                Replacement::Lru,
+                cfg.l1_mshr_entries,
+                cfg.l1_mshr_merges,
+                cfg.n_sms,
+            ),
+        )?;
         let egress: VecDeque<MemReq> = r.get()?;
         for req in &egress {
             req.token.check_sm(cfg.n_sms)?;
@@ -213,7 +192,6 @@ impl CheckpointState for SmMemPort {
         Ok(SmMemPort {
             sm,
             l1,
-            mshr,
             l1_latency: cfg.l1_latency,
             egress,
         })

@@ -12,8 +12,8 @@ use crisp_serve::{
 };
 use crisp_sim::{GpuConfig, Interrupt, SimError, Simulation};
 use crisp_trace::{
-    codec, CtaTrace, Instr, KernelTrace, Op, Reg, Stream, StreamId, StreamKind, TraceBundle,
-    WarpTrace,
+    codec, CtaTrace, DataClass, Instr, KernelTrace, MemAccess, Op, Reg, Space, Stream, StreamId,
+    StreamKind, TraceBundle, WarpTrace,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -63,6 +63,28 @@ fn slow_bundle(instrs: usize) -> TraceBundle {
     }
     w.seal();
     let k = KernelTrace::new("slow", 64, 8, 0, vec![CtaTrace::new(vec![w])]);
+    let mut s = Stream::new(S, StreamKind::Compute);
+    s.launch(k);
+    TraceBundle::from_streams(vec![s])
+}
+
+/// A single-warp chain of DRAM misses: each load reads a line no earlier
+/// load touched and an SFU consumes its result before the next load's
+/// result can be used, so every pair pays the full L1 → L2 → DRAM round
+/// trip (~176 cycles on `test-tiny`, against 42 for two chained SFU ops).
+/// Loads cost the admission lint more than ALU ops, yet per second of
+/// admission this still simulates ~1.7x as long as `slow_bundle`: 200k
+/// pairs run for ~2.5 s in a release build and pass admission in ~0.3 s.
+fn miss_chain_bundle(loads: u64) -> TraceBundle {
+    let mut w = WarpTrace::new();
+    w.push(Instr::alu(Op::IntAlu, Reg(2), &[]));
+    for i in 0..loads {
+        let line = MemAccess::coalesced(Space::Global, DataClass::Compute, 4, i * 4096, 1);
+        w.push(Instr::load(Reg(1), line));
+        w.push(Instr::alu(Op::Sfu, Reg(2), &[Reg(1), Reg(2)]));
+    }
+    w.seal();
+    let k = KernelTrace::new("miss-chain", 64, 8, 0, vec![CtaTrace::new(vec![w])]);
     let mut s = Stream::new(S, StreamKind::Compute);
     s.launch(k);
     TraceBundle::from_streams(vec![s])
@@ -825,8 +847,14 @@ fn deadline_exceeded_fails_permanently_and_daemon_stays_live() {
     let server = Server::start(config("deadline", 1, 1_000)).expect("start daemon");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    // A job that runs for seconds with a 300 ms wall-clock budget.
-    let mut runaway = spec("batch", "runaway", 1, bundle_bytes(&slow_bundle(120_000)));
+    // A job that runs for seconds even in a release build (~10x the
+    // 300 ms wall-clock budget).
+    let mut runaway = spec(
+        "batch",
+        "runaway",
+        1,
+        bundle_bytes(&miss_chain_bundle(200_000)),
+    );
     runaway.deadline_ms = 300;
     let job = client.submit(&runaway).expect("submit runaway");
     let s = client.wait(job, 120_000).expect("wait runaway");
