@@ -14,9 +14,9 @@
 //! population count is the register count a scoreboard actually needs —
 //! comparable against the kernel's declared `regs_per_thread`.
 
-use std::collections::HashMap;
-
-use crisp_trace::{KernelTrace, Op, Space, StreamId, TraceErrorSite, WarpTrace, SCOREBOARD_REGS};
+use crisp_trace::{
+    AddrHashMap, KernelTrace, Op, Space, StreamId, TraceErrorSite, WarpTrace, SCOREBOARD_REGS,
+};
 
 use crate::config::AnalysisConfig;
 use crate::diag::{Diagnostic, LintCode};
@@ -101,7 +101,7 @@ fn check_warp(
     let mut read_since_def: u128 = 0;
     // (space, width, lane addresses) of loads seen since the last barrier /
     // conflicting store, keyed to the instr index of the first occurrence.
-    let mut loads_seen: HashMap<(u8, u8, &[u64]), usize> = HashMap::new();
+    let mut loads_seen: AddrHashMap<(u8, u8, &[u64]), usize> = AddrHashMap::default();
     let space_tag = |s: Space| -> u8 {
         match s {
             Space::Global => 0,

@@ -23,9 +23,11 @@
 //! [`analyze_bundle`](crate::analyze_bundle) /
 //! [`analyze_source`](crate::analyze_source).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-use crisp_trace::{DataClass, KernelTrace, StreamId, StreamKind, TraceErrorSite, SECTOR_BYTES};
+use crisp_trace::{
+    AddrHashSet, DataClass, KernelTrace, StreamId, StreamKind, TraceErrorSite, SECTOR_BYTES,
+};
 
 use crate::config::AnalysisConfig;
 use crate::diag::{Diagnostic, LintCode};
@@ -101,26 +103,23 @@ impl InterferenceSpec {
 struct PhaseFootprint {
     /// Distinct 32 B sectors per data class (absolute sector indices, so
     /// unions across classes and streams deduplicate genuinely).
-    sectors: BTreeMap<DataClass, HashSet<u64>>,
+    sectors: BTreeMap<DataClass, AddrHashSet<u64>>,
     /// Distinct sectors written by global/local stores — the streaming-write
     /// traffic that evicts a co-tenant's read working set.
-    store_sectors: HashSet<u64>,
+    store_sectors: AddrHashSet<u64>,
     /// First kernel launched by this stream in this phase; diagnostics
     /// anchor here.
     first_kernel: Option<String>,
 }
 
 impl PhaseFootprint {
-    fn all_sectors(&self) -> HashSet<u64> {
-        let mut u = HashSet::new();
+    /// Distinct sectors over every class.
+    fn all_sectors(&self) -> AddrHashSet<u64> {
+        let mut u = AddrHashSet::default();
         for set in self.sectors.values() {
             u.extend(set.iter().copied());
         }
         u
-    }
-
-    fn bytes(&self) -> u64 {
-        self.all_sectors().len() as u64 * SECTOR_BYTES
     }
 
     fn class_breakdown(&self) -> String {
@@ -227,26 +226,27 @@ impl InterferenceAcc {
 
         let mut score = 0.0f64;
         for phase in 0..n_phases {
-            // (id, kind, footprint) of every stream active in this phase.
-            let active: Vec<(StreamId, StreamKind, &PhaseFootprint)> = self
+            // (id, kind, footprint, working-set bytes) of every stream
+            // active in this phase; each stream's union is built once, into
+            // the phase's combined set.
+            let mut combined: AddrHashSet<u64> = AddrHashSet::default();
+            let active: Vec<(StreamId, StreamKind, &PhaseFootprint, u64)> = self
                 .streams
                 .iter()
                 .filter_map(|(&id, s)| {
-                    s.phases
-                        .get(phase)
-                        .filter(|fp| !fp.sectors.is_empty())
-                        .map(|fp| (id, s.kind, fp))
+                    let fp = s.phases.get(phase).filter(|fp| !fp.sectors.is_empty())?;
+                    let union = fp.all_sectors();
+                    let bytes = union.len() as u64 * SECTOR_BYTES;
+                    combined.extend(union);
+                    Some((id, s.kind, fp, bytes))
                 })
                 .collect();
             if active.is_empty() {
                 continue;
             }
 
-            let mut combined: HashSet<u64> = HashSet::new();
             let mut all_fit = true;
-            for &(id, _, fp) in &active {
-                combined.extend(fp.all_sectors());
-                let bytes = fp.bytes();
+            for &(id, _, fp, bytes) in &active {
                 if bytes > grant {
                     all_fit = false;
                     self.push(
@@ -274,7 +274,7 @@ impl InterferenceAcc {
             let pressure = match spec.share {
                 L2Share::BankSplit => active
                     .iter()
-                    .map(|(_, _, fp)| fp.bytes() as f64 / grant as f64)
+                    .map(|&(_, _, _, bytes)| bytes as f64 / grant as f64)
                     .fold(0.0, f64::max),
                 L2Share::Shared | L2Share::Tap => combined_bytes as f64 / grant as f64,
             };
@@ -287,16 +287,16 @@ impl InterferenceAcc {
             {
                 // Anchor at the largest stream, point at the runner-up.
                 let mut by_size: Vec<_> = active.iter().collect();
-                by_size.sort_by_key(|(id, _, fp)| (std::cmp::Reverse(fp.bytes()), id.0));
-                let (id0, _, fp0) = by_size[0];
-                let (id1, _, fp1) = by_size[1];
+                by_size.sort_by_key(|(id, _, _, bytes)| (std::cmp::Reverse(*bytes), id.0));
+                let &(id0, _, fp0, bytes0) = by_size[0];
+                let &(id1, _, fp1, bytes1) = by_size[1];
                 self.push(
                     out,
                     cfg,
                     LintCode::InterferenceFootprintCollision,
-                    *id0,
+                    id0,
                     fp0,
-                    Some(site(*id1, fp1)),
+                    Some(site(id1, fp1)),
                     format!(
                         "phase {phase}: {} concurrent streams each fit the L2 alone \
                          but together need {} of {} — stream{} ({}) and stream{} ({}) \
@@ -305,9 +305,9 @@ impl InterferenceAcc {
                         fmt_kib(combined_bytes),
                         fmt_kib(spec.l2_bytes),
                         id0.0,
-                        fmt_kib(fp0.bytes()),
+                        fmt_kib(bytes0),
                         id1.0,
-                        fmt_kib(fp1.bytes()),
+                        fmt_kib(bytes1),
                         spec.share.label(),
                     ),
                 );
@@ -320,13 +320,13 @@ impl InterferenceAcc {
                     (cfg.latency_victim_fraction * spec.l2_bytes as f64).max(1.0) as u64;
                 let offender = active
                     .iter()
-                    .filter(|(_, kind, fp)| {
+                    .filter(|(_, kind, fp, _)| {
                         *kind == StreamKind::Compute
                             && fp.store_sectors.len() as u64 * SECTOR_BYTES >= threshold
                     })
-                    .max_by_key(|(id, _, fp)| (fp.store_sectors.len(), std::cmp::Reverse(id.0)));
-                if let Some(&(cid, _, cfp)) = offender {
-                    for &(gid, kind, gfp) in &active {
+                    .max_by_key(|(id, _, fp, _)| (fp.store_sectors.len(), std::cmp::Reverse(id.0)));
+                if let Some(&(cid, _, cfp, _)) = offender {
+                    for &(gid, kind, gfp, _) in &active {
                         if kind != StreamKind::Graphics {
                             continue;
                         }

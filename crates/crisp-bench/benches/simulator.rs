@@ -132,11 +132,17 @@ fn bench_end_to_end() {
     });
 }
 
+/// The CRSP codec. `codec/encode` counts container bytes; the decode rows
+/// count decoded warp instructions, so 1e9 / elems/s is ns per
+/// instruction. `codec/decode` opens the container and materializes it;
+/// `codec/fetch_cta` pages every CTA of one open streaming source in and
+/// out, the path dispatch, pre-flight, lint and checkpoint restore share.
 fn bench_codec() {
-    use crisp_trace::codec;
+    use crisp_trace::{codec, CommandMeta, TraceInput};
     let scene = Scene::build(SceneId::SponzaKhronos, 0.2);
     let frame = scene.render(96, 54, false, GRAPHICS_STREAM);
     let bundle = TraceBundle::from_streams(vec![frame.trace]);
+    let instrs = bundle.instr_count() as u64;
     let mut buf = Vec::new();
     codec::write_bundle(&bundle, &mut buf).expect("encode");
     let bytes = buf.len() as u64;
@@ -145,11 +151,30 @@ fn bench_codec() {
         codec::write_bundle(std::hint::black_box(&bundle), &mut out).expect("encode");
         out
     });
-    bench("codec/decode", bytes, 10, || {
-        crisp_trace::TraceInput::reader(std::io::Cursor::new(std::hint::black_box(&buf).clone()))
+    bench("codec/decode", instrs, 10, || {
+        TraceInput::reader(std::io::Cursor::new(std::hint::black_box(&buf).clone()))
             .open()
             .and_then(|mut s| s.to_bundle())
             .expect("decode")
+    });
+    let mut src = TraceInput::reader(std::io::Cursor::new(buf.clone()))
+        .open()
+        .expect("open");
+    let ctas: Vec<_> = src
+        .streams()
+        .iter()
+        .flat_map(|s| &s.commands)
+        .filter_map(|c| match c {
+            CommandMeta::Launch { kernel, info } => Some((*kernel, info.grid)),
+            CommandMeta::Marker(_) => None,
+        })
+        .flat_map(|(k, grid)| (0..grid).map(move |i| (k, i)))
+        .collect();
+    bench("codec/fetch_cta", instrs, 10, || {
+        for &(k, i) in &ctas {
+            std::hint::black_box(src.fetch_cta(k, i).expect("fetch"));
+            src.release_cta(k, i);
+        }
     });
 }
 

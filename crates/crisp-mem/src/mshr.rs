@@ -18,12 +18,10 @@
 //!    the same lookup.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
 use crisp_ckpt::{bad, CheckpointState, Reader, Writer};
-use crisp_trace::{DataClass, StreamId, LINE_BYTES, SECTOR_BYTES};
+use crisp_trace::{AddrHashMap, DataClass, StreamId, LINE_BYTES, SECTOR_BYTES};
 
 use crate::cache::{AccessKind, AccessOutcome, CacheCore, CacheGeometry, Replacement, Writeback};
 use crate::req::{MemReq, ReqToken};
@@ -42,37 +40,14 @@ pub enum ReadOutcome {
     Stall,
 }
 
-/// Multiply-shift hashing of sector addresses: one multiply by an odd
-/// constant, then the well-mixed high half folded onto the low bits the
-/// table indexes by (sector addresses have their low five bits clear). The
-/// table is looked up on every access. Trace addresses can come from
-/// outside the program, but the table never holds more than its entry cap
-/// of sectors, so keys chosen to collide cost at most a probe over that
-/// many entries: SipHash's resistance to chosen keys is not worth its cost
-/// here.
-#[derive(Debug, Clone, Copy, Default)]
-struct SectorHasher(u64);
-
-impl Hasher for SectorHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ self.0 >> 32
-    }
-}
-
 /// A sectored tag array behind its MSHR table.
 #[derive(Debug, Clone)]
 pub struct SectorCache {
     tags: CacheCore,
-    /// Waiting tokens per in-flight sector, oldest first.
-    mshr: HashMap<u64, Vec<ReqToken>, BuildHasherDefault<SectorHasher>>,
+    /// Waiting tokens per in-flight sector, oldest first. The table never
+    /// holds more than `max_entries` sectors, so keys chosen to collide
+    /// cost at most a probe over that many entries.
+    mshr: AddrHashMap<u64, Vec<ReqToken>>,
     max_entries: usize,
     max_merges: usize,
     /// Cleared waiter lists handed back through [`SectorCache::recycle`],
@@ -92,7 +67,7 @@ impl SectorCache {
         assert!(max_entries > 0 && max_merges > 0);
         SectorCache {
             tags: CacheCore::with_replacement(geom, replacement),
-            mshr: HashMap::default(),
+            mshr: AddrHashMap::default(),
             max_entries,
             max_merges,
             spare: Vec::new(),
@@ -223,7 +198,7 @@ impl CheckpointState for SectorCache {
                 entries.len()
             )));
         }
-        let mut mshr = HashMap::with_capacity_and_hasher(entries.len(), Default::default());
+        let mut mshr = AddrHashMap::with_capacity_and_hasher(entries.len(), Default::default());
         for (sector, waiters) in entries {
             // A live entry always holds the miss that allocated it; an empty
             // one would fill without waking anyone, stranding a sleeping SM.

@@ -4,7 +4,9 @@
 //! behaviour — e.g. Figure 10's histogram of texture cache lines referenced
 //! per CTA within one drawcall. These helpers reproduce that tooling.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+
+use crate::hash::AddrHashSet;
 
 use crate::isa::{DataClass, Op, Space};
 use crate::kernel::{CtaTrace, KernelTrace};
@@ -81,7 +83,7 @@ impl InstrMix {
 /// Distinct cache-line footprint per [`DataClass`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassFootprint {
-    lines: BTreeMap<DataClass, HashSet<u64>>,
+    lines: BTreeMap<DataClass, AddrHashSet<u64>>,
 }
 
 impl ClassFootprint {
@@ -110,7 +112,7 @@ impl ClassFootprint {
 
     /// Distinct 128 B lines touched by `class`.
     pub fn lines(&self, class: DataClass) -> usize {
-        self.lines.get(&class).map_or(0, HashSet::len)
+        self.lines.get(&class).map_or(0, AddrHashSet::len)
     }
 
     /// Distinct bytes touched by `class`.

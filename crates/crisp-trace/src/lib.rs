@@ -32,6 +32,7 @@
 
 mod analysis;
 pub mod codec;
+mod hash;
 mod isa;
 mod kernel;
 mod source;
@@ -41,6 +42,7 @@ pub mod validate;
 pub use analysis::{
     ClassFootprint, InstrMix, ReuseHistogram, TexLinesHistogram, LINE_BYTES, SECTOR_BYTES,
 };
+pub use hash::{AddrHashMap, AddrHashSet, AddrHasher, AddrState};
 pub use isa::{
     DataClass, Instr, InstrRef, MemAccess, MemRef, Op, Reg, Space, MAX_SRCS, NUM_BARRIERS,
     WARP_SIZE,

@@ -352,6 +352,8 @@ enum Backing {
     Streaming {
         reader: Box<dyn TraceRead>,
         payload_start: u64,
+        /// The bytes of the CTA span being decoded, reused across fetches.
+        span: Vec<u8>,
         /// Decode buffer reused across CTA fetches
         /// ([`codec::read_cta_blob`]).
         scratch: WarpTrace,
@@ -442,8 +444,22 @@ impl TraceSource {
                 Ok(src)
             }
             codec::VERSION_V2 => {
-                let (dir, _payload_len) = codec::read_directory_v2(&mut reader)?;
+                let (dir, payload_len) = codec::read_directory_v2(&mut reader)?;
                 let payload_start = reader.stream_position()?;
+                // The index check bounds every span by `payload_len`; bound
+                // that by the bytes the container holds, so a span buffer
+                // is never sized past what is there to read.
+                let end = reader.seek(SeekFrom::End(0))?;
+                if payload_start.saturating_add(payload_len) > end {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!(
+                            "CTA payload of {payload_len} bytes runs past the end of the \
+                             container ({} bytes present)",
+                            end.saturating_sub(payload_start)
+                        ),
+                    ));
+                }
                 Ok(TraceSource::from_directory(
                     dir,
                     reader,
@@ -463,12 +479,14 @@ impl TraceSource {
     ) -> TraceSource {
         let mut streams = Vec::with_capacity(dir.len());
         let mut kernels: Vec<KernelEntry> = Vec::new();
+        let mut max_span = 0;
         for s in dir {
             let mut commands = Vec::with_capacity(s.cmds.len());
             for c in s.cmds {
                 match c {
                     DirCmd::Launch(k) => {
                         let id = KernelId(kernels.len() as u32);
+                        max_span = k.spans.iter().fold(max_span, |m, &(_, len)| m.max(len));
                         let info = Arc::new(KernelInfo {
                             name: k.name,
                             block_threads: k.block_threads.max(WARP_SIZE as u32),
@@ -501,6 +519,8 @@ impl TraceSource {
             backing: Backing::Streaming {
                 reader,
                 payload_start,
+                // Open checked every span against the container's length.
+                span: Vec::with_capacity(max_span as usize),
                 scratch: WarpTrace::new(),
             },
             provenance,
@@ -611,15 +631,22 @@ impl TraceSource {
                 let Backing::Streaming {
                     reader,
                     payload_start,
+                    span,
                     scratch,
                 } = &mut self.backing
                 else {
                     return Err(bad("lazy CTA store without a streaming backing".into()));
                 };
+                // One read of the whole span, then a decode from the slice.
                 reader.seek(SeekFrom::Start(*payload_start + off))?;
-                let mut lim = (&mut **reader).take(len);
-                let blob = codec::read_cta_blob(&mut lim, max_warps, scratch)?;
-                if lim.limit() != 0 {
+                let len = usize::try_from(len)
+                    .map_err(|_| bad(format!("CTA span of {len} bytes exceeds memory")))?;
+                span.clear();
+                span.resize(len, 0);
+                reader.read_exact(span)?;
+                let mut rest = span.as_slice();
+                let blob = codec::read_cta_blob(&mut rest, max_warps, scratch)?;
+                if !rest.is_empty() {
                     return Err(bad("CTA blob shorter than its indexed span".into()));
                 }
                 let arc = Arc::new(blob);
@@ -690,17 +717,17 @@ impl TraceSource {
     ///
     /// Same failure modes as [`fetch_cta`](Self::fetch_cta).
     pub fn to_bundle(&mut self) -> io::Result<TraceBundle> {
-        let metas = self.streams.clone();
-        let mut streams = Vec::with_capacity(metas.len());
-        for m in metas {
+        let mut streams = Vec::with_capacity(self.streams.len());
+        for si in 0..self.streams.len() {
+            let m = &self.streams[si];
             let mut s = Stream::new(m.id, m.kind);
-            for c in m.commands {
-                match c {
-                    CommandMeta::Launch { kernel, .. } => {
+            for ci in 0..m.commands.len() {
+                match &self.streams[si].commands[ci] {
+                    &CommandMeta::Launch { kernel, .. } => {
                         s.launch(self.materialize_kernel(kernel)?);
                     }
                     CommandMeta::Marker(l) => {
-                        s.marker(l);
+                        s.marker(l.clone());
                     }
                 }
             }
@@ -937,6 +964,121 @@ mod tests {
         let mut bytes = Vec::new();
         codec::write_bundle_mutated(&bundle(), &mut bytes, |_, (o, l)| (o + 1, l), &[]).unwrap();
         assert!(TraceInput::reader(io::Cursor::new(bytes)).open().is_err());
+    }
+
+    /// One kernel whose CTAs differ in length and lane addresses, so a
+    /// byte carried over from one CTA's span into the next shows.
+    fn varied_bundle() -> TraceBundle {
+        let ctas = (0..6u64)
+            .map(|c| {
+                let mut w = WarpTrace::new();
+                for i in 0..(c * 7 + 1) % 20 + 1 {
+                    w.push(Instr::alu(Op::IntAlu, Reg(i as u16 % 8 + 1), &[]));
+                    w.push(Instr::load(
+                        Reg(9),
+                        MemAccess::coalesced(
+                            Space::Global,
+                            DataClass::Compute,
+                            4,
+                            0x1000 * (c + 1) + i * 128,
+                            (c as usize * 5 + i as usize) % 32 + 1,
+                        ),
+                    ));
+                }
+                w.seal();
+                CtaTrace::new(vec![w])
+            })
+            .collect();
+        let mut s = Stream::new(StreamId(0), StreamKind::Compute);
+        s.launch(KernelTrace::new("varied", 32, 16, 0, ctas));
+        TraceBundle::from_streams(vec![s])
+    }
+
+    fn open_bytes(bytes: Vec<u8>) -> io::Result<TraceSource> {
+        TraceInput::reader(io::Cursor::new(bytes)).open()
+    }
+
+    #[test]
+    fn out_of_order_fetches_leak_nothing_between_spans() {
+        let b = varied_bundle();
+        let mut bytes = Vec::new();
+        codec::write_bundle(&b, &mut bytes).unwrap();
+        let mut src = open_bytes(bytes).unwrap();
+        let (kid, _) = launches(&src)[0];
+        let expected = &b.streams[0].kernels().next().unwrap().ctas;
+        // Largest first: every later span is decoded from a buffer that
+        // last held a longer one.
+        let mut order: Vec<usize> = (0..expected.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(cta_resident_cost(&expected[i])));
+        assert!(cta_resident_cost(&expected[order[0]]) > cta_resident_cost(&expected[order[5]]));
+        for i in order {
+            assert_eq!(*src.fetch_cta(kid, i).unwrap(), *expected[i], "cta {i}");
+            src.release_cta(kid, i);
+        }
+    }
+
+    #[test]
+    fn span_longer_than_its_blob_fails_the_fetch() {
+        let b = varied_bundle();
+        let last = b.streams[0].kernels().next().unwrap().ctas.len() - 1;
+        let mut bytes = Vec::new();
+        codec::write_bundle_mutated(
+            &b,
+            &mut bytes,
+            |i, (off, len)| {
+                if i == last {
+                    (off, len + 3)
+                } else {
+                    (off, len)
+                }
+            },
+            &[0; 3],
+        )
+        .unwrap();
+        let mut src = open_bytes(bytes).unwrap();
+        let (kid, _) = launches(&src)[0];
+        assert!(src.fetch_cta(kid, 0).is_ok(), "other spans are intact");
+        let err = src.fetch_cta(kid, last).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("shorter than its indexed span"),
+            "{err}"
+        );
+        assert_eq!(
+            src.stats().resident_ctas,
+            1,
+            "a failed fetch pages nothing in"
+        );
+    }
+
+    #[test]
+    fn blob_running_past_its_span_is_a_typed_error() {
+        // Move the boundary between CTAs 0 and 1 three bytes back: CTA 0's
+        // blob runs past its span, CTA 1's span starts inside CTA 0's blob.
+        let mut bytes = Vec::new();
+        codec::write_bundle_mutated(
+            &varied_bundle(),
+            &mut bytes,
+            |i, (off, len)| match i {
+                0 => (off, len - 3),
+                1 => (off - 3, len + 3),
+                _ => (off, len),
+            },
+            &[],
+        )
+        .unwrap();
+        let mut src = open_bytes(bytes).unwrap();
+        let (kid, _) = launches(&src)[0];
+        for cta in [0, 1] {
+            let err = src.fetch_cta(kid, cta).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "cta {cta}: {err:?}"
+            );
+        }
     }
 
     #[test]

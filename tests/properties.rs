@@ -584,6 +584,32 @@ fn corrupt_cta_index_is_rejected_at_open() {
         let decoded = result.unwrap_or_else(|_| panic!("{what}: panicked"));
         assert!(decoded.is_err(), "{what}: must be rejected with Err");
     }
+
+    // A directory whose payload runs past the end of the container: the
+    // last span claims 1 MiB more than its blob, and the bytes that would
+    // cover it are cut off. `open` itself refuses it, before any span
+    // buffer is sized from the claim.
+    const MISSING: u64 = 1 << 20;
+    let last = 3; // the fourth and last CTA
+    let mut buf = Vec::new();
+    crisp_trace::codec::write_bundle_mutated(
+        &bundle,
+        &mut buf,
+        |i, (off, len)| {
+            if i == last {
+                (off, len + MISSING)
+            } else {
+                (off, len)
+            }
+        },
+        &vec![0; MISSING as usize],
+    )
+    .expect("write");
+    buf.truncate(buf.len() - MISSING as usize);
+    let err = crisp_trace::TraceInput::reader(std::io::Cursor::new(buf))
+        .open()
+        .expect_err("a payload past the end of the container must be refused at open");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
 }
 
 /// Shared corruption harness for binary readers: every strided truncation
