@@ -71,41 +71,21 @@ pub use diag::{Diagnostic, LintCode, Severity};
 pub use interference::{InterferenceSpec, L2Share};
 pub use report::{sarif_document, AnalysisReport, ClassLines, KernelStats};
 
-use crisp_trace::{
-    Command, CommandMeta, DataClass, KernelTrace, StreamId, TraceBundle, TraceSource,
-};
+use crisp_trace::{CommandMeta, DataClass, KernelTrace, StreamId, TraceBundle, TraceSource};
 
 /// Analyze every kernel of `bundle` and return the combined, site-sorted
-/// report. Kernels are analyzed one at a time in bundle launch order.
+/// report. This is [`analyze_source`] over [`TraceSource::from_bundle`];
+/// the clone only bumps the CTAs' `Arc` counts.
 pub fn analyze_bundle(bundle: &TraceBundle, cfg: &AnalysisConfig) -> AnalysisReport {
-    let work: Vec<(Option<StreamId>, &KernelTrace)> = bundle
-        .streams
-        .iter()
-        .flat_map(|s| s.kernels().map(move |k| (Some(s.id), k)))
-        .collect();
-    let mut out = analyze_all(&work, cfg);
-    if let Some(spec) = &cfg.interference {
-        let mut acc = interference::InterferenceAcc::default();
-        for s in &bundle.streams {
-            for cmd in &s.commands {
-                match cmd {
-                    Command::Launch(k) => acc.on_kernel(s.id, s.kind, k),
-                    Command::Marker(_) => acc.on_marker(s.id, s.kind),
-                }
-            }
-        }
-        out.interference = Some(acc.finish(spec, cfg, &mut out.diagnostics));
-        out.diagnostics.sort_by_key(|a| a.sort_key());
-    }
-    out
+    analyze_source(&mut TraceSource::from_bundle(bundle.clone()), cfg)
+        .expect("an in-memory source pages without I/O")
 }
 
 /// Analyze every kernel reachable through a [`TraceSource`], materializing
 /// one kernel at a time (and releasing its CTAs again on streaming
 /// sources), so a bundle far larger than RAM is analyzed in bounded
-/// memory. Kernels are processed in directory order; the report —
-/// diagnostics, statistics, and their ordering — is identical to
-/// [`analyze_bundle`] over the materialized bundle.
+/// memory. Kernels are processed in directory order: streams in stored
+/// order, commands in stream order.
 ///
 /// # Errors
 ///
@@ -120,25 +100,22 @@ pub fn analyze_source(
         .interference
         .as_ref()
         .map(|_| interference::InterferenceAcc::default());
-    let metas = src.streams().to_vec();
-    for s in &metas {
-        for cmd in &s.commands {
-            match cmd {
-                CommandMeta::Launch { kernel, .. } => {
-                    let k = src.materialize_kernel(*kernel)?;
-                    if let Some(acc) = acc.as_mut() {
-                        acc.on_kernel(s.id, s.kind, &k);
-                    }
-                    let (diags, stats) = analyze_one(Some(s.id), &k, cfg);
-                    out.diagnostics.extend(diags);
-                    out.stats.push(stats);
+    for si in 0..src.streams().len() {
+        let (id, kind) = (src.streams()[si].id, src.streams()[si].kind);
+        for ci in 0..src.streams()[si].commands.len() {
+            let CommandMeta::Launch { kernel, .. } = src.streams()[si].commands[ci] else {
+                if let Some(acc) = acc.as_mut() {
+                    acc.on_marker(id, kind);
                 }
-                CommandMeta::Marker(_) => {
-                    if let Some(acc) = acc.as_mut() {
-                        acc.on_marker(s.id, s.kind);
-                    }
-                }
+                continue;
+            };
+            let k = src.materialize_kernel(kernel)?;
+            if let Some(acc) = acc.as_mut() {
+                acc.on_kernel(id, kind, &k);
             }
+            let (diags, stats) = analyze_one(Some(id), &k, cfg);
+            out.diagnostics.extend(diags);
+            out.stats.push(stats);
         }
     }
     if let (Some(acc), Some(spec)) = (&acc, &cfg.interference) {
@@ -151,18 +128,13 @@ pub fn analyze_source(
 /// Analyze a single kernel outside any bundle context (sites carry no
 /// stream id).
 pub fn analyze_kernel(k: &KernelTrace, cfg: &AnalysisConfig) -> AnalysisReport {
-    analyze_all(&[(None, k)], cfg)
-}
-
-fn analyze_all(work: &[(Option<StreamId>, &KernelTrace)], cfg: &AnalysisConfig) -> AnalysisReport {
-    let mut out = AnalysisReport::default();
-    for &(s, k) in work {
-        let (diags, stats) = analyze_one(s, k, cfg);
-        out.diagnostics.extend(diags);
-        out.stats.push(stats);
+    let (mut diagnostics, stats) = analyze_one(None, k, cfg);
+    diagnostics.sort_by_key(|a| a.sort_key());
+    AnalysisReport {
+        diagnostics,
+        stats: vec![stats],
+        ..AnalysisReport::default()
     }
-    out.diagnostics.sort_by_key(|a| a.sort_key());
-    out
 }
 
 fn analyze_one(
@@ -272,24 +244,78 @@ mod tests {
         assert_eq!(r.stats[0].stream, Some(0));
     }
 
+    /// One warp loading `kib` KiB of distinct `class` data from `base`.
+    fn loads(name: &str, class: DataClass, base: u64, kib: u64) -> KernelTrace {
+        let space = match class {
+            DataClass::Texture => Space::Tex,
+            _ => Space::Global,
+        };
+        let mut w = WarpTrace::new();
+        w.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
+        for line in 0..kib * 8 {
+            let m = MemAccess::coalesced(space, class, 4, base + line * 128, 32);
+            w.push(Instr::load(Reg(1), m));
+        }
+        w.seal();
+        KernelTrace::new(name, 32, 8, 0, vec![CtaTrace::new(vec![w])])
+    }
+
+    /// A graphics and a compute stream whose 96 KiB working sets each fit a
+    /// 128 KiB L2 alone but not together, split into two phases by a
+    /// marker between their kernels.
+    fn colliding_two_stream_bundle() -> TraceBundle {
+        let mut g = Stream::new(StreamId(0), StreamKind::Graphics);
+        g.launch(loads("draw0", DataClass::Texture, 0x1000_0000, 96));
+        g.marker("frame");
+        g.launch(loads("draw1", DataClass::Texture, 0x1800_0000, 16));
+        let mut c = Stream::new(StreamId(1), StreamKind::Compute);
+        c.launch(loads("gemm0", DataClass::Compute, 0x2000_0000, 96));
+        c.marker("frame");
+        c.launch(loads("gemm1", DataClass::Compute, 0x2800_0000, 16));
+        TraceBundle::from_streams(vec![g, c])
+    }
+
     #[test]
     fn source_analysis_matches_bundle_analysis() {
-        let b = bundle(vec![racy_kernel("a"), clean_kernel("b"), racy_kernel("c")]);
-        let cfg = AnalysisConfig::new();
-        let expected = analyze_bundle(&b, &cfg);
-
-        let mut bytes = Vec::new();
-        crisp_trace::codec::write_bundle(&b, &mut bytes).unwrap();
-        let mut src = crisp_trace::TraceInput::reader(std::io::Cursor::new(bytes))
-            .open()
-            .unwrap();
-        assert!(src.is_streaming());
-        let got = analyze_source(&mut src, &cfg).unwrap();
-        assert_eq!(expected, got);
-        assert_eq!(expected.text(), got.text());
-        assert_eq!(expected.to_json(), got.to_json());
-        // Incremental analysis leaves no CTAs resident.
-        assert_eq!(src.stats().resident_ctas, 0);
+        let interference = |spec| {
+            let mut cfg = AnalysisConfig::new().allow(LintCode::DeadWrite);
+            cfg.interference = Some(spec);
+            cfg
+        };
+        let races = bundle(vec![racy_kernel("a"), clean_kernel("b"), racy_kernel("c")]);
+        let cases = [
+            ("races", races, AnalysisConfig::new()),
+            (
+                "shared L2",
+                colliding_two_stream_bundle(),
+                interference(InterferenceSpec::shared(128 * 1024)),
+            ),
+            (
+                "bank-split L2",
+                colliding_two_stream_bundle(),
+                interference(InterferenceSpec::bank_split(128 * 1024)),
+            ),
+        ];
+        for (name, b, cfg) in cases {
+            let expected = analyze_bundle(&b, &cfg);
+            let mut bytes = Vec::new();
+            crisp_trace::codec::write_bundle(&b, &mut bytes).unwrap();
+            let mut src = crisp_trace::TraceInput::reader(std::io::Cursor::new(bytes))
+                .open()
+                .unwrap();
+            assert!(src.is_streaming());
+            let got = analyze_source(&mut src, &cfg).unwrap();
+            assert!(
+                !expected.diagnostics.is_empty(),
+                "{name}: findings to compare"
+            );
+            assert_eq!(expected.interference.is_some(), cfg.interference.is_some());
+            assert_eq!(expected, got, "{name}");
+            assert_eq!(expected.text(), got.text(), "{name}");
+            assert_eq!(expected.to_json(), got.to_json(), "{name}");
+            // Incremental analysis leaves no CTAs resident.
+            assert_eq!(src.stats().resident_ctas, 0, "{name}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   [`Reader::get`] encode any `Wire` value: the primitives (fixed-width
 //!   `u8`/`u16`/`u32`, LEB128 `u64`/`usize`, zig-zag `i64`, bit-exact
 //!   `f64`, strict `bool`), strings, the trace-level ids, tags and paging
-//!   statistics, and the standard containers built from them. Every
+//!   statistics, the `crisp-obs` trace recorder and its events, and the
+//!   standard containers built from them. Every
 //!   collection read is length-capped at [`MAX_LEN`] and pre-allocates at
 //!   most [`MAX_PREALLOC_BYTES`], so corrupt input fails with `Err` instead
 //!   of panicking or exhausting memory.
@@ -48,6 +49,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::io::{self, Read, Write};
 
+use crisp_obs::{CounterSample, InstantEvent, SpanEvent, TraceLog, TraceRecorder, Track};
 use crisp_trace::codec::{
     check_magic, check_version, read_string, read_varint, unzigzag, write_string, write_varint,
     zigzag,
@@ -522,6 +524,112 @@ wire_struct!(TraceStats {
     ctas_decoded,
     bytes_decoded
 });
+
+impl Wire for Track {
+    fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        match *self {
+            Track::Gpu => w.put(&0u8),
+            Track::Stream(s) => w.put(&(1u8, s)),
+            Track::Sm(s) => w.put(&(2u8, s)),
+        }
+    }
+
+    fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        Ok(match r.get::<u8>()? {
+            0 => Track::Gpu,
+            1 => Track::Stream(r.get()?),
+            2 => Track::Sm(r.get()?),
+            t => return Err(bad(format!("unknown track tag {t}"))),
+        })
+    }
+}
+
+/// Span categories form a closed set (the recorder only emits these), which
+/// lets restore rebuild the `&'static str` tags: a category is written as
+/// its index here.
+const SPAN_CATS: [&str; 3] = ["cta", "kernel", "marker"];
+
+fn cat_tag(cat: &str) -> io::Result<u8> {
+    let i = SPAN_CATS.iter().position(|&c| c == cat);
+    i.map(|i| i as u8)
+        .ok_or_else(|| bad(format!("unknown span category {cat:?}")))
+}
+
+fn cat_from(tag: u8) -> io::Result<&'static str> {
+    let cat = SPAN_CATS.get(tag as usize).copied();
+    cat.ok_or_else(|| bad(format!("unknown span-category tag {tag}")))
+}
+
+impl Wire for SpanEvent {
+    fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.track)?;
+        w.put(&self.name)?;
+        w.put(&cat_tag(self.cat)?)?;
+        w.put(&(self.start, self.dur))?;
+        w.put(&self.args)
+    }
+
+    fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        Ok(SpanEvent {
+            track: r.get()?,
+            name: r.get()?,
+            cat: cat_from(r.get()?)?,
+            start: r.get()?,
+            dur: r.get()?,
+            args: r.get()?,
+        })
+    }
+}
+
+impl Wire for InstantEvent {
+    fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&self.track)?;
+        w.put(&self.name)?;
+        w.put(&cat_tag(self.cat)?)?;
+        w.put(&self.at)
+    }
+
+    fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        Ok(InstantEvent {
+            track: r.get()?,
+            name: r.get()?,
+            cat: cat_from(r.get()?)?,
+            at: r.get()?,
+        })
+    }
+}
+
+wire_struct!(CounterSample { cycle, name, value });
+
+/// The recording flags, the log with its per-SM span buffers kept apart,
+/// and the open CTA spans. Restore checks the buffer count and the open
+/// spans against the configuration, which the checkpoint stores elsewhere.
+impl Wire for TraceRecorder {
+    fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.put(&(self.records_spans(), self.records_counters()))?;
+        let log = self.log();
+        w.seq(log.driver_spans(), |w, s| w.put(s))?;
+        w.seq(log.sm_span_buffers(), |w, buf| w.put(buf))?;
+        w.seq(log.instants(), |w, i| w.put(i))?;
+        w.seq(log.counters(), |w, c| w.put(c))?;
+        w.put(&self.open_cta_entries())
+    }
+
+    fn get<R: Read>(r: &mut Reader<R>) -> io::Result<Self> {
+        let (record_spans, record_counters) = r.get()?;
+        let spans = r.get()?;
+        let sm_spans = r.get()?;
+        let instants = r.get()?;
+        let counters = r.get()?;
+        let log = TraceLog::from_parts(spans, sm_spans, instants, counters);
+        Ok(TraceRecorder::from_parts(
+            log,
+            r.get()?,
+            record_spans,
+            record_counters,
+        ))
+    }
+}
 
 impl<T: Wire> Wire for Option<T> {
     fn put<W: Write>(&self, w: &mut Writer<W>) -> io::Result<()> {

@@ -84,16 +84,14 @@ struct Response {
 }
 
 /// Host-clock sub-phase durations of one [`MemSystem::tick_into`] call,
-/// for the simulator's self-profiler: the port-egress drain (phase 0)
-/// versus the L2/DRAM pipeline advance and response fill (phases 1–3).
+/// for the simulator's self-profiler: the port-egress drain (phase 0),
+/// which the caller splits off the lap it times around the whole call.
 /// Only measured when a `TickTimes` is passed in — the hot path pays no
 /// clock reads otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickTimes {
     /// Nanoseconds draining port egress queues into the crossbar.
     pub drain_ns: u64,
-    /// Nanoseconds ticking L2 banks / DRAM and delivering responses.
-    pub mem_ns: u64,
 }
 
 /// A DRAM fetch awaiting return to its L2 bank.
@@ -200,17 +198,17 @@ impl MemSystem {
     /// Anything that can lend a port works — `&mut SmMemPort` or a whole
     /// `Sm` — so callers need not build a per-cycle `Vec` of references.
     ///
-    /// Pass `times` to attribute the drain vs. pipeline sub-phases on the
-    /// host clock; `None` skips every clock read.
+    /// Pass `times` to time the drain sub-phase on the host clock; `None`
+    /// skips every clock read.
     pub fn tick_into<P: AsMut<SmMemPort>>(
         &mut self,
         now: u64,
         ports: &mut [P],
         done: &mut Vec<Completion>,
-        mut times: Option<&mut TickTimes>,
+        times: Option<&mut TickTimes>,
     ) {
         done.clear();
-        let mut t_prev = times.as_ref().map(|_| Instant::now());
+        let t0 = times.as_ref().map(|_| Instant::now());
 
         // 0. Drain every port's egress queue in ascending SM-id order.
         for port in ports.iter_mut() {
@@ -220,10 +218,8 @@ impl MemSystem {
                 self.xbar_in.push(now, bank, req);
             }
         }
-        if let Some(tt) = times.as_mut() {
-            let t = Instant::now();
-            tt.drain_ns += (t - t_prev.expect("set when times is Some")).as_nanos() as u64;
-            t_prev = Some(t);
+        if let (Some(tt), Some(t0)) = (times, t0) {
+            tt.drain_ns += t0.elapsed().as_nanos() as u64;
         }
 
         // 1. Each L2 bank accepts at most one request per cycle from the
@@ -314,10 +310,6 @@ impl MemSystem {
                 ready_at: now,
             }));
             port.recycle_waiters(woken);
-        }
-        if let Some(tt) = times {
-            tt.mem_ns +=
-                (Instant::now() - t_prev.expect("set when times is Some")).as_nanos() as u64;
         }
     }
 
@@ -685,8 +677,8 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].token, tok(0, 7));
         assert!(
-            times.drain_ns > 0 && times.mem_ns > 0,
-            "both sub-phases must accumulate wall time: {times:?}"
+            times.drain_ns > 0,
+            "the drain sub-phase must accumulate wall time: {times:?}"
         );
         // `done` holds only the last cycle's completions (cleared per call).
         assert!(done.len() <= 1);

@@ -3,9 +3,10 @@
 //! The paper's simulator answers one question per process run. This crate
 //! turns it into a long-lived service: a daemon that accepts trace
 //! bundles and scene specs as **jobs** over a length-prefixed TCP
-//! protocol, pushes them through the same admission pipeline the CLI uses
-//! (pre-flight validation + `crisp-analyze` lint), and executes them on a
-//! fixed worker pool under per-tenant quotas and priorities.
+//! protocol, admits them through the simulation builder's own trace
+//! pre-flight ([`crisp_sim::SimulationBuilder::check`]: validation,
+//! placement, `crisp-analyze` lint), and executes them on a fixed worker
+//! pool under per-tenant quotas and priorities.
 //!
 //! Three pieces of existing machinery become service features:
 //!

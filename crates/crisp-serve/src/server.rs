@@ -8,7 +8,7 @@
 //!   ┌─────────────▼──────────────┐     per-connection thread:
 //!   │ accept loop → conn threads │     read frame → handle → reply
 //!   └─────────────┬──────────────┘
-//!                 │ Submit: validate + lint (admission), then enqueue
+//!                 │ Submit: the builder's check (admission), then enqueue
 //!   ┌─────────────▼──────────────┐
 //!   │  Mutex<Sched>: job table,  │◀─── Cancel: bump the job's
 //!   │  priorities, quotas,       │     generation counter
@@ -20,6 +20,13 @@
 //!   │  (std::thread)             │     slices, checkpoint on preempt
 //!   └────────────────────────────┘
 //! ```
+//!
+//! **Admission** is the simulation build's own trace pre-flight: the
+//! job's builder (`job_builder`) runs
+//! [`check`](crisp_sim::SimulationBuilder::check) — validation,
+//! placement, lint — on the submitted container, and a worker later builds
+//! the job from the same builder with pre-flight off. The job keeps one
+//! `Arc<[u8]>` copy of its container, which every build reads in place.
 //!
 //! **Scheduling** is priority-then-FIFO over `Queued` and `Parked` jobs,
 //! subject to each tenant's *running* quota. When every worker is busy and
@@ -62,7 +69,8 @@ use crisp_ckpt::{wire_struct, Reader, Writer};
 use crisp_obs::{Labels, MetricRegistry};
 use crisp_scenes::{compute, ComputeScale, Scene, SceneId};
 use crisp_sim::{
-    FaultClass, GpuConfig, Interrupt, LintLevel, SimError, Simulation, Telemetry, TraceInput,
+    FaultClass, GpuConfig, Interrupt, L2Policy, LintLevel, SimError, Simulation, SimulationBuilder,
+    Telemetry, TraceInput,
 };
 use crisp_trace::{codec, StreamId, TraceBundle};
 use std::collections::BTreeMap;
@@ -157,10 +165,12 @@ impl Default for ServeConfig {
 
 /// One job in the scheduler table.
 struct Job {
+    /// The spec, its payload moved into `bytes` at admission.
     spec: JobSpec,
     /// The trace container bytes the job simulates (scene payloads are
-    /// generated server-side at admission, so this is always concrete).
-    bytes: Arc<Vec<u8>>,
+    /// generated server-side at admission, so this is always concrete):
+    /// the job's one copy, which every build reads in place.
+    bytes: Arc<[u8]>,
     state: JobState,
     /// Cancellation handle; `gen0` is the generation captured at
     /// admission — any later bump is an observed cancellation.
@@ -688,7 +698,7 @@ fn with_job(inner: &Inner, id: u64, f: impl FnOnce(&Sched, u64, &Job) -> Respons
 
 // --------------------------------------------------------------- admission
 
-fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Response {
+fn submit(inner: &Arc<Inner>, mut spec: JobSpec) -> Response {
     if !inner.admitting.load(Ordering::Acquire) {
         return Response::Error {
             code: ErrorCode::ShuttingDown,
@@ -735,7 +745,7 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Response {
 
     // Validation + lint run outside the scheduler lock: they page the
     // whole container and can take a while.
-    let (bytes, interference) = match admission_check(&spec, inner.cfg.lint) {
+    let (bytes, interference) = match admission_check(&mut spec, inner.cfg.lint) {
         Ok(out) => out,
         Err(message) => {
             let mut s = inner.state.lock().unwrap();
@@ -772,7 +782,7 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Response {
         id,
         Job {
             spec,
-            bytes: Arc::new(bytes),
+            bytes,
             state: JobState::Queued,
             interrupt,
             gen0,
@@ -816,56 +826,64 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Response {
     Response::Submitted { job: id }
 }
 
-/// Pre-flight a submission: materialize scene payloads, open the
-/// container, validate, check that every kernel fits the preset's SM,
-/// lint. Returns the concrete container bytes plus the analyzer's
-/// cross-stream interference score (when linting ran).
+/// Pre-flight a submission: move the container out of the spec's payload
+/// (materializing a scene payload first), open it, and run the simulation
+/// builder's own trace [`check`](crisp_sim::SimulationBuilder::check) on
+/// the job's builder at the daemon's lint level — structural validation,
+/// the placement check against the job's GPU preset, and lint. Returns the
+/// container plus the analyzer's cross-stream interference score (when
+/// linting ran).
 ///
-/// The placement check is the one the simulation build runs, so a job
-/// that is admitted never fails its build for want of SM resources.
-///
-/// The lint pass includes the CFG deadlock prover and the cross-stream
-/// interference estimator scored against the job's GPU preset: a trace
-/// the runtime watchdog would only catch after burning its whole cycle
-/// budget is rejected here, at submit, with the culprit CTA named.
-fn admission_check(spec: &JobSpec, lint: LintLevel) -> Result<(Vec<u8>, Option<f64>), String> {
-    let bytes = match &spec.payload {
-        Payload::Trace(b) => b.clone(),
-        Payload::Scene { kind, factor_milli } => build_scene(kind, *factor_milli)?,
+/// Because admission is the build's own pre-flight, a job that is admitted
+/// never fails its build for want of SM resources. The lint pass includes
+/// the CFG deadlock prover and the interference estimator scored against
+/// the preset's shared L2: a trace the runtime watchdog would only catch
+/// after burning its whole cycle budget is rejected here, at submit, with
+/// the culprit CTA named.
+fn admission_check(
+    spec: &mut JobSpec,
+    lint: LintLevel,
+) -> Result<(Arc<[u8]>, Option<f64>), String> {
+    let bytes: Arc<[u8]> = match std::mem::replace(&mut spec.payload, Payload::Trace(Vec::new())) {
+        Payload::Trace(b) => b.into(),
+        Payload::Scene { kind, factor_milli } => build_scene(&kind, factor_milli)?.into(),
     };
-    let mut src = TraceInput::reader(Cursor::new(bytes.clone()))
+    let mut src = TraceInput::reader(Cursor::new(Arc::clone(&bytes)))
         .open()
         .map_err(|e| format!("unreadable trace container: {e}"))?;
-    crisp_trace::validate_source(&mut src).map_err(|errors| {
-        let mut msg = format!("trace failed validation ({} errors)", errors.len());
-        if let Some(first) = errors.first() {
-            msg.push_str(&format!("; first: {first}"));
-        }
-        msg
-    })?;
-    let gpu = preset_config(spec.gpu);
-    if let Some(msg) = crisp_sim::unplaceable_kernel(&src, &gpu) {
-        return Err(format!("trace cannot run on {}: {msg}", gpu.name));
+    let report = job_builder(spec)
+        .analyze(lint)
+        .check(&mut src)
+        .map_err(|e| match e {
+            SimError::InvalidTrace { errors } => {
+                let mut msg = format!("trace failed pre-flight ({} errors)", errors.len());
+                if let Some(first) = errors.first() {
+                    msg.push_str(&format!("; first: {first}"));
+                }
+                msg
+            }
+            e => format!("trace cannot run on {}: {e}", preset_config(spec.gpu).name),
+        })?;
+    Ok((bytes, report.and_then(|r| r.interference)))
+}
+
+/// The simulation builder for a job: its GPU preset and cycle budget, its
+/// telemetry, and a shared L2, which is also what admission lint scores
+/// cross-stream interference against.
+fn job_builder(spec: &JobSpec) -> SimulationBuilder {
+    let mut gpu = preset_config(spec.gpu);
+    if spec.max_cycles > 0 {
+        gpu.max_cycles = spec.max_cycles;
     }
-    let mut interference = None;
-    if lint != LintLevel::Off {
-        let cfg = crisp_sim::AnalysisConfig {
-            interference: Some(crisp_analyze::InterferenceSpec::shared(gpu.l2_bytes)),
-            ..Default::default()
-        };
-        let report = crisp_analyze::analyze_source(&mut src, &cfg)
-            .map_err(|e| format!("analyzer failed to page the trace: {e}"))?;
-        interference = report.interference;
-        let mut failing = report.errors();
-        let fails = match lint {
-            LintLevel::Deny => report.diagnostics.first(),
-            _ => failing.next(),
-        };
-        if let Some(d) = fails {
-            return Err(format!("trace failed lint: {d}"));
-        }
-    }
-    Ok((bytes, interference))
+    let telemetry = if spec.telemetry {
+        Telemetry::OCCUPANCY | Telemetry::METRICS
+    } else {
+        Telemetry::NONE
+    };
+    Simulation::builder()
+        .gpu(gpu)
+        .telemetry(telemetry)
+        .l2(L2Policy::Shared)
 }
 
 /// The GPU model a preset names.
@@ -1096,12 +1114,8 @@ fn respawn_worker(inner: &Arc<Inner>) {
 /// Everything a worker needs outside the lock to simulate one job.
 struct Claimed {
     id: u64,
-    tenant: String,
-    name: String,
-    bytes: Arc<Vec<u8>>,
-    spec_gpu: GpuPreset,
-    spec_max_cycles: u64,
-    spec_telemetry: bool,
+    spec: JobSpec,
+    bytes: Arc<[u8]>,
     interrupt: Interrupt,
     gen0: u64,
     park: Arc<AtomicBool>,
@@ -1144,12 +1158,8 @@ fn claim(s: &mut Sched, id: u64) -> Claimed {
     let job = &s.jobs[&id];
     Claimed {
         id,
-        tenant,
-        name: job.spec.name.clone(),
+        spec: job.spec.clone(),
         bytes: Arc::clone(&job.bytes),
-        spec_gpu: job.spec.gpu,
-        spec_max_cycles: job.spec.max_cycles,
-        spec_telemetry: job.spec.telemetry,
         interrupt: job.interrupt.clone(),
         gen0: job.gen0,
         park: Arc::clone(&job.park),
@@ -1178,25 +1188,12 @@ fn build_sim(c: &Claimed) -> Result<crisp_sim::GpuSim, BuildError> {
                 path.display()
             ))
         })?,
-        None => {
-            let mut gpu = preset_config(c.spec_gpu);
-            if c.spec_max_cycles > 0 {
-                gpu.max_cycles = c.spec_max_cycles;
-            }
-            let telemetry = if c.spec_telemetry {
-                Telemetry::OCCUPANCY | Telemetry::METRICS
-            } else {
-                Telemetry::NONE
-            };
-            Simulation::builder()
-                .gpu(gpu)
-                .telemetry(telemetry)
-                // Admission already validated and linted the container.
-                .preflight(false)
-                .trace(TraceInput::reader(Cursor::new((*c.bytes).clone())))
-                .try_build()
-                .map_err(|e| BuildError::Fresh(format!("building the simulation failed: {e}")))?
-        }
+        None => job_builder(&c.spec)
+            // Admission already ran this builder's pre-flight.
+            .preflight(false)
+            .trace(TraceInput::reader(Cursor::new(Arc::clone(&c.bytes))))
+            .try_build()
+            .map_err(|e| BuildError::Fresh(format!("building the simulation failed: {e}")))?,
     };
     sim.set_interrupt(c.interrupt.clone(), c.gen0);
     Ok(sim)
@@ -1310,7 +1307,7 @@ fn run_job(inner: &Arc<Inner>, c: &Claimed) {
                     }
                 }
                 // Injected worker kill (tests only; a no-op by default).
-                if inner.cfg.faults.should_kill(&c.name) {
+                if inner.cfg.faults.should_kill(&c.spec.name) {
                     panic!("injected worker kill (job {})", c.id);
                 }
                 if c.deadline_at.is_some_and(|t| Instant::now() >= t) {
@@ -1424,7 +1421,7 @@ fn deadline_fail(inner: &Arc<Inner>, c: &Claimed, sim: Option<&mut crisp_sim::Gp
     {
         let mut s = inner.state.lock().unwrap();
         s.metrics
-            .counter_add("serve/deadline_exceeded", tenant_labels(&c.tenant), 1);
+            .counter_add("serve/deadline_exceeded", tenant_labels(&c.spec.tenant), 1);
     }
     finish_job(
         inner,
@@ -1477,7 +1474,7 @@ fn fail_or_retry(
             }
             s.busy -= 1;
             s.metrics
-                .counter_add("serve/job_retries", tenant_labels(&c.tenant), 1);
+                .counter_add("serve/job_retries", tenant_labels(&c.spec.tenant), 1);
             s.refresh_gauges();
             drop(s);
             inner.work_cv.notify_all();
@@ -1559,7 +1556,7 @@ fn park_job(inner: &Arc<Inner>, c: &Claimed, sim: &mut crisp_sim::GpuSim) -> boo
     }
     install_checkpoint(inner, &mut s, c.id, path);
     s.metrics
-        .counter_add("serve/preemptions", tenant_labels(&c.tenant), 1);
+        .counter_add("serve/preemptions", tenant_labels(&c.spec.tenant), 1);
     s.refresh_gauges();
     drop(s);
     inner.work_cv.notify_all();
@@ -1590,25 +1587,25 @@ fn finish_job(inner: &Arc<Inner>, c: &Claimed, state: JobState, cycles: u64, mut
     // cancellations are neutral — they say nothing about the workload.
     let breaker_policy = inner.cfg.breaker_policy();
     match (state, outcome.failure) {
-        (JobState::Completed, _) => s.breakers.entry(&c.tenant).on_success(),
+        (JobState::Completed, _) => s.breakers.entry(&c.spec.tenant).on_success(),
         (JobState::Failed, Some(FailureClass::Permanent)) => {
             tripped = s
                 .breakers
-                .entry(&c.tenant)
+                .entry(&c.spec.tenant)
                 .on_permanent_failure(&breaker_policy);
         }
         _ => {}
     }
     if tripped {
         s.metrics
-            .counter_add("serve/breaker_trips", tenant_labels(&c.tenant), 1);
+            .counter_add("serve/breaker_trips", tenant_labels(&c.spec.tenant), 1);
         eprintln!(
             "crisp-serve: tenant {} circuit breaker tripped after {} consecutive permanent failures",
-            c.tenant, inner.cfg.breaker_threshold
+            c.spec.tenant, inner.cfg.breaker_threshold
         );
     }
     let latency = c.submitted_at.elapsed().as_micros() as u64;
-    finish_metrics(&mut s, &c.tenant, counter, latency, cycles);
+    finish_metrics(&mut s, &c.spec.tenant, counter, latency, cycles);
     s.refresh_gauges();
     drop(s);
     inner.work_cv.notify_all();
@@ -1727,7 +1724,6 @@ fn write_manifest(inner: &Inner, s: &mut Sched) {
     w.put(&s.next_id)
         .and_then(|()| {
             w.seq(live, |w, (&id, job)| {
-                let spec = &job.spec;
                 w.put(&ManifestEntry {
                     id,
                     cycles: job.cycles,
@@ -1737,16 +1733,7 @@ fn write_manifest(inner: &Inner, s: &mut Sched) {
                         .checkpoint
                         .as_ref()
                         .map(|p| p.to_string_lossy().into_owned()),
-                    spec: JobSpec {
-                        tenant: spec.tenant.clone(),
-                        name: spec.name.clone(),
-                        priority: spec.priority,
-                        payload: Payload::Trace(Vec::new()),
-                        gpu: spec.gpu,
-                        max_cycles: spec.max_cycles,
-                        telemetry: spec.telemetry,
-                        deadline_ms: spec.deadline_ms,
-                    },
+                    spec: job.spec.clone(),
                 })?;
                 w.bytes(&job.bytes)
             })
@@ -1831,7 +1818,7 @@ fn requeue_manifest(cfg: &ServeConfig, s: &mut Sched, payload: &[u8]) -> io::Res
             checkpoint,
             spec,
         } = r.get()?;
-        let bytes = Arc::new(r.bytes(usize::MAX)?);
+        let bytes = r.bytes(usize::MAX)?.into();
         let checkpoint = checkpoint.map(PathBuf::from);
         let interrupt = Interrupt::new();
         let gen0 = interrupt.generation();
@@ -1964,7 +1951,7 @@ mod tests {
         assert_eq!(s.next_id, 3);
         assert_eq!(s.jobs[&1].bytes.len(), big);
         assert_eq!(s.jobs[&1].state, JobState::Queued);
-        assert_eq!(*s.jobs[&2].bytes, b"trace");
+        assert_eq!(&*s.jobs[&2].bytes, b"trace");
         assert_eq!(s.jobs[&2].state, JobState::Parked);
         assert!(ckpt.exists(), "the parked job's checkpoint is kept");
         let _ = std::fs::remove_dir_all(&spool);

@@ -13,10 +13,7 @@ use crisp_mem::{
     TapController, TickTimes,
 };
 use crisp_obs::host::{set_alloc_phase, HostPhase, HostProfile, HostProfiler};
-use crisp_obs::{
-    CounterSample, InstantEvent, Labels, MetricRegistry, MetricsSnapshot, SpanEvent, TraceLog,
-    TraceRecorder, Track,
-};
+use crisp_obs::{Labels, MetricRegistry, MetricsSnapshot, TraceLog, TraceRecorder};
 use crisp_sm::{CtaResources, CtaWork, CycleOutput, ResourceQuota, Sm, StallBreakdown};
 use crisp_trace::{
     CommandMeta, KernelId, KernelInfo, Space, StreamId, StreamKind, TraceBundle, TraceInput,
@@ -317,26 +314,15 @@ struct RunningKernel {
 struct StreamState {
     id: StreamId,
     kind: StreamKind,
-    /// The stream's full command list from the trace source's directory.
-    /// Instruction payloads are *not* here — CTAs are demand-paged through
-    /// [`TraceSource::fetch_cta`] when dispatched.
-    commands: Vec<CommandMeta>,
-    /// Cursor into `commands`: the next command to consume.
+    /// Index of the stream in the attached source's directory, which
+    /// holds its command list ([`GpuSim::commands`]). Instruction payloads
+    /// are demand-paged through [`TraceSource::fetch_cta`] when dispatched.
+    dir: usize,
+    /// Cursor into the command list: the next command to consume.
     next_cmd: usize,
     current: Option<RunningKernel>,
     started: bool,
     finished: bool,
-}
-
-impl StreamState {
-    fn work_remains(&self) -> bool {
-        self.current.is_some() || self.next_cmd < self.commands.len()
-    }
-
-    /// The next unconsumed command, if any.
-    fn front(&self) -> Option<&CommandMeta> {
-        self.commands.get(self.next_cmd)
-    }
 }
 
 /// The simulator. Build with [`Simulation::builder`](crate::Simulation),
@@ -445,10 +431,12 @@ pub struct GpuSim {
     scratch_outs: Vec<CycleOutput>,
 }
 
-/// Lap timer for the driver's per-cycle phases. Laps are contiguous — each
-/// `switch` closes the running phase at the instant the next one starts —
-/// so driver phase times sum to the loop's wall-clock with no gaps. Every
-/// method is a no-op (one branch, no clock read) when profiling is off.
+/// Lap timer for the driver's per-cycle phases. One clock laps a whole run
+/// segment, and laps are contiguous — each `switch` closes the running
+/// phase at the instant the next one starts, and `carve` moves a sub-phase
+/// timed inside the running lap out of it — so driver phase times sum to
+/// the loop's wall-clock with no gaps. Every method is a no-op (one branch,
+/// no clock read) when profiling is off.
 struct PhaseClock {
     t: Option<Instant>,
     phase: HostPhase,
@@ -473,6 +461,14 @@ impl PhaseClock {
             *t = now;
             self.phase = next;
             set_alloc_phase(next);
+        }
+    }
+
+    /// Credit `ns` of the running lap, timed inside it, to `phase` instead.
+    fn carve(&mut self, host: &mut Option<Box<HostProfiler>>, phase: HostPhase, ns: u64) {
+        if let (Some(t), Some(h)) = (self.t.as_mut(), host.as_mut()) {
+            h.add(phase, ns);
+            *t += std::time::Duration::from_nanos(ns);
         }
     }
 
@@ -549,7 +545,7 @@ impl GpuSim {
     /// Panics if a two-stream policy is given a source without exactly two
     /// streams (pre-flight rejects such a source first).
     pub(crate) fn attach(&mut self, source: TraceSource) {
-        let metas: Vec<crisp_trace::StreamMeta> = source.streams().to_vec();
+        let metas = source.streams();
         let mut ids: Vec<StreamId> = metas.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         // Graphics stream first for slicer convention.
@@ -586,19 +582,19 @@ impl GpuSim {
             let (a, b) = ordered_pair();
             self.slicer = Some(WarpedSlicer::new(slicer_cfg.clone(), a, b));
         }
-        for s in &metas {
+        for s in metas {
             let mut mask = vec![false; self.cfg.n_sms];
             for sm in self.spec.sms_for(s.id, self.cfg.n_sms) {
                 mask[sm] = true;
             }
             self.allowed_sms.insert(s.id, mask);
         }
-        for s in metas {
+        for (dir, s) in metas.iter().enumerate() {
             self.stats.entry(s.id).or_default();
             self.streams.push(StreamState {
                 id: s.id,
                 kind: s.kind,
-                commands: s.commands,
+                dir,
                 next_cmd: 0,
                 current: None,
                 started: false,
@@ -755,33 +751,52 @@ impl GpuSim {
         self.run_serial(limit).map_err(|v| self.failure(v))
     }
 
-    /// The cycle loop.
+    /// The cycle loop. Its own bookkeeping between cycles is dispatch time
+    /// on the segment's one lap clock.
     fn run_serial(&mut self, limit: Option<u64>) -> Result<bool, Violation> {
-        while self.work_remains() {
+        let mut clock = PhaseClock::start(self.host.is_some(), HostPhase::Dispatch);
+        let done = loop {
+            if !self.work_remains() {
+                break Ok(true);
+            }
             if limit.is_some_and(|l| self.now >= l) {
-                return Ok(false);
+                break Ok(false);
             }
-            self.tick()?;
+            if let Err(v) = self.tick(&mut clock) {
+                break Err(v);
+            }
             if let Some(v) = self.budget_violation() {
-                return Err(v);
+                break Err(v);
             }
-        }
-        Ok(true)
+        };
+        clock.finish(&mut self.host);
+        done
     }
 
     fn work_remains(&self) -> bool {
-        self.streams
-            .iter()
-            .any(|s| s.work_remains() && !self.parked(s))
-            || self.sms.iter().any(Sm::busy)
+        self.streams.iter().any(|s| {
+            (s.current.is_some() || s.next_cmd < self.commands(s).len()) && !self.parked(s)
+        }) || self.sms.iter().any(Sm::busy)
             || !self.mem.quiescent()
+    }
+
+    /// The command list of `st`, read from the attached source's directory.
+    fn commands(&self, st: &StreamState) -> &[CommandMeta] {
+        let src = self.source.as_ref().expect("streams come from the source");
+        &src.streams()[st.dir].commands
+    }
+
+    /// The next unconsumed command of `st`, if any.
+    fn front(&self, st: &StreamState) -> Option<&CommandMeta> {
+        self.commands(st).get(st.next_cmd)
     }
 
     /// Whether `st` is waiting at the held barrier marker: its previous
     /// kernel completed and the marker is next in line.
     fn parked(&self, st: &StreamState) -> bool {
         self.hold_at_marker.as_deref().is_some_and(|hold| {
-            st.current.is_none() && matches!(st.front(), Some(CommandMeta::Marker(l)) if l == hold)
+            st.current.is_none()
+                && matches!(self.front(st), Some(CommandMeta::Marker(l)) if l == hold)
         })
     }
 
@@ -828,7 +843,7 @@ impl GpuSim {
                 next_cta: s.current.as_ref().map_or(0, |k| k.next_cta),
                 grid: s.current.as_ref().map_or(0, |k| k.info.grid),
                 outstanding: s.current.as_ref().map_or(0, |k| k.outstanding),
-                commands_left: s.commands.len() - s.next_cmd,
+                commands_left: self.commands(s).len() - s.next_cmd,
             })
             .collect()
     }
@@ -910,15 +925,19 @@ impl GpuSim {
     /// [`SimError::TraceIo`] when demand-paging a CTA fails, and
     /// [`SimError::WorkerPanic`] when an SM panics during the cycle.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.tick().map_err(|v| self.failure(v))
+        let mut clock = PhaseClock::start(self.host.is_some(), HostPhase::Dispatch);
+        let r = self.tick(&mut clock);
+        clock.finish(&mut self.host);
+        r.map_err(|v| self.failure(v))
     }
 
-    /// One cycle. The SMs are moved out of `self` so the driver helpers can
+    /// One cycle, lapped on `clock`, which is in dispatch on entry and on
+    /// return. The SMs are moved out of `self` so the driver helpers can
     /// borrow them alongside the rest of the simulator, and are always put
     /// back, so a failed cycle still leaves every SM for the report.
-    fn tick(&mut self) -> Result<(), Violation> {
+    fn tick(&mut self, clock: &mut PhaseClock) -> Result<(), Violation> {
         let mut sms = std::mem::take(&mut self.sms);
-        let r = self.tick_with(&mut sms);
+        let r = self.tick_with(&mut sms, clock);
         self.sms = sms;
         if r.is_ok() {
             self.now += 1;
@@ -926,12 +945,10 @@ impl GpuSim {
         r
     }
 
-    fn tick_with(&mut self, sms: &mut [Sm]) -> Result<(), Violation> {
+    fn tick_with(&mut self, sms: &mut [Sm], clock: &mut PhaseClock) -> Result<(), Violation> {
         let now = self.now;
-        let mut clock = PhaseClock::start(self.host.is_some(), HostPhase::Dispatch);
         self.advance_streams(now, sms);
         if let Err(e) = self.issue_ctas(now, sms) {
-            clock.finish(&mut self.host);
             return Err(Violation::TraceIo(e.to_string()));
         }
         clock.switch(&mut self.host, HostPhase::Execute);
@@ -962,15 +979,13 @@ impl GpuSim {
         if let Err(payload) = ran {
             outs.clear();
             self.scratch_outs = outs;
-            clock.finish(&mut self.host);
             return Err(Violation::WorkerPanic(panic_message(payload.as_ref())));
         }
         for out in outs.drain(..) {
             self.absorb_output(now, out);
         }
         self.scratch_outs = outs;
-        clock.finish(&mut self.host);
-        self.finish_cycle(now, sms);
+        self.finish_cycle(now, sms, clock);
         Ok(())
     }
 
@@ -1026,26 +1041,21 @@ impl GpuSim {
     }
 
     /// Everything after the per-SM compute phase: drain the ports through
-    /// the shared memory system, deliver completions, tick the slicer,
-    /// sample telemetry.
-    fn finish_cycle(&mut self, now: u64, sms: &mut [Sm]) {
+    /// the shared memory system and deliver completions (the mem-tick lap,
+    /// port drain carved out of it), then tick the slicer and sample
+    /// telemetry (the telemetry lap).
+    fn finish_cycle(&mut self, now: u64, sms: &mut [Sm], clock: &mut PhaseClock) {
+        clock.switch(&mut self.host, HostPhase::MemTick);
         let mut tick_times = self.host.is_some().then(TickTimes::default);
-        if self.host.is_some() {
-            set_alloc_phase(HostPhase::MemTick);
-        }
         self.mem
             .tick_into(now, sms, &mut self.scratch_completions, tick_times.as_mut());
         for c in &self.scratch_completions {
             sms[c.token.sm as usize].on_mem_completion(c.token.id);
         }
-        if let (Some(tt), Some(h)) = (tick_times, self.host.as_mut()) {
-            h.add(HostPhase::PortDrain, tt.drain_ns);
-            h.add(HostPhase::MemTick, tt.mem_ns);
+        if let Some(tt) = tick_times {
+            clock.carve(&mut self.host, HostPhase::PortDrain, tt.drain_ns);
         }
-        let telemetry_lap = self.host.as_ref().map(|_| {
-            set_alloc_phase(HostPhase::Telemetry);
-            Instant::now()
-        });
+        clock.switch(&mut self.host, HostPhase::Telemetry);
         self.slicer_tick(now, sms);
         if self.occupancy_interval > 0 && now.is_multiple_of(self.occupancy_interval) {
             self.sample_occupancy(now, sms);
@@ -1068,12 +1078,7 @@ impl GpuSim {
         if self.host.as_ref().is_some_and(|h| h.heartbeat_due(now)) {
             self.record_heartbeat(now, sms);
         }
-        if let Some(t) = telemetry_lap {
-            let ns = t.elapsed().as_nanos() as u64;
-            let h = self.host.as_mut().expect("lap only taken with profiler");
-            h.add(HostPhase::Telemetry, ns);
-            set_alloc_phase(HostPhase::Dispatch);
-        }
+        clock.switch(&mut self.host, HostPhase::Dispatch);
     }
 
     /// Record one heartbeat sample: throughput since the previous beat and
@@ -1160,7 +1165,7 @@ impl GpuSim {
                 // The stats-clear marker acts as a full barrier: wait for
                 // in-flight stores to drain so the cleared counters reflect
                 // only post-marker (steady-state) traffic.
-                if matches!(self.streams[si].front(),
+                if matches!(self.front(&self.streams[si]),
                     Some(CommandMeta::Marker(l)) if l == CLEAR_STATS_MARKER)
                     && !self.hierarchy_quiescent(&*sms)
                 {
@@ -1171,7 +1176,7 @@ impl GpuSim {
                 if self.parked(&self.streams[si]) {
                     break;
                 }
-                let Some(cmd) = self.streams[si].front().cloned() else {
+                let Some(cmd) = self.front(&self.streams[si]).cloned() else {
                     if !self.streams[si].finished && self.streams[si].started {
                         self.streams[si].finished = true;
                         let id = self.streams[si].id;
@@ -1563,14 +1568,15 @@ impl GpuSim {
         );
         let mut skipped = 0u64;
         for si in 0..self.streams.len() {
-            let has_marker = self.streams[si].commands[self.streams[si].next_cmd..]
+            let st = &self.streams[si];
+            let has_marker = self.commands(st)[st.next_cmd..]
                 .iter()
                 .any(|c| matches!(c, CommandMeta::Marker(l) if l == label));
             if !has_marker {
                 continue;
             }
             let id = self.streams[si].id;
-            while let Some(cmd) = self.streams[si].front().cloned() {
+            while let Some(cmd) = self.front(&self.streams[si]).cloned() {
                 self.streams[si].next_cmd += 1;
                 skipped += 1;
                 match cmd {
@@ -1764,7 +1770,7 @@ impl GpuSim {
         w.put(&self.allowed_sms)?;
         w.put(&self.kernel_log)?;
         w.put(&self.slicer)?;
-        w.option(self.recorder.as_ref(), save_recorder)?;
+        w.put(&self.recorder)?;
 
         for sm in &self.sms {
             sm.save(&mut w)?;
@@ -1824,18 +1830,19 @@ impl GpuSim {
             let src = source
                 .as_ref()
                 .ok_or_else(|| bad("checkpoint has streams but no trace source"))?;
-            let meta =
-                src.streams().iter().find(|m| m.id == id).ok_or_else(|| {
-                    bad(format!("checkpoint stream {id} missing from trace source"))
-                })?;
+            let dir = src
+                .streams()
+                .iter()
+                .position(|m| m.id == id)
+                .ok_or_else(|| bad(format!("checkpoint stream {id} missing from trace source")))?;
+            let meta = &src.streams()[dir];
             if meta.kind != kind {
                 return Err(bad(format!("stream {id} kind mismatch with trace source")));
             }
-            let commands = meta.commands.clone();
-            if next_cmd > commands.len() {
+            if next_cmd > meta.commands.len() {
                 return Err(bad(format!(
                     "stream {id} cursor {next_cmd} past its {} commands",
-                    commands.len()
+                    meta.commands.len()
                 )));
             }
             let current = r.option(|r| {
@@ -1862,7 +1869,7 @@ impl GpuSim {
             Ok(StreamState {
                 id,
                 kind,
-                commands,
+                dir,
                 next_cmd,
                 current,
                 started,
@@ -1913,7 +1920,23 @@ impl GpuSim {
         }
         let kernel_log = r.get()?;
         let slicer = r.get()?;
-        let recorder = r.option(|r| restore_recorder(r, cfg.n_sms, now))?;
+        let recorder: Option<TraceRecorder> = r.get()?;
+        if let Some(rec) = &recorder {
+            let buffers = rec.log().sm_span_buffers().len();
+            if buffers != cfg.n_sms {
+                return Err(bad(format!(
+                    "trace log has {buffers} SM buffers, config has {} SMs",
+                    cfg.n_sms
+                )));
+            }
+            if rec
+                .open_cta_entries()
+                .iter()
+                .any(|&(_, sm, _, _, start)| sm as usize >= cfg.n_sms || start > now)
+            {
+                return Err(bad("open CTA span on a nonexistent SM or in the future"));
+            }
+        }
 
         let mem_cfg = cfg.mem_config();
         let mut sms = Vec::with_capacity(cfg.n_sms);
@@ -2027,11 +2050,12 @@ impl GpuSim {
 }
 
 /// The first kernel in `src` whose CTAs can never be placed on one of
-/// `gpu`'s SMs, as an error message naming it. The builder (with or
-/// without pre-flight) and checkpoint restore both reject such a source up
-/// front, so the dispatcher never meets one; a job queue can run the same
-/// check at admission. It reads only the source's directory metadata.
-pub fn unplaceable_kernel(src: &TraceSource, gpu: &GpuConfig) -> Option<String> {
+/// `gpu`'s SMs, as an error message naming it. The builder (its
+/// [`check`](crate::SimulationBuilder::check), or on its own without
+/// pre-flight) and checkpoint restore both reject such a source up front,
+/// so the dispatcher never meets one. It reads only the source's directory
+/// metadata.
+pub(crate) fn unplaceable_kernel(src: &TraceSource, gpu: &GpuConfig) -> Option<String> {
     let sm = &gpu.sm;
     src.streams().iter().find_map(|s| {
         s.commands.iter().find_map(|cmd| {
@@ -2069,121 +2093,6 @@ impl KernelRecord {
         }
         Ok(())
     }
-}
-
-fn put_track<W: io::Write>(w: &mut Writer<W>, t: Track) -> io::Result<()> {
-    match t {
-        Track::Gpu => w.put(&0u8),
-        Track::Stream(s) => w.put(&(1u8, s)),
-        Track::Sm(s) => w.put(&(2u8, s)),
-    }
-}
-
-fn get_track<R: io::Read>(r: &mut Reader<R>) -> io::Result<Track> {
-    Ok(match r.get::<u8>()? {
-        0 => Track::Gpu,
-        1 => Track::Stream(r.get()?),
-        2 => Track::Sm(r.get()?),
-        t => return Err(bad(format!("unknown track tag {t}"))),
-    })
-}
-
-/// Span categories form a closed set (the recorder only emits these), which
-/// lets restore rebuild the `&'static str` tags: a category is written as
-/// its index here.
-const SPAN_CATS: [&str; 3] = ["cta", "kernel", "marker"];
-
-fn cat_tag(cat: &str) -> io::Result<u8> {
-    let i = SPAN_CATS.iter().position(|&c| c == cat);
-    i.map(|i| i as u8)
-        .ok_or_else(|| bad(format!("unknown span category {cat:?}")))
-}
-
-fn cat_from(tag: u8) -> io::Result<&'static str> {
-    let cat = SPAN_CATS.get(tag as usize).copied();
-    cat.ok_or_else(|| bad(format!("unknown span-category tag {tag}")))
-}
-
-fn put_span<W: io::Write>(w: &mut Writer<W>, s: &SpanEvent) -> io::Result<()> {
-    put_track(w, s.track)?;
-    w.put(&s.name)?;
-    w.put(&cat_tag(s.cat)?)?;
-    w.put(&(s.start, s.dur))?;
-    w.put(&s.args)
-}
-
-fn get_span<R: io::Read>(r: &mut Reader<R>) -> io::Result<SpanEvent> {
-    Ok(SpanEvent {
-        track: get_track(r)?,
-        name: r.get()?,
-        cat: cat_from(r.get()?)?,
-        start: r.get()?,
-        dur: r.get()?,
-        args: r.get()?,
-    })
-}
-
-fn save_recorder<W: io::Write>(w: &mut Writer<W>, rec: &TraceRecorder) -> io::Result<()> {
-    w.put(&(rec.records_spans(), rec.records_counters()))?;
-    let log = rec.log();
-    w.seq(log.driver_spans(), put_span)?;
-    w.seq(log.sm_span_buffers(), |w, buf| w.seq(buf, put_span))?;
-    w.seq(log.instants(), |w, i| {
-        put_track(w, i.track)?;
-        w.put(&i.name)?;
-        w.put(&cat_tag(i.cat)?)?;
-        w.put(&i.at)
-    })?;
-    w.seq(log.counters(), |w, c| {
-        w.put(&c.cycle)?;
-        w.put(&c.name)?;
-        w.put(&c.value)
-    })?;
-    w.put(&rec.open_cta_entries())
-}
-
-fn restore_recorder<R: io::Read>(
-    r: &mut Reader<R>,
-    n_sms: usize,
-    now: u64,
-) -> io::Result<TraceRecorder> {
-    let (record_spans, record_counters) = r.get()?;
-    let spans = r.seq(get_span)?;
-    let sm_spans = r.seq(|r| r.seq(get_span))?;
-    if sm_spans.len() != n_sms {
-        return Err(bad(format!(
-            "trace log has {} SM buffers, config has {n_sms} SMs",
-            sm_spans.len()
-        )));
-    }
-    let instants = r.seq(|r| {
-        Ok(InstantEvent {
-            track: get_track(r)?,
-            name: r.get()?,
-            cat: cat_from(r.get()?)?,
-            at: r.get()?,
-        })
-    })?;
-    let counters = r.seq(|r| {
-        Ok(CounterSample {
-            cycle: r.get()?,
-            name: r.get()?,
-            value: r.get()?,
-        })
-    })?;
-    let open: Vec<(u64, u32, u32, usize, u64)> = r.get()?;
-    if open
-        .iter()
-        .any(|&(_, sm, _, _, start)| sm as usize >= n_sms || start > now)
-    {
-        return Err(bad("open CTA span on a nonexistent SM or in the future"));
-    }
-    Ok(TraceRecorder::from_parts(
-        TraceLog::from_parts(spans, sm_spans, instants, counters),
-        open,
-        record_spans,
-        record_counters,
-    ))
 }
 
 #[cfg(test)]

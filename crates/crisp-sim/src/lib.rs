@@ -55,8 +55,8 @@ mod stats;
 pub use config::GpuConfig;
 pub use error::{DeadlockReport, FaultClass, HangContext, SimError, StreamFrontier};
 pub use gpu::{
-    unplaceable_kernel, GpuSim, KernelRecord, SimResult, StreamResult, CLEAR_STATS_MARKER,
-    DEFAULT_INTERRUPT_INTERVAL, DEFAULT_WATCHDOG,
+    GpuSim, KernelRecord, SimResult, StreamResult, CLEAR_STATS_MARKER, DEFAULT_INTERRUPT_INTERVAL,
+    DEFAULT_WATCHDOG,
 };
 pub use interrupt::Interrupt;
 pub use policy::{L2Policy, PartitionSpec, SmPartition};
@@ -64,7 +64,7 @@ pub use sim::{Simulation, SimulationBuilder, Telemetry};
 pub use slicer::{SlicerConfig, WarpedSlicer};
 pub use stats::{OccupancySample, PerStreamStats};
 
-pub use crisp_analyze::{AnalysisConfig, LintLevel};
+pub use crisp_analyze::{AnalysisConfig, AnalysisReport, LintLevel};
 pub use crisp_mem::{MemConfig, TapConfig};
 pub use crisp_obs as obs;
 pub use crisp_obs::{Labels, MetricsSnapshot, TraceLog};

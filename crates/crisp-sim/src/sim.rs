@@ -32,7 +32,7 @@ use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::gpu::{GpuSim, SimResult, DEFAULT_WATCHDOG};
 use crate::policy::{L2Policy, PartitionSpec, SmPartition};
-use crisp_analyze::{AnalysisConfig, LintLevel};
+use crisp_analyze::{AnalysisConfig, AnalysisReport, LintLevel};
 use crisp_obs::host::{set_alloc_phase, HostPhase, HostProfiler};
 use crisp_trace::{CommandMeta, TraceInput, TraceSource};
 
@@ -409,80 +409,117 @@ impl SimulationBuilder {
         self
     }
 
-    /// Pre-flight validation: lint the opened trace source incrementally
-    /// ([`crisp_trace::validate_source`] — one streaming pass with a
-    /// bounded resident window) and cross-check the configuration against
-    /// its metadata, so bad inputs fail in milliseconds with a named error
-    /// instead of mid-run.
+    /// The trace pre-flight, the one way a trace is admitted: structural
+    /// validation ([`crisp_trace::validate_source`], one streaming pass
+    /// with a bounded resident window), the placement check (every CTA
+    /// fits an empty SM of the configured GPU), then static analysis at
+    /// the [`analyze`](Self::analyze) level. A configured L2 policy opts
+    /// the analysis into the cross-stream interference pass, scored against
+    /// this GPU's L2. [`try_build`](Self::try_build) runs it; a job queue
+    /// runs it at admission on a builder configured like the job's.
+    ///
+    /// Returns the lint report, or `None` at [`LintLevel::Off`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidTrace`] when the trace fails validation or lint
+    /// at the configured level, [`SimError::InvalidConfig`] when a kernel
+    /// can never be placed, [`SimError::TraceIo`] when analysis cannot
+    /// page a kernel in.
+    pub fn check(&self, src: &mut TraceSource) -> Result<Option<AnalysisReport>, SimError> {
+        self.check_timed(src, None)
+    }
+
+    /// [`check`](Self::check), attributing validation and analysis to
+    /// their host-profile phases.
+    fn check_timed(
+        &self,
+        src: &mut TraceSource,
+        mut host: Option<&mut HostProfiler>,
+    ) -> Result<Option<AnalysisReport>, SimError> {
+        let cfg = self.gpu_config();
+        let t0 = host.as_deref_mut().map(|h| {
+            set_alloc_phase(HostPhase::Preflight);
+            h.elapsed_ns()
+        });
+        crisp_trace::validate_source(src)?;
+        if let Some(message) = crate::gpu::unplaceable_kernel(src, &cfg) {
+            return Err(SimError::InvalidConfig { message });
+        }
+        if let (Some(t0), Some(h)) = (t0, host.as_deref_mut()) {
+            h.span_end(HostPhase::Preflight, "validate trace", t0);
+        }
+        if self.analyze == LintLevel::Off {
+            return Ok(None);
+        }
+        let t0 = host.as_deref_mut().map(|h| {
+            set_alloc_phase(HostPhase::Analyze);
+            h.elapsed_ns()
+        });
+        let mut acfg = self.analyze_config.clone().unwrap_or_default();
+        // Configuring a concurrency policy opts the build into the
+        // cross-stream interference pass: score the phases against the L2
+        // this GPU actually has, unless the caller pinned an explicit
+        // capacity model.
+        if acfg.interference.is_none() {
+            if let Some(policy) = self.l2_policy() {
+                let share = match policy {
+                    L2Policy::Shared => crisp_analyze::L2Share::Shared,
+                    L2Policy::BankSplit => crisp_analyze::L2Share::BankSplit,
+                    L2Policy::Tap(_) => crisp_analyze::L2Share::Tap,
+                };
+                acfg.interference = Some(crisp_analyze::InterferenceSpec {
+                    l2_bytes: cfg.l2_bytes,
+                    share,
+                });
+            }
+        }
+        let report = crisp_analyze::analyze_source(src, &acfg).map_err(|e| SimError::TraceIo {
+            cycle: 0,
+            message: e.to_string(),
+        })?;
+        if let (Some(t0), Some(h)) = (t0, host) {
+            h.span_end(HostPhase::Analyze, "static analysis", t0);
+        }
+        let errors: Vec<crisp_trace::TraceError> = match self.analyze {
+            LintLevel::Deny => report
+                .diagnostics
+                .iter()
+                .map(crisp_analyze::Diagnostic::to_trace_error)
+                .collect(),
+            _ => report.to_trace_errors(),
+        };
+        if !errors.is_empty() {
+            return Err(errors.into());
+        }
+        Ok(Some(report))
+    }
+
+    /// The configured GPU, or the default one.
+    fn gpu_config(&self) -> GpuConfig {
+        self.gpu.clone().unwrap_or_else(GpuConfig::jetson_orin)
+    }
+
+    /// The L2 policy set directly or through the partition spec, if any.
+    fn l2_policy(&self) -> Option<&L2Policy> {
+        self.l2.as_ref().or(self.partition.as_ref().map(|p| &p.l2))
+    }
+
+    /// Pre-flight: the trace [`check`](Self::check) plus the configuration
+    /// cross-checked against itself and the trace's metadata, so bad
+    /// inputs fail in milliseconds with a named error instead of mid-run.
     fn preflight_check(
         &self,
         mut source: Option<&mut TraceSource>,
-        mut host: Option<&mut HostProfiler>,
+        host: Option<&mut HostProfiler>,
     ) -> Result<(), SimError> {
         let invalid = |message: String| Err(SimError::InvalidConfig { message });
-        let cfg = self
-            .gpu
-            .clone()
-            .unwrap_or_else(crate::config::GpuConfig::jetson_orin);
+        let cfg = self.gpu_config();
         if cfg.max_cycles == 0 {
             return invalid("max_cycles is 0 — no cycle could ever run".into());
         }
         if let Some(src) = source.as_deref_mut() {
-            let t0 = host.as_deref_mut().map(|h| {
-                set_alloc_phase(HostPhase::Preflight);
-                h.elapsed_ns()
-            });
-            crisp_trace::validate_source(src)?;
-            if let (Some(t0), Some(h)) = (t0, host.as_deref_mut()) {
-                h.span_end(HostPhase::Preflight, "validate trace", t0);
-            }
-            if self.analyze != LintLevel::Off {
-                let t0 = host.as_deref_mut().map(|h| {
-                    set_alloc_phase(HostPhase::Analyze);
-                    h.elapsed_ns()
-                });
-                let mut acfg = self.analyze_config.clone().unwrap_or_default();
-                // Configuring a concurrency policy opts the build into the
-                // cross-stream interference pass: score the phases against
-                // the L2 this GPU actually has, unless the caller pinned an
-                // explicit capacity model.
-                if acfg.interference.is_none() {
-                    let policy = self
-                        .l2
-                        .as_ref()
-                        .or_else(|| self.partition.as_ref().map(|p| &p.l2));
-                    if let Some(policy) = policy {
-                        let share = match policy {
-                            L2Policy::Shared => crisp_analyze::L2Share::Shared,
-                            L2Policy::BankSplit => crisp_analyze::L2Share::BankSplit,
-                            L2Policy::Tap(_) => crisp_analyze::L2Share::Tap,
-                        };
-                        acfg.interference = Some(crisp_analyze::InterferenceSpec {
-                            l2_bytes: cfg.l2_bytes,
-                            share,
-                        });
-                    }
-                }
-                let report =
-                    crisp_analyze::analyze_source(src, &acfg).map_err(|e| SimError::TraceIo {
-                        cycle: 0,
-                        message: e.to_string(),
-                    })?;
-                if let (Some(t0), Some(h)) = (t0, host) {
-                    h.span_end(HostPhase::Analyze, "static analysis", t0);
-                }
-                let errors: Vec<crisp_trace::TraceError> = match self.analyze {
-                    LintLevel::Deny => report
-                        .diagnostics
-                        .iter()
-                        .map(crisp_analyze::Diagnostic::to_trace_error)
-                        .collect(),
-                    _ => report.to_trace_errors(),
-                };
-                if !errors.is_empty() {
-                    return Err(errors.into());
-                }
-            }
+            self.check_timed(src, host)?;
         }
         let n_streams = source.as_ref().map(|s| s.streams().len());
         let spec_sm = self.partition.as_ref().map(|p| &p.sm);
@@ -546,8 +583,7 @@ impl SimulationBuilder {
             }
             Some(SmPartition::Greedy) | None => {}
         }
-        let l2 = self.l2.as_ref().or(self.partition.as_ref().map(|p| &p.l2));
-        if let Some(L2Policy::BankSplit) = l2 {
+        if let Some(L2Policy::BankSplit) = self.l2_policy() {
             if cfg.l2_banks < 2 {
                 return invalid(format!(
                     "L2 bank-split needs at least 2 banks, the GPU has {}",
@@ -639,7 +675,18 @@ impl SimulationBuilder {
                 cycle: 0,
                 message: e.to_string(),
             })?;
-        if !self.skip_preflight {
+        let cfg = self.gpu_config();
+        if self.skip_preflight {
+            // Placement is checked whether or not pre-flight runs: the
+            // dispatcher relies on every CTA fitting an empty SM, and the
+            // check reads only the source's directory metadata.
+            if let Some(message) = source
+                .as_ref()
+                .and_then(|src| crate::gpu::unplaceable_kernel(src, &cfg))
+            {
+                return Err(SimError::InvalidConfig { message });
+            }
+        } else {
             self.preflight_check(source.as_mut(), host.as_deref_mut())?;
             // Validation and analysis page CTAs through the source; zero the
             // accounting so the run's counters start at cycle 0 and results
@@ -648,16 +695,11 @@ impl SimulationBuilder {
                 src.set_stats(crisp_trace::TraceStats::default());
             }
         }
-        let cfg = self.gpu.unwrap_or_else(GpuConfig::jetson_orin);
-        // Placement is checked whether or not pre-flight runs: the
-        // dispatcher relies on every CTA fitting an empty SM, and the
-        // check reads only the source's directory metadata.
-        if let Some(message) = source
-            .as_ref()
-            .and_then(|src| crate::gpu::unplaceable_kernel(src, &cfg))
-        {
-            return Err(SimError::InvalidConfig { message });
-        }
+        // Construction is pre-flight work on the host clock.
+        let t0 = host.as_deref_mut().map(|h| {
+            set_alloc_phase(HostPhase::Preflight);
+            h.elapsed_ns()
+        });
         let mut spec = self.partition.unwrap_or_else(PartitionSpec::greedy);
         if let Some(l2) = self.l2 {
             spec.l2 = l2;
@@ -690,6 +732,9 @@ impl SimulationBuilder {
         sim.residency_telemetry = self.telemetry.contains(Telemetry::RESIDENCY);
         if let Some(src) = source {
             sim.attach(src);
+        }
+        if let (Some(t0), Some(h)) = (t0, host.as_deref_mut()) {
+            h.span_end(HostPhase::Preflight, "construct", t0);
         }
         if let Some(label) = self.fast_forward_to {
             let t0 = host.as_deref_mut().map(|h| {

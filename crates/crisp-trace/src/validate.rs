@@ -26,7 +26,7 @@ use std::fmt;
 use crate::isa::{Op, Space, WARP_SIZE};
 use crate::kernel::{CtaTrace, KernelTrace};
 use crate::source::{CommandMeta, KernelId, KernelInfo, TraceSource};
-use crate::stream::{Command, StreamId, TraceBundle};
+use crate::stream::{StreamId, TraceBundle};
 
 /// Number of architectural registers the timing model's scoreboard tracks
 /// per warp. The scoreboard in `crisp-sm` is a `u128` bitmask, so register
@@ -260,50 +260,20 @@ impl Lint {
 /// Validate a whole bundle. Returns every defect found (not just the
 /// first), so a report names all problems of a bad trace at once; an empty
 /// `Ok(())` means the bundle satisfies every invariant the timing model
-/// relies on.
+/// relies on. This is [`validate_source`] over
+/// [`TraceSource::from_bundle`]; the clone only bumps the CTAs' `Arc`
+/// counts.
 ///
 /// # Errors
 ///
 /// Returns the full list of [`TraceError`]s when any check fails.
 pub fn validate_bundle(bundle: &TraceBundle) -> Result<(), Vec<TraceError>> {
-    let mut lint = Lint {
-        errors: Vec::new(),
-        site: TraceErrorSite::default(),
-    };
-
-    let mut seen: Vec<StreamId> = Vec::new();
-    for s in &bundle.streams {
-        lint.site = TraceErrorSite {
-            stream: Some(s.id),
-            ..Default::default()
-        };
-        if seen.contains(&s.id) {
-            lint.push(TraceErrorKind::DuplicateStreamId);
-        }
-        seen.push(s.id);
-        for cmd in &s.commands {
-            match cmd {
-                Command::Marker(label) => {
-                    if label.is_empty() {
-                        lint.push(TraceErrorKind::EmptyMarkerLabel);
-                    }
-                }
-                Command::Launch(k) => validate_kernel_into(k, &mut lint),
-            }
-        }
-    }
-
-    if lint.errors.is_empty() {
-        Ok(())
-    } else {
-        Err(lint.errors)
-    }
+    validate_source(&mut TraceSource::from_bundle(bundle.clone()))
 }
 
 /// Validate a [`TraceSource`] incrementally: CTAs are paged in one at a
 /// time (and released again on streaming sources), so a bundle far larger
-/// than RAM lints in bounded memory. The checks and the resulting error
-/// list are identical to [`validate_bundle`] over the materialized bundle.
+/// than RAM lints in bounded memory.
 ///
 /// # Errors
 ///
@@ -330,42 +300,42 @@ pub fn validate_source_from(
         errors: Vec::new(),
         site: TraceErrorSite::default(),
     };
-    let metas = src.streams().to_vec();
     let mut seen: Vec<StreamId> = Vec::new();
-    for s in &metas {
+    for si in 0..src.streams().len() {
+        let id = src.streams()[si].id;
         lint.site = TraceErrorSite {
-            stream: Some(s.id),
+            stream: Some(id),
             ..Default::default()
         };
-        if seen.contains(&s.id) {
+        if seen.contains(&id) {
             lint.push(TraceErrorKind::DuplicateStreamId);
         }
-        seen.push(s.id);
-        for cmd in s.commands.iter().skip(first(s.id)) {
-            match cmd {
+        seen.push(id);
+        for ci in first(id)..src.streams()[si].commands.len() {
+            let (kernel, info) = match &src.streams()[si].commands[ci] {
                 CommandMeta::Marker(label) => {
                     if label.is_empty() {
                         lint.push(TraceErrorKind::EmptyMarkerLabel);
                     }
+                    continue;
                 }
-                CommandMeta::Launch { kernel, info } => {
-                    // A kernel that fails to page in reports only the I/O
-                    // error, as if it had been materialized whole.
-                    let mut kernel_lint = Lint {
-                        errors: Vec::new(),
-                        site: lint.site.clone(),
-                    };
-                    match validate_source_kernel(src, *kernel, info, &mut kernel_lint) {
-                        Ok(()) => lint.errors.append(&mut kernel_lint.errors),
-                        Err(e) => {
-                            lint.site.kernel = Some(info.name.clone());
-                            lint.push(TraceErrorKind::Semantic {
-                                code: "trace-io".into(),
-                                message: e.to_string(),
-                            });
-                            lint.site.kernel = None;
-                        }
-                    }
+                CommandMeta::Launch { kernel, info } => (*kernel, info.clone()),
+            };
+            // A kernel that fails to page in reports only the I/O error, as
+            // if it had been materialized whole.
+            let mut kernel_lint = Lint {
+                errors: Vec::new(),
+                site: lint.site.clone(),
+            };
+            match validate_source_kernel(src, kernel, &info, &mut kernel_lint) {
+                Ok(()) => lint.errors.append(&mut kernel_lint.errors),
+                Err(e) => {
+                    lint.site.kernel = Some(info.name.clone());
+                    lint.push(TraceErrorKind::Semantic {
+                        code: "trace-io".into(),
+                        message: e.to_string(),
+                    });
+                    lint.site.kernel = None;
                 }
             }
         }
@@ -413,30 +383,20 @@ pub fn validate_kernel(k: &KernelTrace) -> Result<(), Vec<TraceError>> {
         errors: Vec::new(),
         site: TraceErrorSite::default(),
     };
-    validate_kernel_into(k, &mut lint);
+    let max_warps = k.warps_per_cta() as usize;
+    for (ci, cta) in k.ctas.iter().enumerate() {
+        lint.site = TraceErrorSite {
+            kernel: Some(k.name.clone()),
+            cta: Some(ci),
+            ..Default::default()
+        };
+        validate_cta_of_kernel(cta, max_warps, &mut lint);
+    }
     if lint.errors.is_empty() {
         Ok(())
     } else {
         Err(lint.errors)
     }
-}
-
-fn validate_kernel_into(k: &KernelTrace, lint: &mut Lint) {
-    let stream = lint.site.stream;
-    let max_warps = k.warps_per_cta() as usize;
-    for (ci, cta) in k.ctas.iter().enumerate() {
-        lint.site = TraceErrorSite {
-            stream,
-            kernel: Some(k.name.clone()),
-            cta: Some(ci),
-            ..Default::default()
-        };
-        validate_cta_of_kernel(cta, max_warps, lint);
-    }
-    lint.site = TraceErrorSite {
-        stream,
-        ..Default::default()
-    };
 }
 
 /// The checks on one CTA of a kernel whose CTAs hold at most `max_warps`.

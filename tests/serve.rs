@@ -1226,6 +1226,76 @@ fn barrier_divergence_is_rejected_at_submit_not_by_the_watchdog() {
     );
 }
 
+/// One warp loading `kib` KiB of distinct `class` lines from `base`.
+fn footprint_kernel(name: &str, class: DataClass, base: u64, kib: u64) -> KernelTrace {
+    let space = if class == DataClass::Texture {
+        Space::Tex
+    } else {
+        Space::Global
+    };
+    let mut w = WarpTrace::new();
+    w.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
+    for line in 0..kib * 8 {
+        let m = MemAccess::coalesced(space, class, 4, base + line * 128, 32);
+        w.push(Instr::load(Reg(1), m));
+    }
+    w.seal();
+    KernelTrace::new(name, 32, 8, 0, vec![CtaTrace::new(vec![w])])
+}
+
+#[test]
+fn admission_gauge_carries_the_analyzers_interference_score() {
+    // Two streams of 96 KiB each: either fits test-tiny's 128 KiB L2 alone,
+    // together they collide in it.
+    let mut g = Stream::new(S, StreamKind::Graphics);
+    g.launch(footprint_kernel(
+        "draw",
+        DataClass::Texture,
+        0x1000_0000,
+        96,
+    ));
+    let mut c = Stream::new(StreamId(1), StreamKind::Compute);
+    c.launch(footprint_kernel(
+        "gemm",
+        DataClass::Compute,
+        0x2000_0000,
+        96,
+    ));
+    let bytes = bundle_bytes(&TraceBundle::from_streams(vec![g, c]));
+
+    let l2_bytes = GpuConfig::test_tiny().l2_bytes;
+    let cfg = crisp_analyze::AnalysisConfig {
+        interference: Some(crisp_analyze::InterferenceSpec::shared(l2_bytes)),
+        ..Default::default()
+    };
+    let mut src = crisp_trace::TraceInput::reader(std::io::Cursor::new(bytes.clone()))
+        .open()
+        .expect("open container");
+    let score = crisp_analyze::analyze_source(&mut src, &cfg)
+        .expect("analyze")
+        .interference
+        .expect("interference pass ran");
+    assert!(score > 1.0, "the streams collide: {score}");
+
+    let server = Server::start(config("interference", 1, 2_000)).expect("start daemon");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let job = client
+        .submit(&spec("gauge", "collide", 1, bytes))
+        .expect("a colliding job only warns");
+    let json = client.metrics_json().expect("metrics");
+    let gauge = format!(
+        "{{\"name\":\"serve/admission_interference\",\"labels\":{{\"tenant\":\"gauge\"}},\
+         \"type\":\"gauge\",\"value\":{score:?}}}"
+    );
+    assert!(json.contains(&gauge), "expected {gauge} in {json}");
+    assert_eq!(
+        client.wait(job, 120_000).expect("wait").state,
+        JobState::Completed
+    );
+    client.shutdown(false).expect("shutdown");
+    server.join();
+}
+
 // --------------------------------------------------------------------------
 // Satellite: ENOSPC degradation is no longer sticky for the daemon's
 // lifetime — a cooldown-gated probe write un-degrades the spool once the
