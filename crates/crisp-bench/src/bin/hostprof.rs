@@ -124,7 +124,7 @@ fn main() {
          \"cycles_per_sec\": {cps:.1},\n\"instrs_per_sec\": {ips:.1},\n\
          \"coverage\": {cov:.4},\n\"allocs_per_cycle\": {apc:.4},\n\
          \"alloc_total\": {alloc_count},\n\"alloc_bytes\": {alloc_bytes},\n\
-         \"sm_sleep_frac\": {sleep:.4},\n\"heartbeats\": {hb},\n\
+         \"sm_sleep_frac\": {sleep:.4},\n\"gpu_idle_frac\": {idle:.4},\n\"heartbeats\": {hb},\n\
          \"frontend_s\": {frontend_s:.4},\n\"frontend_allocs_per_instr\": {frontend_api:.4},\n\
          \"driver_phase_ns\": {{{phases}}}\n}}\n",
         cycles = prof.cycles,
@@ -135,6 +135,7 @@ fn main() {
         cov = prof.coverage(),
         apc = prof.allocs_per_cycle(),
         sleep = prof.sm_sleep_frac(),
+        idle = prof.gpu_idle_frac(),
         hb = prof.heartbeats.len(),
     );
     crisp_obs::json::validate(&json).expect("BENCH_host.json is valid JSON");
@@ -168,6 +169,11 @@ fn main() {
         std::process::exit(1);
     }
     println!("{:.1}% of busy SM-cycles slept", sleep * 100.0);
+    // Reported, not gated: the cycles a jump to the next event could skip.
+    println!(
+        "{:.1}% of cycles had no SM tick",
+        prof.gpu_idle_frac() * 100.0
+    );
 }
 
 /// The smallest `sm_sleep_frac` the profiled workload may report.

@@ -204,6 +204,8 @@ pub struct HostProfiler {
     last_hb: Option<(MetricsSnapshot, u64)>,
     sm_ticked: u64,
     sm_slept: u64,
+    gpu_cycles: u64,
+    gpu_idle: u64,
 }
 
 impl HostProfiler {
@@ -223,6 +225,8 @@ impl HostProfiler {
             last_hb: None,
             sm_ticked: 0,
             sm_slept: 0,
+            gpu_cycles: 0,
+            gpu_idle: 0,
         }
     }
 
@@ -244,12 +248,15 @@ impl HostProfiler {
         self.driver.add(phase, ns);
     }
 
-    /// Count SM-cycles of busy SMs: `ticked` ran in full, `slept` only
-    /// re-counted their last stall classification.
+    /// Count one simulated cycle's SM-cycles of busy SMs: `ticked` ran in
+    /// full, `slept` only re-counted their last stall classification. A
+    /// cycle in which no SM ticked is a whole-GPU idle cycle.
     #[inline]
     pub fn add_sm_cycles(&mut self, ticked: u64, slept: u64) {
         self.sm_ticked += ticked;
         self.sm_slept += slept;
+        self.gpu_cycles += 1;
+        self.gpu_idle += u64::from(ticked == 0);
     }
 
     /// Close a top-level span opened at `start_ns` (from [`elapsed_ns`]):
@@ -327,6 +334,8 @@ impl HostProfiler {
             alloc,
             sm_ticked: self.sm_ticked,
             sm_slept: self.sm_slept,
+            gpu_cycles: self.gpu_cycles,
+            gpu_idle: self.gpu_idle,
         }
     }
 }
@@ -357,6 +366,12 @@ pub struct HostProfile {
     /// SM-cycles of busy SMs slept through: nothing could change, so only
     /// the last stall classification was re-counted.
     pub sm_slept: u64,
+    /// Cycles the cycle loop ran.
+    pub gpu_cycles: u64,
+    /// Of [`gpu_cycles`](Self::gpu_cycles), those in which no SM ticked
+    /// (every SM idle or asleep): the cycles a loop that jumps to the next
+    /// event could skip.
+    pub gpu_idle: u64,
 }
 
 impl HostProfile {
@@ -390,6 +405,16 @@ impl HostProfile {
             0.0
         } else {
             self.sm_slept as f64 / total as f64
+        }
+    }
+
+    /// Fraction of the loop's cycles in which no SM ticked (0 when none
+    /// ran).
+    pub fn gpu_idle_frac(&self) -> f64 {
+        if self.gpu_cycles == 0 {
+            0.0
+        } else {
+            self.gpu_idle as f64 / self.gpu_cycles as f64
         }
     }
 
@@ -442,6 +467,13 @@ impl HostProfile {
             self.sm_ticked,
             self.sm_slept,
             self.sm_sleep_frac(),
+        );
+        let _ = writeln!(
+            out,
+            "gpu-cycles: {} of {} with no SM ticked (gpu_idle_frac {:.4})",
+            self.gpu_idle,
+            self.gpu_cycles,
+            self.gpu_idle_frac(),
         );
 
         if let Some(hb) = self.heartbeats.last() {
@@ -627,6 +659,21 @@ mod tests {
             .report()
             .contains("30 ticked, 20 slept (sm_sleep_frac 0.4000)"));
         assert_eq!(HostProfiler::new(0).finish(1, 0, None).sm_sleep_frac(), 0.0);
+    }
+
+    #[test]
+    fn cycles_with_no_sm_ticked_give_the_gpu_idle_fraction() {
+        let mut p = HostProfiler::new(0);
+        for (ticked, slept) in [(2, 1), (0, 3), (1, 0), (0, 0)] {
+            p.add_sm_cycles(ticked, slept);
+        }
+        let prof = p.finish(4, 0, None);
+        assert_eq!((prof.gpu_idle, prof.gpu_cycles), (2, 4));
+        assert!((prof.gpu_idle_frac() - 0.5).abs() < 1e-12);
+        assert!(prof
+            .report()
+            .contains("gpu-cycles: 2 of 4 with no SM ticked (gpu_idle_frac 0.5000)"));
+        assert_eq!(HostProfiler::new(0).finish(1, 0, None).gpu_idle_frac(), 0.0);
     }
 
     #[test]

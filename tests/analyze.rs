@@ -5,12 +5,14 @@
 //! fixture proves that first — and only the semantic pass catches them.
 
 use crisp_analyze::{
-    analyze_bundle, analyze_kernel, AnalysisConfig, InterferenceSpec, LintCode, Severity,
+    analyze_bundle, analyze_kernel, analyze_source_at, AnalysisConfig, InterferenceSpec, LintCode,
+    LintLevel, Severity,
 };
 use crisp_bench::{corpus_lint_config, frontend_corpus};
+use crisp_sim::{SimError, Simulation};
 use crisp_trace::{
     validate_bundle, validate_kernel, CtaTrace, DataClass, Instr, KernelTrace, MemAccess, Op, Reg,
-    Space, Stream, StreamId, StreamKind, TraceBundle, WarpTrace, WARP_SIZE,
+    Space, Stream, StreamId, StreamKind, TraceBundle, TraceSource, WarpTrace, WARP_SIZE,
 };
 
 fn kernel_of(warps: Vec<WarpTrace>) -> KernelTrace {
@@ -476,4 +478,156 @@ fn corpus_allow_entry_is_load_bearing() {
             .any(|d| d.code == LintCode::GlobalWriteOverlap),
         "allow entry failed to suppress the audited overlap"
     );
+}
+
+/// Every error the level-aware walk must still find, seeded into one
+/// structurally valid two-stream bundle: a shared write-write race, a
+/// use-before-def and a named-barrier wedge (errors by default), plus an
+/// uncoalesced gather, cross-CTA global overlaps in a `reduce` and a
+/// non-`reduce` kernel, and a 96 + 96 KiB footprint collision (warnings
+/// that a `deny` entry promotes).
+fn seeded_error_bundle() -> TraceBundle {
+    let named = |name: &str, ctas: Vec<CtaTrace>| {
+        let threads = ctas[0].warp_count() as u32 * WARP_SIZE as u32;
+        KernelTrace::new(name, threads, 16, 4096, ctas)
+    };
+    let sealed = |instrs: Vec<Instr>| {
+        let mut w = WarpTrace::new();
+        w.extend(instrs);
+        w.seal();
+        w
+    };
+    let racer = || {
+        sealed(vec![
+            Instr::load(Reg(1), global(0x1000)),
+            Instr::store(Reg(1), shared(0)),
+        ])
+    };
+    let undefined = sealed(vec![
+        Instr::load(Reg(1), global(0x1000)),
+        Instr::alu(Op::FpFma, Reg(3), &[Reg(1), Reg(9)]),
+        Instr::store(Reg(3), global(0x2000)),
+    ]);
+    let lines: Vec<u64> = (0..WARP_SIZE as u64)
+        .map(|l| 0x4000_0000 + l * 128)
+        .collect();
+    let gather = sealed(vec![
+        Instr::load(
+            Reg(1),
+            MemAccess::scattered(Space::Global, DataClass::Compute, 4, lines),
+        ),
+        Instr::store(Reg(1), global(0x3000)),
+    ]);
+    let overlapping = |name: &str, out: u64| {
+        let cta = || {
+            CtaTrace::new(vec![sealed(vec![
+                Instr::load(Reg(1), global(0x1000)),
+                Instr::store(Reg(1), global(out)),
+            ])])
+        };
+        named(name, vec![cta(), cta()])
+    };
+
+    let mut g = Stream::new(StreamId(0), StreamKind::Graphics);
+    g.launch(touch_kernel(
+        "draw",
+        DataClass::Texture,
+        0x1000_0000,
+        96 << 10,
+    ));
+    let mut c = Stream::new(StreamId(1), StreamKind::Compute);
+    c.launch(named("race", vec![CtaTrace::new(vec![racer(), racer()])]));
+    c.launch(named("undefined", vec![CtaTrace::new(vec![undefined])]));
+    c.launch(split_slot_kernel());
+    c.launch(named("gather", vec![CtaTrace::new(vec![gather])]));
+    c.launch(overlapping("reduce_sum", 0x9000));
+    c.launch(overlapping("scatter_out", 0xa000));
+    c.launch(touch_kernel(
+        "gemm",
+        DataClass::Compute,
+        0x2000_0000,
+        96 << 10,
+    ));
+    TraceBundle::from_streams(vec![g, c])
+}
+
+#[test]
+fn errors_walk_finds_exactly_the_full_reports_errors() {
+    let mut traces = frontend_corpus();
+    traces.push(("seeded".into(), seeded_error_bundle()));
+    for (name, b) in &traces {
+        validate_bundle(b).unwrap_or_else(|e| panic!("{name}: {}", e[0]));
+    }
+    let collision = {
+        let mut cfg = AnalysisConfig::new().deny(LintCode::InterferenceFootprintCollision);
+        cfg.interference = Some(InterferenceSpec::shared(128 << 10));
+        cfg
+    };
+    // (config, the error codes the seeded bundle must yield under it).
+    let defaults = [
+        LintCode::SharedWriteWrite,
+        LintCode::UseBeforeDef,
+        LintCode::CfgBarrierDivergence,
+    ];
+    let cases = [
+        ("default", AnalysisConfig::new(), &defaults[..]),
+        (
+            "deny uncoalesced",
+            AnalysisConfig::new().deny(LintCode::Uncoalesced),
+            &[LintCode::Uncoalesced][..],
+        ),
+        (
+            "deny overlap, allow reduce",
+            AnalysisConfig::new()
+                .deny(LintCode::GlobalWriteOverlap)
+                .allow_in(LintCode::GlobalWriteOverlap, "reduce"),
+            &[LintCode::GlobalWriteOverlap][..],
+        ),
+        (
+            "deny collision, shared L2",
+            collision,
+            &[LintCode::InterferenceFootprintCollision][..],
+        ),
+    ];
+    for (cname, cfg, seeded_codes) in &cases {
+        for (name, b) in &traces {
+            let full = analyze_bundle(b, cfg);
+            let errors: Vec<_> = full.errors().cloned().collect();
+            let mut src = TraceSource::from_bundle(b.clone());
+            let trimmed = analyze_source_at(&mut src, cfg, LintLevel::Errors).unwrap();
+            assert_eq!(trimmed.diagnostics, errors, "{name} under {cname}");
+            assert!(trimmed.stats.is_empty(), "{name} under {cname}");
+            assert_eq!(trimmed.interference, None, "{name} under {cname}");
+
+            // The build lints with the trimmed walk; its verdict is the
+            // full report's errors.
+            let built = Simulation::builder()
+                .trace(b.clone())
+                .analyze(LintLevel::Errors)
+                .analyze_config(cfg.clone())
+                .try_build();
+            match built {
+                Ok(_) => assert!(errors.is_empty(), "{name} under {cname}: {errors:?}"),
+                Err(SimError::InvalidTrace { errors: got }) => {
+                    assert_eq!(got, full.to_trace_errors(), "{name} under {cname}")
+                }
+                Err(e) => panic!("{name} under {cname}: {e}"),
+            }
+
+            if name == "seeded" {
+                for code in *seeded_codes {
+                    assert!(
+                        errors.iter().any(|d| d.code == *code),
+                        "{cname}: no {code:?} error in {errors:?}"
+                    );
+                }
+                assert!(
+                    errors
+                        .iter()
+                        .all(|d| !d.site.kernel.as_deref().unwrap().contains("reduce")),
+                    "{cname}: the allow entry must hold: {errors:?}"
+                );
+            }
+        }
+    }
 }
