@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use crisp_trace::{
-    AddrHashSet, DataClass, KernelTrace, StreamId, StreamKind, TraceErrorSite, SECTOR_BYTES,
+    AddrHashSet, DataClass, StreamId, StreamKind, TraceErrorSite, WalkStep, SECTOR_BYTES,
 };
 
 use crate::config::AnalysisConfig;
@@ -165,15 +165,15 @@ impl InterferenceAcc {
         })
     }
 
-    /// A `Marker` command: the stream enters its next phase.
-    pub(crate) fn on_marker(&mut self, id: StreamId, kind: StreamKind) {
-        self.stream(id, kind).cursor += 1;
-    }
-
-    /// A kernel launch: fold its cached-space footprint into the stream's
-    /// current phase.
-    pub(crate) fn on_kernel(&mut self, id: StreamId, kind: StreamKind, k: &KernelTrace) {
+    /// One step of the walk: a `Marker` command moves the stream into its
+    /// next phase; a kernel launch folds its cached-space footprint into
+    /// the stream's current phase.
+    pub(crate) fn on_step(&mut self, id: StreamId, kind: StreamKind, step: WalkStep<'_>) {
         let s = self.stream(id, kind);
+        let WalkStep::Kernel(k) = step else {
+            s.cursor += 1;
+            return;
+        };
         let phase = s.cursor;
         while s.phases.len() <= phase {
             s.phases.push(PhaseFootprint::default());
@@ -402,7 +402,9 @@ fn fmt_kib(bytes: u64) -> String {
 mod tests {
     use super::*;
     use crate::{analyze_bundle, AnalysisConfig};
-    use crisp_trace::{CtaTrace, Instr, MemAccess, Reg, Space, Stream, TraceBundle, WarpTrace};
+    use crisp_trace::{
+        CtaTrace, Instr, KernelTrace, MemAccess, Reg, Space, Stream, TraceBundle, WarpTrace,
+    };
 
     const KIB: u64 = 1024;
 

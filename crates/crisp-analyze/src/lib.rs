@@ -33,6 +33,10 @@
 //! builder's `.analyze(LintLevel)` hook folds error findings into its
 //! preflight failure path.
 //!
+//! Analysis rides the structural validator's walk
+//! ([`crisp_trace::validate_source_from`]): each kernel is paged in once,
+//! validated, and analyzed only if it validated clean, so a trace with a
+//! structural defect yields the validator's errors and never a finding.
 //! The walk computes only what its caller keeps: [`analyze_source`] is the
 //! full report, and [`analyze_source_at`] at [`LintLevel::Errors`] returns
 //! just the error findings; with no `deny` entry it runs only the checks
@@ -76,35 +80,41 @@ pub use diag::{Diagnostic, LintCode, Severity};
 pub use interference::{InterferenceSpec, L2Share};
 pub use report::{sarif_document, AnalysisReport, ClassLines, KernelStats};
 
-use crisp_trace::{CommandMeta, DataClass, KernelTrace, StreamId, TraceBundle, TraceSource};
+use crisp_trace::{
+    DataClass, KernelTrace, StreamId, TraceBundle, TraceError, TraceSource, WalkStep,
+};
 
 /// Analyze every kernel of `bundle` and return the combined, site-sorted
-/// report. This is [`analyze_source`] over [`TraceSource::from_bundle`];
-/// the clone only bumps the CTAs' `Arc` counts.
+/// report: [`analyze_source`] over [`TraceSource::from_bundle`] (the clone
+/// only bumps the CTAs' `Arc` counts). A structurally unsound bundle does
+/// not panic: the report covers the kernels that validated.
 pub fn analyze_bundle(bundle: &TraceBundle, cfg: &AnalysisConfig) -> AnalysisReport {
-    analyze_source(&mut TraceSource::from_bundle(bundle.clone()), cfg)
-        .expect("an in-memory source pages without I/O")
+    let mut src = TraceSource::from_bundle(bundle.clone());
+    walk(&mut src, cfg, LintLevel::Deny).0
 }
 
-/// Analyze every kernel reachable through a [`TraceSource`], materializing
-/// one kernel at a time (and releasing its CTAs again on streaming
-/// sources), so a bundle far larger than RAM is analyzed in bounded
-/// memory. Kernels are processed in directory order: streams in stored
-/// order, commands in stream order. This is the full report:
-/// [`analyze_source_at`] at [`LintLevel::Deny`].
+/// Validate and analyze every kernel reachable through a [`TraceSource`]
+/// in one walk ([`crisp_trace::validate_source_from`]), materializing one
+/// kernel at a time (and releasing its CTAs again on streaming sources),
+/// so a bundle far larger than RAM is analyzed in bounded memory. Kernels
+/// are processed in directory order: streams in stored order, commands in
+/// stream order. This is the full report: [`analyze_source_at`] at
+/// [`LintLevel::Deny`].
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from paging kernels in (a corrupt container
-/// already fails at [`TraceInput::open`](crisp_trace::TraceInput::open)).
+/// The validator's errors, which win over any finding; a kernel that
+/// fails to page in is a `trace-io` error (a corrupt container already
+/// fails at [`TraceInput::open`](crisp_trace::TraceInput::open)).
 pub fn analyze_source(
     src: &mut TraceSource,
     cfg: &AnalysisConfig,
-) -> std::io::Result<AnalysisReport> {
+) -> Result<AnalysisReport, Vec<TraceError>> {
     analyze_source_at(src, cfg, LintLevel::Deny)
 }
 
-/// The analyzer walk behind [`analyze_source`], computing only what a
+/// The pre-flight behind [`analyze_source`]: one walk that validates each
+/// kernel and analyzes it while it is paged in, computing only what a
 /// caller at `level` keeps.
 ///
 /// At [`LintLevel::Deny`] this is the full report. At
@@ -119,8 +129,8 @@ pub fn analyze_source(
 /// interference passes, the cross-CTA global-overlap walk, dead-write,
 /// redundant-load and liveness tracking, and the loop and divergence
 /// heuristics. With a `deny` entry it runs the full walk and keeps the
-/// errors. At [`LintLevel::Off`] the report is empty and no kernel is
-/// paged in.
+/// errors. At [`LintLevel::Off`] the walk only validates and the report is
+/// empty.
 ///
 /// # Errors
 ///
@@ -129,10 +139,21 @@ pub fn analyze_source_at(
     src: &mut TraceSource,
     cfg: &AnalysisConfig,
     level: LintLevel,
-) -> std::io::Result<AnalysisReport> {
+) -> Result<AnalysisReport, Vec<TraceError>> {
+    let (report, validated) = walk(src, cfg, level);
+    validated.map(|()| report)
+}
+
+/// The report over the kernels of `src` that validated, and the
+/// validator's verdict.
+fn walk(
+    src: &mut TraceSource,
+    cfg: &AnalysisConfig,
+    level: LintLevel,
+) -> (AnalysisReport, Result<(), Vec<TraceError>>) {
     let mut out = AnalysisReport::default();
     if level == LintLevel::Off {
-        return Ok(out);
+        return (out, crisp_trace::validate_source(src));
     }
     // Without a deny entry only the default-error codes reach `Errors`.
     let trimmed = level == LintLevel::Errors && cfg.denies.is_empty();
@@ -141,24 +162,20 @@ pub fn analyze_source_at(
         .as_ref()
         .filter(|_| !trimmed)
         .map(|_| interference::InterferenceAcc::default());
-    for si in 0..src.streams().len() {
-        let (id, kind) = (src.streams()[si].id, src.streams()[si].kind);
-        for ci in 0..src.streams()[si].commands.len() {
-            let CommandMeta::Launch { kernel, .. } = src.streams()[si].commands[ci] else {
-                if let Some(acc) = acc.as_mut() {
-                    acc.on_marker(id, kind);
-                }
-                continue;
-            };
-            let k = src.materialize_kernel(kernel)?;
+    let validated = crisp_trace::validate_source_from(
+        src,
+        |_| 0,
+        |id, kind, step| {
             if let Some(acc) = acc.as_mut() {
-                acc.on_kernel(id, kind, &k);
+                acc.on_step(id, kind, step);
             }
-            let (diags, stats) = analyze_one(Some(id), &k, cfg, trimmed);
-            out.diagnostics.extend(diags);
-            out.stats.extend(stats);
-        }
-    }
+            if let WalkStep::Kernel(k) = step {
+                let (diags, stats) = analyze_one(Some(id), k, cfg, trimmed);
+                out.diagnostics.extend(diags);
+                out.stats.extend(stats);
+            }
+        },
+    );
     if let (Some(acc), Some(spec)) = (&acc, &cfg.interference) {
         out.interference = Some(acc.finish(spec, cfg, &mut out.diagnostics));
     }
@@ -168,7 +185,7 @@ pub fn analyze_source_at(
         out.interference = None;
     }
     out.diagnostics.sort_by_key(|a| a.sort_key());
-    Ok(out)
+    (out, validated)
 }
 
 /// Analyze a single kernel outside any bundle context (sites carry no

@@ -12,10 +12,11 @@
 //! [`crisp_bench::corpus_lint_config`]; with explicit paths it opens
 //! `.crsp` files as streaming sources — the validator and the analyzer
 //! demand-page one kernel at a time, so linting a container much larger
-//! than RAM works — and starts from an empty config. Every source first
-//! goes through the structural validator ([`crisp_trace::validate_source`],
-//! the simulator's pre-flight check); a trace with structural errors exits
-//! 1 before it is analyzed.
+//! than RAM works — and starts from an empty config. The analyzer rides
+//! the structural validator's walk ([`crisp_trace::validate_source_from`],
+//! the simulator's pre-flight check), so each kernel is paged in once; a
+//! trace with structural errors (an unreadable kernel among them) exits 1
+//! before any report is written.
 //! `--allow race/global-write-overlap@my_kernel` appends further allow
 //! entries; `--deny errors` (the CI `lint-smoke` mode) exits non-zero when
 //! any error-severity diagnostic survives, `--deny warnings` when anything
@@ -163,19 +164,15 @@ fn main() -> ExitCode {
     let mut text = String::new();
     let mut analysis_time = std::time::Duration::ZERO;
     for (name, src) in &mut sources {
-        if let Err(errs) = crisp_trace::validate_source(src) {
-            eprintln!("lint: {name}: {} structural errors:", errs.len());
-            for e in &errs {
-                eprintln!("  {e}");
-            }
-            return ExitCode::from(1);
-        }
         let t0 = std::time::Instant::now();
         let report = match analyze_source(src, &cfg) {
             Ok(r) => r,
-            Err(e) => {
-                eprintln!("lint: {name}: read failed mid-stream: {e}");
-                return ExitCode::from(2);
+            Err(errs) => {
+                eprintln!("lint: {name}: {} structural errors:", errs.len());
+                for e in &errs {
+                    eprintln!("  {e}");
+                }
+                return ExitCode::from(1);
             }
         };
         analysis_time += t0.elapsed();

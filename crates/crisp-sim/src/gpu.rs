@@ -1888,7 +1888,7 @@ impl GpuSim {
                         s.next_cmd.saturating_sub(usize::from(s.current.is_some()))
                     })
             };
-            let errors = crisp_trace::validate_source_from(src, first)
+            let errors = crisp_trace::validate_source_from(src, first, |_, _, _| {})
                 .err()
                 .unwrap_or_default();
             if let Some(e) = errors.iter().find(|e| !e.kind.only_stalls()) {

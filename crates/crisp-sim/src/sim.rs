@@ -344,9 +344,10 @@ impl SimulationBuilder {
     }
 
     /// Run `crisp-analyze` static analysis over the trace during
-    /// pre-flight (default: [`LintLevel::Off`]). The analysis streams
-    /// kernel-by-kernel over the same [`TraceSource`] the simulation will
-    /// use, so it stays within the paging window. With
+    /// pre-flight (default: [`LintLevel::Off`]). The analysis rides the
+    /// validator's walk: each kernel is paged in once from the same
+    /// [`TraceSource`] the simulation will use, validated, then linted, so
+    /// it stays within the paging window. With
     /// [`LintLevel::Errors`], error-severity findings (shared-memory
     /// races, use-before-def) fail the build as
     /// [`SimError::InvalidTrace`]; with [`LintLevel::Deny`], warnings fail
@@ -415,14 +416,16 @@ impl SimulationBuilder {
         self
     }
 
-    /// The trace pre-flight, the one way a trace is admitted: structural
-    /// validation ([`crisp_trace::validate_source`], one streaming pass
-    /// with a bounded resident window), the placement check (every CTA
-    /// fits an empty SM of the configured GPU), then static analysis at
-    /// the [`analyze`](Self::analyze) level. A configured L2 policy opts
-    /// the analysis into the cross-stream interference pass, scored against
-    /// this GPU's L2. [`try_build`](Self::try_build) runs it; a job queue
-    /// runs it at admission on a builder configured like the job's.
+    /// The trace pre-flight, the one way a trace is admitted: one walk
+    /// over the trace ([`crisp_analyze::analyze_source_at`] driving
+    /// [`crisp_trace::validate_source_from`]) that pages each kernel in
+    /// once, validates its structure and, at the
+    /// [`analyze`](Self::analyze) level, lints it; then the placement
+    /// check (every CTA fits an empty SM of the configured GPU) and the
+    /// lint verdict. A configured L2 policy opts the analysis into the
+    /// cross-stream interference pass, scored against this GPU's L2.
+    /// [`try_build`](Self::try_build) runs it; a job queue runs it at
+    /// admission on a builder configured like the job's.
     ///
     /// Returns the full lint report (every finding, the per-kernel stats
     /// and the interference score) whatever the level, or `None` at
@@ -430,16 +433,18 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidTrace`] when the trace fails validation or lint
-    /// at the configured level, [`SimError::InvalidConfig`] when a kernel
-    /// can never be placed, [`SimError::TraceIo`] when analysis cannot
-    /// page a kernel in.
+    /// In this order: [`SimError::InvalidTrace`] with the structural
+    /// errors when the trace fails validation (a kernel that cannot be
+    /// paged in is a `trace-io` error), [`SimError::InvalidConfig`] when a
+    /// kernel can never be placed, then [`SimError::InvalidTrace`] with
+    /// the findings when lint fails at the configured level.
     pub fn check(&self, src: &mut TraceSource) -> Result<Option<AnalysisReport>, SimError> {
         self.check_timed(src, None, LintLevel::Deny)
     }
 
-    /// [`check`](Self::check), attributing validation and analysis to
-    /// their host-profile phases. The analyzer computes what `walk` keeps
+    /// [`check`](Self::check), attributing the walk to its host-profile
+    /// phase: `analyze` when the builder lints, `preflight` otherwise. The
+    /// analyzer computes what `walk` keeps
     /// ([`crisp_analyze::analyze_source_at`]): [`LintLevel::Deny`] for the
     /// full report, the builder's own level when only the verdict is read.
     fn check_timed(
@@ -449,22 +454,12 @@ impl SimulationBuilder {
         walk: LintLevel,
     ) -> Result<Option<AnalysisReport>, SimError> {
         let cfg = self.gpu_config();
+        let (walk, phase, span) = match self.analyze {
+            LintLevel::Off => (LintLevel::Off, HostPhase::Preflight, "validate trace"),
+            _ => (walk, HostPhase::Analyze, "static analysis"),
+        };
         let t0 = host.as_deref_mut().map(|h| {
-            set_alloc_phase(HostPhase::Preflight);
-            h.elapsed_ns()
-        });
-        crisp_trace::validate_source(src)?;
-        if let Some(message) = crate::gpu::unplaceable_kernel(src, &cfg) {
-            return Err(SimError::InvalidConfig { message });
-        }
-        if let (Some(t0), Some(h)) = (t0, host.as_deref_mut()) {
-            h.span_end(HostPhase::Preflight, "validate trace", t0);
-        }
-        if self.analyze == LintLevel::Off {
-            return Ok(None);
-        }
-        let t0 = host.as_deref_mut().map(|h| {
-            set_alloc_phase(HostPhase::Analyze);
+            set_alloc_phase(phase);
             h.elapsed_ns()
         });
         let mut acfg = self.analyze_config.clone().unwrap_or_default();
@@ -485,13 +480,15 @@ impl SimulationBuilder {
                 });
             }
         }
-        let report =
-            crisp_analyze::analyze_source_at(src, &acfg, walk).map_err(|e| SimError::TraceIo {
-                cycle: 0,
-                message: e.to_string(),
-            })?;
+        let report = crisp_analyze::analyze_source_at(src, &acfg, walk)?;
+        if let Some(message) = crate::gpu::unplaceable_kernel(src, &cfg) {
+            return Err(SimError::InvalidConfig { message });
+        }
         if let (Some(t0), Some(h)) = (t0, host) {
-            h.span_end(HostPhase::Analyze, "static analysis", t0);
+            h.span_end(phase, span, t0);
+        }
+        if self.analyze == LintLevel::Off {
+            return Ok(None);
         }
         let errors: Vec<crisp_trace::TraceError> = match self.analyze {
             LintLevel::Deny => report
@@ -807,7 +804,8 @@ impl SimulationBuilder {
 mod tests {
     use super::*;
     use crisp_trace::{
-        CtaTrace, Instr, KernelTrace, Op, Reg, Stream, StreamId, StreamKind, TraceBundle, WarpTrace,
+        CtaTrace, DataClass, Instr, KernelTrace, MemAccess, Op, Reg, Space, Stream, StreamId,
+        StreamKind, TraceBundle, WarpTrace,
     };
 
     fn bundle() -> TraceBundle {
@@ -1240,6 +1238,149 @@ mod tests {
             .any(|d| d.code.as_str() == "interference/footprint-collision"));
         assert_eq!(report.stats.len(), 2);
         assert!(report.interference.is_some_and(|s| s > 1.0));
+    }
+
+    fn encode(b: &TraceBundle) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        crisp_trace::codec::write_bundle(b, &mut bytes).unwrap();
+        bytes
+    }
+
+    fn streamed(bytes: &[u8]) -> TraceSource {
+        TraceInput::reader(std::io::Cursor::new(bytes.to_vec()))
+            .open()
+            .unwrap()
+    }
+
+    #[test]
+    fn preflight_pages_each_cta_once() {
+        // Validation and lint are one walk: whatever the level, a
+        // streamed pre-flight decodes every CTA exactly once.
+        let mut b = bundle();
+        let k = b.streams[0].kernels().next().unwrap().clone();
+        let mut g = Stream::new(StreamId(1), StreamKind::Graphics);
+        g.launch(k.clone());
+        g.marker("frame");
+        g.launch(k.clone());
+        b.streams.push(g);
+        let ctas = 3 * k.grid() as u64;
+        let bytes = encode(&b);
+        for level in [LintLevel::Off, LintLevel::Errors, LintLevel::Deny] {
+            let mut src = streamed(&bytes);
+            Simulation::builder()
+                .gpu(GpuConfig::test_tiny())
+                .analyze(level)
+                .analyze_config(AnalysisConfig::new().allow(crisp_analyze::LintCode::DeadWrite))
+                .check(&mut src)
+                .unwrap();
+            assert_eq!(src.stats().ctas_decoded, ctas, "{level:?}");
+        }
+    }
+
+    #[test]
+    fn preflight_errors_keep_their_precedence() {
+        // Structural errors win over lint findings, placement wins over
+        // the lint verdict, and a kernel that cannot be paged in is a
+        // structural `trace-io` error. None of it panics.
+        let racy = || {
+            let mut w = WarpTrace::new();
+            w.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
+            w.push(Instr::store(
+                Reg(1),
+                MemAccess::coalesced(Space::Shared, DataClass::Compute, 4, 0, 32),
+            ));
+            w.push(Instr::bar());
+            w.seal();
+            KernelTrace::new("racy", 64, 8, 1024, vec![CtaTrace::new(vec![w; 2])])
+        };
+        let one_stream = |kernels: Vec<KernelTrace>| {
+            let mut s = Stream::new(StreamId(0), StreamKind::Compute);
+            for k in kernels {
+                s.launch(k);
+            }
+            TraceBundle::from_streams(vec![s])
+        };
+        let mut w = WarpTrace::new();
+        w.push(Instr {
+            op: Op::Ld(Space::Global),
+            dst: Some(Reg(1)),
+            srcs: [None; crisp_trace::MAX_SRCS],
+            mem: None,
+        });
+        w.seal();
+        let naked = KernelTrace::new("naked", 32, 8, 0, vec![CtaTrace::new(vec![w])]);
+        let unsound = one_stream(vec![racy(), naked]);
+        // 512 regs/thread × 256 threads exceed any SM's register file.
+        let mut w = WarpTrace::new();
+        w.push(Instr::alu(Op::IntAlu, Reg(1), &[]));
+        w.seal();
+        let hog = KernelTrace::new("hog", 256, 512, 0, vec![CtaTrace::new(vec![w])]);
+        let unplaceable = one_stream(vec![hog, racy()]);
+        // The last CTA of kernel 'k' claims 127 warps.
+        let mut spans = Vec::new();
+        let mut corrupt = Vec::new();
+        crisp_trace::codec::write_bundle_mutated(
+            &bundle(),
+            &mut corrupt,
+            |_, span| {
+                spans.push(span);
+                span
+            },
+            &[],
+        )
+        .unwrap();
+        let payload: u64 = spans.iter().map(|s| s.1).sum();
+        let last = corrupt.len() - payload as usize + spans.last().unwrap().0 as usize;
+        corrupt[last] = 0x7F;
+
+        let cases = [
+            ("unsound", encode(&unsound), true),
+            ("unplaceable", encode(&unplaceable), false),
+            ("corrupt cta", corrupt, true),
+        ];
+        for level in [LintLevel::Errors, LintLevel::Deny] {
+            let builder = Simulation::builder()
+                .gpu(GpuConfig::test_tiny())
+                .analyze(level);
+            for (name, bytes, structural) in &cases {
+                let err = builder.check(&mut streamed(bytes)).unwrap_err();
+                let validated = crisp_trace::validate_source(&mut streamed(bytes));
+                if !structural {
+                    assert_eq!(validated, Ok(()), "{name}");
+                    assert!(
+                        matches!(err, SimError::InvalidConfig { .. }),
+                        "{name} at {level:?}: {err}"
+                    );
+                    continue;
+                }
+                let SimError::InvalidTrace { errors } = err else {
+                    panic!("{name} at {level:?}: expected InvalidTrace, got {err}");
+                };
+                assert_eq!(Err(errors.clone()), validated, "{name} at {level:?}");
+                assert!(
+                    errors.iter().all(|e| !e.to_string().contains("race/")),
+                    "{name} at {level:?}: {errors:?}"
+                );
+            }
+        }
+        let io = crisp_trace::validate_source(&mut streamed(&cases[2].1)).unwrap_err();
+        assert_eq!(io.len(), 1, "{io:?}");
+        assert_eq!(io[0].site.kernel.as_deref(), Some("k"));
+        assert!(
+            matches!(&io[0].kind, crisp_trace::TraceErrorKind::Semantic { code, .. } if code == "trace-io"),
+            "{io:?}"
+        );
+
+        // The analyzer reports the kernels that validated.
+        let report = crisp_analyze::analyze_bundle(&unsound, &AnalysisConfig::new());
+        assert!(report
+            .errors()
+            .any(|d| d.code.as_str() == "race/shared-write-write"
+                && d.site.kernel.as_deref() == Some("racy")));
+        assert!(report
+            .diagnostics
+            .iter()
+            .all(|d| d.site.kernel.as_deref() != Some("naked")));
     }
 
     #[test]

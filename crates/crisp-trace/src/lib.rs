@@ -55,5 +55,5 @@ pub use source::{
 pub use stream::{Command, Stream, StreamId, StreamKind, TraceBundle};
 pub use validate::{
     validate_bundle, validate_kernel, validate_source, validate_source_from, TraceError,
-    TraceErrorKind, TraceErrorSite, SCOREBOARD_REGS,
+    TraceErrorKind, TraceErrorSite, WalkStep, SCOREBOARD_REGS,
 };

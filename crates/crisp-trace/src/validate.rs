@@ -25,8 +25,8 @@ use std::fmt;
 
 use crate::isa::{Op, Space, WARP_SIZE};
 use crate::kernel::{CtaTrace, KernelTrace};
-use crate::source::{CommandMeta, KernelId, KernelInfo, TraceSource};
-use crate::stream::{StreamId, TraceBundle};
+use crate::source::{CommandMeta, TraceSource};
+use crate::stream::{StreamId, StreamKind, TraceBundle};
 
 /// Number of architectural registers the timing model's scoreboard tracks
 /// per warp. The scoreboard in `crisp-sm` is a `u128` bitmask, so register
@@ -271,9 +271,9 @@ pub fn validate_bundle(bundle: &TraceBundle) -> Result<(), Vec<TraceError>> {
     validate_source(&mut TraceSource::from_bundle(bundle.clone()))
 }
 
-/// Validate a [`TraceSource`] incrementally: CTAs are paged in one at a
-/// time (and released again on streaming sources), so a bundle far larger
-/// than RAM lints in bounded memory.
+/// Validate a [`TraceSource`] incrementally: kernels are paged in one at
+/// a time (and their CTAs released again on streaming sources), so a
+/// bundle far larger than RAM lints in bounded memory.
 ///
 /// # Errors
 ///
@@ -281,13 +281,27 @@ pub fn validate_bundle(bundle: &TraceBundle) -> Result<(), Vec<TraceError>> {
 /// failure while paging a kernel in surfaces as a
 /// [`TraceErrorKind::Semantic`] with code `trace-io`.
 pub fn validate_source(src: &mut TraceSource) -> Result<(), Vec<TraceError>> {
-    validate_source_from(src, |_| 0)
+    validate_source_from(src, |_| 0, |_, _, _| {})
 }
 
-/// [`validate_source`] over only the commands a partly run source can
-/// still execute: each stream is checked from command index
-/// `first(stream)` on. A restored checkpoint uses this to skip the kernels
-/// that already finished.
+/// What [`validate_source_from`] hands its consumer, in directory order.
+#[derive(Debug, Clone, Copy)]
+pub enum WalkStep<'a> {
+    /// A marker command.
+    Marker,
+    /// A kernel launch that validated clean.
+    Kernel(&'a KernelTrace),
+}
+
+/// The pre-flight walk: [`validate_source`] over only the commands a
+/// partly run source can still execute, handing each step to `visit`.
+///
+/// Each stream is checked from command index `first(stream)` on; a
+/// restored checkpoint uses this to skip the kernels that already
+/// finished. Every kernel is paged in once and validated in memory; `visit`
+/// receives the stream's id and kind with each marker and each kernel that
+/// validated clean. A kernel with a defect is reported and not handed on,
+/// so a consumer such as the static analyzer never sees an unsound kernel.
 ///
 /// # Errors
 ///
@@ -295,6 +309,7 @@ pub fn validate_source(src: &mut TraceSource) -> Result<(), Vec<TraceError>> {
 pub fn validate_source_from(
     src: &mut TraceSource,
     first: impl Fn(StreamId) -> usize,
+    mut visit: impl FnMut(StreamId, StreamKind, WalkStep<'_>),
 ) -> Result<(), Vec<TraceError>> {
     let mut lint = Lint {
         errors: Vec::new(),
@@ -302,7 +317,7 @@ pub fn validate_source_from(
     };
     let mut seen: Vec<StreamId> = Vec::new();
     for si in 0..src.streams().len() {
-        let id = src.streams()[si].id;
+        let (id, kind) = (src.streams()[si].id, src.streams()[si].kind);
         lint.site = TraceErrorSite {
             stream: Some(id),
             ..Default::default()
@@ -312,32 +327,36 @@ pub fn validate_source_from(
         }
         seen.push(id);
         for ci in first(id)..src.streams()[si].commands.len() {
-            let (kernel, info) = match &src.streams()[si].commands[ci] {
+            let kernel = match &src.streams()[si].commands[ci] {
                 CommandMeta::Marker(label) => {
                     if label.is_empty() {
                         lint.push(TraceErrorKind::EmptyMarkerLabel);
                     }
+                    visit(id, kind, WalkStep::Marker);
                     continue;
                 }
-                CommandMeta::Launch { kernel, info } => (*kernel, info.clone()),
+                CommandMeta::Launch { kernel, .. } => *kernel,
             };
-            // A kernel that fails to page in reports only the I/O error, as
-            // if it had been materialized whole.
-            let mut kernel_lint = Lint {
-                errors: Vec::new(),
-                site: lint.site.clone(),
-            };
-            match validate_source_kernel(src, kernel, &info, &mut kernel_lint) {
-                Ok(()) => lint.errors.append(&mut kernel_lint.errors),
+            let before = lint.errors.len();
+            match src.materialize_kernel(kernel) {
+                Ok(k) => {
+                    validate_kernel_into(&k, &mut lint);
+                    if lint.errors.len() == before {
+                        visit(id, kind, WalkStep::Kernel(&k));
+                    }
+                }
                 Err(e) => {
-                    lint.site.kernel = Some(info.name.clone());
+                    lint.site.kernel = src.kernel_info(kernel).map(|i| i.name.clone());
                     lint.push(TraceErrorKind::Semantic {
                         code: "trace-io".into(),
                         message: e.to_string(),
                     });
-                    lint.site.kernel = None;
                 }
             }
+            lint.site = TraceErrorSite {
+                stream: Some(id),
+                ..Default::default()
+            };
         }
     }
     if lint.errors.is_empty() {
@@ -345,32 +364,6 @@ pub fn validate_source_from(
     } else {
         Err(lint.errors)
     }
-}
-
-/// Validate one kernel of `src` CTA by CTA, straight from the source's
-/// window, releasing each CTA that was not already resident.
-fn validate_source_kernel(
-    src: &mut TraceSource,
-    kernel: KernelId,
-    info: &KernelInfo,
-    lint: &mut Lint,
-) -> std::io::Result<()> {
-    let stream = lint.site.stream;
-    for ci in 0..info.grid {
-        let was_resident = src.is_resident(kernel, ci);
-        let cta = src.fetch_cta(kernel, ci)?;
-        lint.site = TraceErrorSite {
-            stream,
-            kernel: Some(info.name.clone()),
-            cta: Some(ci),
-            ..Default::default()
-        };
-        validate_cta_of_kernel(&cta, info.warps_per_cta() as usize, lint);
-        if !was_resident {
-            src.release_cta(kernel, ci);
-        }
-    }
-    Ok(())
 }
 
 /// Validate a single kernel trace outside any bundle context.
@@ -383,19 +376,26 @@ pub fn validate_kernel(k: &KernelTrace) -> Result<(), Vec<TraceError>> {
         errors: Vec::new(),
         site: TraceErrorSite::default(),
     };
-    let max_warps = k.warps_per_cta() as usize;
-    for (ci, cta) in k.ctas.iter().enumerate() {
-        lint.site = TraceErrorSite {
-            kernel: Some(k.name.clone()),
-            cta: Some(ci),
-            ..Default::default()
-        };
-        validate_cta_of_kernel(cta, max_warps, &mut lint);
-    }
+    validate_kernel_into(k, &mut lint);
     if lint.errors.is_empty() {
         Ok(())
     } else {
         Err(lint.errors)
+    }
+}
+
+/// The checks on every CTA of `k`, sited in `lint`'s stream.
+fn validate_kernel_into(k: &KernelTrace, lint: &mut Lint) {
+    let stream = lint.site.stream;
+    let max_warps = k.warps_per_cta() as usize;
+    for (ci, cta) in k.ctas.iter().enumerate() {
+        lint.site = TraceErrorSite {
+            stream,
+            kernel: Some(k.name.clone()),
+            cta: Some(ci),
+            ..Default::default()
+        };
+        validate_cta_of_kernel(cta, max_warps, lint);
     }
 }
 

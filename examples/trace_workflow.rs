@@ -7,7 +7,9 @@
 //! policies by **streaming straight from the file**: handing `.trace(..)` a
 //! path demand-pages each CTA's instructions on first dispatch and drops
 //! them at commit, so peak memory tracks the in-flight window, not the
-//! container size.
+//! container size. Each replay also lints the trace at
+//! [`LintLevel::Errors`]: the pre-flight validates and lints each kernel
+//! from one page-in, before the first cycle.
 //!
 //! Run with:
 //! ```sh
@@ -16,6 +18,7 @@
 
 use crisp_core::prelude::*;
 use crisp_core::{concurrent_bundle, COMPUTE_STREAM, GRAPHICS_STREAM};
+use crisp_sim::LintLevel;
 use crisp_trace::codec;
 
 fn main() -> std::io::Result<()> {
@@ -53,6 +56,7 @@ fn main() -> std::io::Result<()> {
             .gpu(gpu.clone())
             .partition(spec)
             .trace(path.as_path())
+            .analyze(LintLevel::Errors)
             .run()
             .unwrap_or_else(|e| panic!("{e}"));
         println!(
